@@ -137,22 +137,38 @@ def parse_degrees(args) -> list[int]:
     return degrees
 
 
+def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int] | None:
+    """(r, s) when a star's spec has order r on every edge and at every
+    boundary vertex and supersmoothness s at the center, else None."""
+    (center,) = mesh.interior_vertices
+    edge_orders = set(spec.r.values())
+    if len(edge_orders) != 1:
+        return None
+    (r,) = edge_orders
+    if any(spec.s[v] != r for v in mesh.boundary_vertices):
+        return None
+    return r, spec.s[center]
+
+
 def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
-    uniform = spec.is_uniform()
     if original is not None:
         # 6-split source: closed form on the original mesh when in range
         try:
             return ps_dim_general(original, args.r, args.s, d), "formula"
         except OutOfRangeError:
             return exact_dimension(mesh, spec, d), "oracle"
-    if len(mesh.interior_vertices) == 1 and uniform is not None:
-        r, s = uniform
-        if s == r:
-            return schumaker_dim(mesh, r, d), "formula"
-        try:
-            return vertex_star_dim(mesh, r, s, d), "formula"
-        except OutOfRangeError:
-            return exact_dimension(mesh, spec, d), "oracle"
+    if len(mesh.interior_vertices) == 1:
+        # the star closed forms assume supersmoothness at the center only
+        orders = _star_orders(mesh, spec)
+        if orders is not None:
+            r, s = orders
+            if s == r:
+                return schumaker_dim(mesh, r, d), "formula"
+            try:
+                return vertex_star_dim(mesh, r, s, d), "formula"
+            except OutOfRangeError:
+                pass
+        return exact_dimension(mesh, spec, d), "oracle"
     raise CliError("no closed formula applies to this configuration")
 
 

@@ -17,7 +17,6 @@ ideal to edges reaching earlier vertices in an admissible ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ideals import (
     GradedIdeal,
@@ -101,16 +100,19 @@ def _require_disk(mesh: Mesh) -> None:
 
 
 class _EdgeData:
-    """Degree-d data for one interior edge: ideal basis and functionals."""
+    """Degree-d data for one interior edge: ideal basis and functionals.
+
+    Both come from the one (memoized) reduced echelon form of the edge
+    ideal's degree-d piece, as primitive integer vectors.
+    """
 
     __slots__ = ("edge", "dim", "basis", "functionals")
 
     def __init__(self, ideal: GradedIdeal, edge: Edge, d: int):
         self.edge = edge
         span = ideal.graded_piece(d)
-        _pivots, rows = span.rref()
-        self.basis = rows
-        self.dim = len(rows)
+        self.basis = span.row_basis()
+        self.dim = len(self.basis)
         self.functionals = span.kernel_basis()
 
 
@@ -126,15 +128,33 @@ class _DegreeSystem:
             e: _EdgeData(edge_ideal_for(mesh, smooth, e), e, d)
             for e in sorted(mesh.interior_edges)
         }
+        self._vertex_totals: dict[str, int] = {}
 
     def sum_edge_dims(self) -> int:
         return sum(data.dim for data in self.edges.values())
 
+    def sum_vertex_dims(self, variant: str) -> int:
+        """Sum over interior vertices of the degree-d vertex ideal dimensions.
 
-def _sparse_dot(u: dict[int, Fraction], v: dict[int, Fraction]) -> Fraction:
+        Each variant is ranked once per system; the tilde variant restricts
+        along the admissible vertex ordering.
+        """
+        total = self._vertex_totals.get(variant)
+        if total is None:
+            mesh, smooth = self.mesh, self.smooth
+            ordering = vertex_ordering(mesh) if variant == "tilde" else None
+            total = sum(
+                vertex_ideal(mesh, smooth, v, variant, ordering).graded_dim(self.d)
+                for v in sorted(mesh.interior_vertices)
+            )
+            self._vertex_totals[variant] = total
+        return total
+
+
+def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
     if len(u) > len(v):
         u, v = v, u
-    total = Fraction(0)
+    total = 0
     for c, x in u.items():
         y = v.get(c)
         if y is not None:
@@ -223,7 +243,7 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
             combo[k] = combo.get(k, 0) - s
         combo = {k: s for k, s in combo.items() if s}
         for q in data.functionals:
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             for te, sign in combo.items():
                 base = col_of[te]
                 for k, bvec in enumerate(sys.edges[te].basis):
@@ -257,15 +277,6 @@ def exact_dimension(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _vertex_dims(
-    mesh: Mesh, smooth: SmoothnessSpec, d: int, variant: str, ordering=None
-) -> dict[int, int]:
-    return {
-        v: vertex_ideal(mesh, smooth, v, variant, ordering).graded_dim(d)
-        for v in sorted(mesh.interior_vertices)
-    }
-
-
 def h0_dimension(
     mesh: Mesh, smooth: SmoothnessSpec, d: int, sys: _DegreeSystem | None = None
 ) -> int:
@@ -285,7 +296,7 @@ def h0_dimension(
     for e, data in sys.edges.items():
         lo, hi = e
         for bvec in data.basis:
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             if hi in block:
                 base = block[hi]
                 for c, val in bvec.items():
@@ -297,8 +308,7 @@ def h0_dimension(
             if row:
                 rows.append(row)
     rank = RatMatrix(rows, n * len(interior)).rank() if interior else 0
-    total = sum(_vertex_dims(mesh, smooth, d, "full").values())
-    return total - rank
+    return sys.sum_vertex_dims("full") - rank
 
 
 def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -310,11 +320,7 @@ def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     _require_disk(mesh)
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
-    raw = (
-        n
-        + sys.sum_edge_dims()
-        - sum(_vertex_dims(mesh, smooth, d, "full").values())
-    )
+    raw = n + sys.sum_edge_dims() - sys.sum_vertex_dims("full")
     return max(raw, n)
 
 
@@ -348,27 +354,15 @@ def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
         )
         return max(raw, n)
     sys = _DegreeSystem(mesh, smooth, d)
-    raw = (
-        n
-        + sys.sum_edge_dims()
-        - sum(_vertex_dims(mesh, smooth, d, "bar").values())
-    )
+    raw = n + sys.sum_edge_dims() - sys.sum_vertex_dims("bar")
     return max(raw, n)
 
 
 def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Upper bound from vertex ideals restricted along an admissible order."""
     _require_disk(mesh)
-    order = vertex_ordering(mesh)
     sys = _DegreeSystem(mesh, smooth, d)
-    return (
-        sys.ncoef
-        + sys.sum_edge_dims()
-        - sum(_vertex_dims(mesh, smooth, d, "tilde", order).values())
-    )
-
-
-_REPORT_CACHE: dict[tuple, DimensionReport] = {}
+    return sys.ncoef + sys.sum_edge_dims() - sys.sum_vertex_dims("tilde")
 
 
 def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionReport:
@@ -379,18 +373,13 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     to the ideal dimension sums.  Disagreement raises
     InternalInconsistencyError (exit code 2 in the CLI).
     """
-    key = (mesh.content_key(), smooth.content_key(), d)
-    cached = _REPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
     _require_disk(mesh)
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
     term_edges = sys.sum_edge_dims()
-    full = sum(_vertex_dims(mesh, smooth, d, "full").values())
-    bar = sum(_vertex_dims(mesh, smooth, d, "bar").values())
-    order = vertex_ordering(mesh)
-    tilde = sum(_vertex_dims(mesh, smooth, d, "tilde", order).values())
+    full = sys.sum_vertex_dims("full")
+    bar = sys.sum_vertex_dims("bar")
+    tilde = sys.sum_vertex_dims("tilde")
     h0 = h0_dimension(mesh, smooth, d, sys)
     if mesh.num_triangles * n <= 600:
         exact = _exact_dim_stacked(sys)
@@ -402,7 +391,7 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
             f"kernel oracle gives {exact} but Euler assembly gives {assembled} "
             f"at degree {d}"
         )
-    report = DimensionReport(
+    return DimensionReport(
         d=d,
         term_polys=mesh.num_triangles * n,
         term_edges=term_edges,
@@ -415,8 +404,6 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
         ub_53=n + term_edges - tilde,
         exact=exact,
     )
-    _REPORT_CACHE[key] = report
-    return report
 
 
 def _star_center(mesh: Mesh) -> int:

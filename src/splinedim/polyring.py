@@ -1,9 +1,11 @@
 """Sparse trivariate homogeneous polynomial algebra over the rationals.
 
 Polynomials live in Q[x, y, z] and are always homogeneous of a declared
-degree.  The monomial order is graded lexicographic with x > y > z; within a
-fixed degree this is plain descending lexicographic order on exponent
-triples, and every coefficient-vector layout in the package uses it.
+degree.  Coefficients are `int` where integral and `Fraction` only where a
+denominator remains, so products of integer linear forms stay integer.  The
+monomial order is graded lexicographic with x > y > z; within a fixed degree
+this is plain descending lexicographic order on exponent triples, and every
+coefficient-vector layout in the package uses it.
 
 All values are immutable and all operations are pure functions.
 """
@@ -13,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Mapping
 
-from .ratlinalg import binom, rational_from_str, rational_to_str
+from .ratlinalg import exact_rational, rational_from_str, rational_to_str
 
 Monomial3 = tuple[int, int, int]
 
@@ -59,15 +61,16 @@ class HomogeneousPolynomial:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Mapping[Monomial3, Fraction]):
+    def __init__(self, degree: int, terms: Mapping[Monomial3, int | Fraction]):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        clean: dict[Monomial3, Fraction] = {}
+        clean: dict[Monomial3, int | Fraction] = {}
         for mono, coef in terms.items():
             i, j, k = mono
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
                 raise ValueError(f"monomial {mono} has degree != {degree}")
-            coef = Fraction(coef)
+            if type(coef) is not int:
+                coef = exact_rational(coef)
             if coef:
                 clean[mono] = coef
         self.degree = degree
@@ -80,7 +83,7 @@ class HomogeneousPolynomial:
     @classmethod
     def variable(cls, name: str) -> "HomogeneousPolynomial":
         exp = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
-        return cls(1, {exp: Fraction(1)})
+        return cls(1, {exp: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,7 +103,7 @@ class HomogeneousPolynomial:
             raise ValueError("cannot add polynomials of different degrees")
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
+            terms[mono] = terms.get(mono, 0) + coef
         return HomogeneousPolynomial(self.degree, terms)
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
@@ -108,13 +111,13 @@ class HomogeneousPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
-            terms: dict[Monomial3, Fraction] = {}
+            terms: dict[Monomial3, int | Fraction] = {}
             for (a, b, c), u in self.terms.items():
                 for (p, q, r), v in other.terms.items():
                     mono = (a + p, b + q, c + r)
-                    terms[mono] = terms.get(mono, Fraction(0)) + u * v
+                    terms[mono] = terms.get(mono, 0) + u * v
             return HomogeneousPolynomial(self.degree + other.degree, terms)
-        coef = Fraction(other)
+        coef = exact_rational(other)
         return HomogeneousPolynomial(
             self.degree, {m: coef * v for m, v in self.terms.items()}
         )
@@ -124,7 +127,7 @@ class HomogeneousPolynomial:
     def __pow__(self, k: int) -> "HomogeneousPolynomial":
         if k < 0:
             raise ValueError("negative power")
-        out = HomogeneousPolynomial(0, {(0, 0, 0): Fraction(1)})
+        out = HomogeneousPolynomial(0, {(0, 0, 0): 1})
         for _ in range(k):
             out = out * self
         return out
@@ -136,12 +139,12 @@ class HomogeneousPolynomial:
             {(i + a, j + b, k + c): v for (i, j, k), v in self.terms.items()},
         )
 
-    def coefficient_vector(self) -> dict[int, Fraction]:
+    def coefficient_vector(self) -> dict[int, int | Fraction]:
         """Sparse coefficients in the fixed degree-d monomial order."""
         idx = monomial_index(self.degree)
         return {idx[m]: v for m, v in self.terms.items()}
 
-    def sorted_terms(self) -> list[tuple[Monomial3, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial3, int | Fraction]]:
         idx = monomial_index(self.degree)
         return sorted(self.terms.items(), key=lambda t: idx[t[0]])
 
@@ -210,16 +213,26 @@ class LinearForm3:
 
     def poly(self) -> HomogeneousPolynomial:
         return HomogeneousPolynomial(
-            1,
-            {
-                (1, 0, 0): Fraction(self.a),
-                (0, 1, 0): Fraction(self.b),
-                (0, 0, 1): Fraction(self.c),
-            },
+            1, {(1, 0, 0): self.a, (0, 1, 0): self.b, (0, 0, 1): self.c}
         )
 
     def power(self, k: int) -> HomogeneousPolynomial:
-        return self.poly() ** k
+        """(a*x + b*y + c*z)^k by the integer multinomial expansion.
+
+        Terms are inserted in the fixed descending monomial order, as
+        `poly() ** k` inserts them, so matrices built from either are laid
+        out identically.
+        """
+        if k < 0:
+            raise ValueError("negative power")
+        a, b, c = self.a, self.b, self.c
+        terms = {}
+        for i in range(k, -1, -1):
+            for j in range(k - i, -1, -1):
+                coef = comb(k, i) * comb(k - i, j) * a**i * b**j * c ** (k - i - j)
+                if coef:
+                    terms[(i, j, k - i - j)] = coef
+        return HomogeneousPolynomial(k, terms)
 
     def evaluate(self, x, y, z) -> Fraction:
         return Fraction(x) * self.a + Fraction(y) * self.b + Fraction(z) * self.c

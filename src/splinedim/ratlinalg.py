@@ -1,25 +1,29 @@
 """Exact rational linear algebra.
 
-Everything here is exact: rationals are `fractions.Fraction` over Python's
+Everything here is exact: rationals are Python `int`s where integral and
+`fractions.Fraction`s only where a denominator remains, over Python's
 arbitrary-precision integers, and rank decisions are exact-zero decisions.
 No floating point is ever used; a single rounding error would flip a
 dimension count downstream.
 
-Matrices are stored sparsely (dict-of-columns per row).  The rank engine
-clears denominators row-wise and runs a fraction-free elimination over the
-integers with Markowitz-style pivoting and per-row gcd normalization, which
-keeps intermediate growth tame on the structured matrices this package
-produces.
+Matrices are stored sparsely (dict-of-columns per row).  Both elimination
+engines work fraction-free over the integers: rows are cleared of
+denominators (integer rows skip this) and divided by the gcd of their
+entries after every update, which keeps intermediate growth tame on the
+structured matrices this package produces.  The rank engine pivots
+Markowitz-style; the reduced echelon form behind `rref`, `row_basis` and
+`kernel_basis` is one Gauss-Jordan elimination per matrix, kept on it.
 
-All values are immutable after construction and safe to share across
-threads; individual computations are sequential, but callers may run many
-of them in parallel.
+All values are immutable after construction (the memoized rank and echelon
+form are idempotent writes) and safe to share across threads; individual
+computations are sequential, but callers may run many of them in parallel.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -28,6 +32,7 @@ __all__ = [
     "Rational",
     "RatMatrix",
     "binom",
+    "exact_rational",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -52,6 +57,14 @@ def binom(a: int, b: int) -> int:
     return out
 
 
+def exact_rational(value) -> int | Fraction:
+    """`value` as an exact rational: `int` when integral, else `Fraction`."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     if q.denominator == 1:
@@ -66,29 +79,75 @@ def rational_from_str(s: str) -> Fraction:
 
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     """Divide a nonzero integer row by the gcd of its entries."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
 
 
-def _to_int_rows(rows: Iterable[dict[int, Fraction]]) -> list[dict[int, int]]:
-    """Clear denominators per row and gcd-normalize; drops zero rows."""
+def _to_int_rows(rows: Iterable[dict[int, int | Fraction]]) -> list[dict[int, int]]:
+    """Clear denominators per row and gcd-normalize; drops zero rows.
+
+    Rows whose entries are all `int` skip the denominator pass.
+    """
     out = []
     for row in rows:
         if not row:
             continue
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        irow = {c: int(v * lcm) for c, v in row.items()}
-        out.append(_normalize_int_row(irow))
+        denominators = [v.denominator for v in row.values() if type(v) is not int]
+        if denominators:
+            scale = lcm(*denominators)
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        out.append(_normalize_int_row(row))
     return out
+
+
+def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Reduced echelon form of a nonzero integer matrix, fraction-free.
+
+    Gauss-Jordan elimination over the integers: the sparsest remaining row
+    supplies the next pivot (its leftmost entry, made positive), and every
+    other row, reduced or not, is replaced by the integer combination
+    a*row - b*pivot_row that cancels the pivot column, then divided by its
+    gcd.  Returns (pivot_columns, rows) in increasing pivot order; each row
+    is primitive, has a positive pivot entry and is zero in every other
+    pivot column.  Any order of pivot rows yields the same pivot columns
+    (the leading columns of the row space), so these rows are the unique
+    reduced rows scaled to primitive integers.
+    """
+    rows = [r for r in rows if r]
+    pivots: list[int] = []
+    reduced: list[dict[int, int]] = []
+    while rows:
+        # sparsest row first keeps the reduction cheap
+        rows.sort(key=len)
+        row = rows.pop(0)
+        pc = min(row)
+        pv = row[pc]
+        if pv < 0:
+            row = {c: -v for c, v in row.items()}
+            pv = -pv
+        for other_list in (reduced, rows):
+            for k, other in enumerate(other_list):
+                ov = other.get(pc)
+                if ov is None:
+                    continue
+                g = gcd(pv, ov)
+                a = pv // g
+                b = ov // g
+                new = {c: a * v for c, v in other.items()} if a != 1 else dict(other)
+                for c, w in row.items():
+                    nv = new.get(c, 0) - b * w
+                    if nv:
+                        new[c] = nv
+                    else:
+                        del new[c]
+                other_list[k] = _normalize_int_row(new) if new else new
+        rows = [r for r in rows if r]
+        pivots.append(pc)
+        reduced.append(row)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [pivots[k] for k in order], [reduced[k] for k in order]
 
 
 def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
@@ -109,7 +168,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
     rank = 0
     while live:
         # candidate columns: a few with the fewest live rows
-        cand_cols = sorted(colmap, key=lambda c: len(colmap[c]))[:6]
+        cand_cols = heapq.nsmallest(6, colmap, key=lambda c: len(colmap[c]))
         best = None
         for c in cand_cols:
             ccount = len(colmap[c])
@@ -179,26 +238,29 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
 class RatMatrix:
     """An immutable exact rational matrix.
 
-    Rows are stored as sparse column->Fraction dicts; dense row lists are
-    accepted at construction.  Arithmetic never rounds.
+    Rows are stored as sparse column->value dicts whose values are `int`
+    where integral and `Fraction` only where a denominator remains; dense
+    row lists are accepted at construction.  Arithmetic never rounds.
     """
 
-    __slots__ = ("_rows", "_ncols", "_rank")
+    __slots__ = ("_rows", "_ncols", "_rank", "_echelon")
 
-    def __init__(self, rows: Sequence[dict[int, Fraction]], ncols: int):
+    def __init__(self, rows: Sequence[dict[int, int | Fraction]], ncols: int):
         cleaned = []
         for row in rows:
             r = {}
             for c, v in row.items():
                 if not 0 <= c < ncols:
                     raise IndexError(f"column {c} out of range for {ncols} columns")
-                v = Fraction(v)
+                if type(v) is not int:
+                    v = exact_rational(v)
                 if v:
                     r[c] = v
             cleaned.append(r)
-        self._rows: tuple[dict[int, Fraction], ...] = tuple(cleaned)
+        self._rows: tuple[dict[int, int | Fraction], ...] = tuple(cleaned)
         self._ncols = ncols
         self._rank: int | None = None
+        self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -208,9 +270,7 @@ class RatMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            sparse.append(
-                {j: Fraction(v) for j, v in enumerate(row) if Fraction(v) != 0}
-            )
+            sparse.append(dict(enumerate(row)))
         return cls(sparse, ncols)
 
     @property
@@ -221,16 +281,16 @@ class RatMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         if not 0 <= j < self._ncols:
             raise IndexError(j)
-        return self._rows[i].get(j, Fraction(0))
+        return self._rows[i].get(j, 0)
 
-    def row_dicts(self) -> tuple[dict[int, Fraction], ...]:
+    def row_dicts(self) -> tuple[dict[int, int | Fraction], ...]:
         return self._rows
 
     def transpose(self) -> "RatMatrix":
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self._ncols)]
+        rows: list[dict[int, int | Fraction]] = [dict() for _ in range(self._ncols)]
         for i, row in enumerate(self._rows):
             for c, v in row.items():
                 rows[c][i] = v
@@ -250,47 +310,37 @@ class RatMatrix:
         """Reduced row echelon form.
 
         Returns (pivot_columns, rows): pivot columns in increasing order and
-        the corresponding unit-pivot reduced rows.  Meant for the small
-        matrices (graded pieces of single ideals) where an explicit basis is
-        needed; rank of large systems should go through rank().
+        the corresponding unit-pivot reduced rows, as `Fraction`s.  The
+        elimination itself runs once per matrix, over the integers
+        (`_int_echelon`); later calls only rebuild the rows from it.  Meant
+        for the small matrices (graded pieces of single ideals) where an
+        explicit basis is needed; rank of large systems should go through
+        rank().
         """
-        rows = [dict(r) for r in self._rows if r]
-        pivots: list[int] = []
-        reduced: list[dict[int, Fraction]] = []
-        while rows:
-            # sparsest row first keeps the reduction cheap
-            rows.sort(key=len)
-            row = rows.pop(0)
-            if not row:
-                continue
-            pc = min(row)
+        if self._echelon is None:
+            self._echelon = _int_echelon(_to_int_rows(self._rows))
+        pivots, rows = self._echelon
+        reduced = []
+        for pc, row in zip(pivots, rows):
             pv = row[pc]
-            if pv != 1:
-                row = {c: v / pv for c, v in row.items()}
-            # reduce previously found rows and the remaining ones
-            for other_list in (reduced, rows):
-                for k, other in enumerate(other_list):
-                    ov = other.get(pc)
-                    if ov:
-                        new = dict(other)
-                        for c, v in row.items():
-                            nv = new.get(c, Fraction(0)) - ov * v
-                            if nv:
-                                new[c] = nv
-                            else:
-                                new.pop(c, None)
-                        other_list[k] = new
-            pivots.append(pc)
-            reduced.append(row)
-        order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-        return [pivots[k] for k in order], [reduced[k] for k in order]
+            reduced.append({c: Fraction(v, pv) for c, v in row.items()})
+        return list(pivots), reduced
 
-    def kernel_basis(self) -> list[dict[int, Fraction]]:
+    def row_basis(self) -> list[dict[int, int]]:
+        """A basis of the row space: the reduced rows as primitive integer rows.
+
+        Row i is the i-th reduced row of rref() times the least common
+        denominator of its entries, so its pivot entry is positive.
+        """
+        return _to_int_rows(self.rref()[1])
+
+    def kernel_basis(self) -> list[dict[int, int]]:
         """A basis of the null space {w : M w = 0}, as sparse vectors.
 
         Equivalently, a basis of the linear functionals vanishing on the
-        row space; built from the reduced form, one vector per non-pivot
-        column.
+        row space; built from the reduced form, one primitive integer vector
+        per non-pivot column c, positive at c and zero at every other
+        non-pivot column.
         """
         pivots, reduced = self.rref()
         pivot_set = set(pivots)
@@ -298,11 +348,12 @@ class RatMatrix:
         for c in range(self._ncols):
             if c in pivot_set:
                 continue
-            vec = {c: Fraction(1)}
-            for pc, row in zip(pivots, reduced):
-                v = row.get(c)
-                if v:
-                    vec[pc] = -v
+            # e_c - sum(row[c] * e_pc), times the common denominator
+            entries = [(pc, row[c]) for pc, row in zip(pivots, reduced) if c in row]
+            scale = lcm(*(v.denominator for _, v in entries))
+            vec = {c: scale}
+            for pc, v in entries:
+                vec[pc] = -v.numerator * (scale // v.denominator)
             basis.append(vec)
         return basis
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from splinedim.cli import main
+from splinedim.cli import builtin_mesh, main
+from splinedim.dimension import star_smoothness_spec
+from splinedim.mesh import mesh_to_json
 
 
 def run(argv):
@@ -55,6 +57,28 @@ def test_dim_formula_fallback_to_oracle():
     assert code == 0
     row = text.strip().splitlines()[1].split(",")
     assert row[6] == "oracle"
+
+
+def test_dim_formula_star_with_s_at_every_vertex_uses_the_oracle():
+    # -s applies at every vertex here, outside the star closed form
+    args = ["dim", "--gen", "star:5-generic", "-r", "2", "-s", "4", "-d", "14", "--format", "csv"]
+    code, text = run([*args, "--method", "formula"])
+    assert code == 0
+    assert text.strip().splitlines()[1].split(",")[5:] == ["375", "oracle"]
+    code, text = run([*args, "--method", "exact"])
+    assert text.strip().splitlines()[1].split(",")[5:] == ["375", "exact"]
+
+
+def test_dim_formula_star_with_s_at_the_center_only(tmp_path):
+    star = builtin_mesh("star:5-generic")
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(mesh_to_json(star, star_smoothness_spec(star, 2, 4))))
+    args = ["dim", "--mesh", str(path), "-d", "14", "--format", "csv"]
+    code, text = run([*args, "--method", "formula"])
+    assert code == 0
+    assert text.strip().splitlines()[1].split(",")[5:] == ["390", "formula"]
+    code, text = run([*args, "--method", "exact"])
+    assert text.strip().splitlines()[1].split(",")[5:] == ["390", "exact"]
 
 
 def test_table_rows_and_check():

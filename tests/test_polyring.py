@@ -154,6 +154,20 @@ def test_linear_form_normalization():
         LinearForm3.make(0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [(1, 0, 0), (0, 0, 1), (3, -2, 0), (0, 5, -7), (-4, 9, 6), (1, -1, 1), (12, 0, -35)],
+)
+def test_power_is_repeated_multiplication(form):
+    ell = LinearForm3(*form)
+    for k in range(13):
+        p = ell.power(k)
+        expected = ell.poly() ** k
+        assert p == expected
+        assert list(p.terms) == list(expected.terms)  # same term order
+        assert all(type(v) is int for v in p.terms.values())
+
+
 def test_polynomial_json_round_trip_and_layout():
     p = LinearForm3
     poly = (

@@ -116,6 +116,105 @@ def test_rank_matches_dense_elimination_oracle(seed):
     assert RatMatrix.from_rows(rows).rank() == _rank_by_fraction_elimination(rows)
 
 
+def _rref_by_fraction_loop(matrix):
+    """Gauss-Jordan elimination over Fraction, the reference for rref().
+
+    This is the loop RatMatrix.rref ran before it moved to fraction-free
+    integer elimination; both must return the same unit-pivot rows.
+    """
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in matrix.row_dicts() if r]
+    pivots: list[int] = []
+    reduced: list[dict[int, Fraction]] = []
+    while rows:
+        # sparsest row first keeps the reduction cheap
+        rows.sort(key=len)
+        row = rows.pop(0)
+        if not row:
+            continue
+        pc = min(row)
+        pv = row[pc]
+        if pv != 1:
+            row = {c: v / pv for c, v in row.items()}
+        # reduce previously found rows and the remaining ones
+        for other_list in (reduced, rows):
+            for k, other in enumerate(other_list):
+                ov = other.get(pc)
+                if ov:
+                    new = dict(other)
+                    for c, v in row.items():
+                        nv = new.get(c, Fraction(0)) - ov * v
+                        if nv:
+                            new[c] = nv
+                        else:
+                            new.pop(c, None)
+                    other_list[k] = new
+        pivots.append(pc)
+        reduced.append(row)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [pivots[k] for k in order], [reduced[k] for k in order]
+
+
+def _check_against_reference(m):
+    """rref() equals the Fraction loop; kernel_basis() is a primitive integer basis."""
+    pivots, rows = m.rref()
+    assert (pivots, rows) == _rref_by_fraction_loop(m)
+    assert len(pivots) == m.rank()
+    kernel = m.kernel_basis()
+    assert len(kernel) == m.ncols - m.rank()
+    for w in kernel:
+        assert w and all(type(v) is int and v for v in w.values())
+        assert math.gcd(*w.values()) == 1
+        for row in m.row_dicts():
+            assert sum(Fraction(v) * w.get(c, 0) for c, v in row.items()) == 0
+    # one vector per non-pivot column, so they are independent
+    free = [c for c in range(m.ncols) if c not in set(pivots)]
+    assert [sorted(set(w) - set(pivots)) for w in kernel] == [[c] for c in free]
+    for row, irow in zip(rows, m.row_basis()):
+        assert all(type(v) is int for v in irow.values())
+        assert math.gcd(*irow.values()) == 1
+        scale = irow[min(irow)]
+        assert scale > 0 and irow == {c: v * scale for c, v in row.items()}
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_rref_and_kernel_match_fraction_loop_on_random_matrices(seed):
+    rng = random.Random(300 + seed)
+    rows = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+    _check_against_reference(RatMatrix.from_rows(rows))
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=8
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_rref_and_kernel_match_fraction_loop_property(rows):
+    _check_against_reference(RatMatrix.from_rows(rows))
+
+
+def test_non_integral_entries_are_cleared_to_integers():
+    m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 2)]])
+    # integral values are stored as int, the rest stay Fraction
+    assert m.row_dicts()[1] == {0: Fraction(3, 2), 1: 1}
+    assert type(m.row_dicts()[1][1]) is int
+    assert type(m.row_dicts()[0][0]) is Fraction
+    assert m.rank() == 1
+    assert m.rref() == ([0], [{0: 1, 1: Fraction(2, 3)}])
+    assert m.row_basis() == [{0: 3, 1: 2}]
+    assert m.kernel_basis() == [{1: 3, 0: -2}]
+    _check_against_reference(m)
+
+
 def test_rref_gives_unit_pivot_basis():
     m = RatMatrix.from_rows([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
     pivots, rows = m.rref()
