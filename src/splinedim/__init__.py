@@ -47,10 +47,8 @@ from .mesh import (
     OrderingNotFoundError,
     SmoothnessSpec,
     distinct_slopes_at,
-    load_mesh,
     load_mesh_document,
     mesh_to_json,
-    star,
     validate_disk,
     verify_vertex_ordering,
     vertex_ordering,
@@ -58,13 +56,11 @@ from .mesh import (
 from .polyring import (
     HomogeneousPolynomial,
     LinearForm3,
-    dehomogenize,
     edge_linear_form,
     graded_monomial_basis,
-    homogenize,
     vertex_complement_form,
 )
-from .ratlinalg import RatMatrix, Rational, binom
+from .ratlinalg import RatMatrix, binom
 from .refine import (
     PSSplitResult,
     make_vertex_star,

@@ -121,6 +121,8 @@ def parse_degrees(args) -> list[int]:
         if ":" in text:
             lo, hi = text.split(":", 1)
             degrees = list(range(int(lo), int(hi) + 1))
+            if not degrees:
+                raise CliError(f"degree range {text} is empty (need A <= B)")
         else:
             degrees = [int(text)]
     elif getattr(args, "d", None) is not None:

@@ -24,6 +24,7 @@ from .ideals import (
     dim_edge_ideal_closed,
     dim_vertex_star_ideal_closed,
     edge_ideal_for,
+    graded_piece_matrix,
     vertex_ideal,
 )
 from .mesh import (
@@ -99,6 +100,12 @@ def _require_disk(mesh: Mesh) -> None:
         raise MeshError(f"mesh is not a valid disk: {', '.join(report.failures)}")
 
 
+def _require_problem(mesh: Mesh, d: int) -> None:
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    _require_disk(mesh)
+
+
 class _EdgeData:
     """Degree-d data for one interior edge: ideal basis and functionals.
 
@@ -106,26 +113,33 @@ class _EdgeData:
     ideal's degree-d piece, as primitive integer vectors.
     """
 
-    __slots__ = ("edge", "dim", "basis", "functionals")
+    __slots__ = ("dim", "basis", "functionals")
 
-    def __init__(self, ideal: GradedIdeal, edge: Edge, d: int):
-        self.edge = edge
-        span = ideal.graded_piece(d)
+    def __init__(self, ideal: GradedIdeal, d: int):
+        span = graded_piece_matrix(ideal.generators, d)
         self.basis = span.row_basis()
         self.dim = len(self.basis)
         self.functionals = span.kernel_basis()
 
 
 class _DegreeSystem:
-    """Shared per-degree data for all the dimension computations."""
+    """Shared per-degree data and formulas for all the dimension computations.
+
+    Validates the disk and the degree, builds each interior edge's data once,
+    and ranks each vertex-ideal variant at most once.  The bounds are
+    C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full (LB5.1),
+    bar (LB5.2) or tilde (UB5.3) vertex ideals; the lower bounds are floored
+    at C(d+2, 2), since global polynomials are always supersplines.
+    """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
+        _require_problem(mesh, d)
         self.mesh = mesh
         self.smooth = smooth
         self.d = d
         self.ncoef = binom(d + 2, 2)
         self.edges = {
-            e: _EdgeData(edge_ideal_for(mesh, smooth, e), e, d)
+            e: _EdgeData(edge_ideal_for(mesh, smooth, e), d)
             for e in sorted(mesh.interior_edges)
         }
         self._vertex_totals: dict[str, int] = {}
@@ -150,6 +164,18 @@ class _DegreeSystem:
             self._vertex_totals[variant] = total
         return total
 
+    def _bound(self, variant: str) -> int:
+        return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims(variant)
+
+    def lb51(self) -> int:
+        return max(self._bound("full"), self.ncoef)
+
+    def lb52(self) -> int:
+        return max(self._bound("bar"), self.ncoef)
+
+    def ub53(self) -> int:
+        return self._bound("tilde")
+
 
 def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
     if len(u) > len(v):
@@ -162,29 +188,14 @@ def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
     return total
 
 
-def _exact_dim_stacked(sys: _DegreeSystem) -> int:
-    """Kernel of the full stacked constraint system (one block per triangle)."""
-    mesh, n = sys.mesh, sys.ncoef
-    rows = []
-    for e, data in sys.edges.items():
-        ta, tb = mesh.edge_triangles[e]
-        for q in data.functionals:
-            row = {}
-            for c, v in q.items():
-                row[ta * n + c] = v
-                row[tb * n + c] = -v
-            rows.append(row)
-    total_unknowns = mesh.num_triangles * n
-    return total_unknowns - RatMatrix(rows, total_unknowns).rank()
-
-
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
-    """Same kernel dimension through a spanning-tree reparametrization.
+    """Kernel dimension of the edge constraint map, on a spanning tree.
 
     On a spanning tree of the dual graph the cross-edge differences are free
     elements of the edge ideals; only the non-tree edges contribute
     constraint rows, and the root polynomial drops out entirely.  This cuts
-    the elimination size by roughly the number of triangles.
+    the elimination size by roughly the number of triangles compared with
+    stacking one block of unknowns per triangle.
     """
     mesh, n = sys.mesh, sys.ncoef
     # Kruskal on the dual graph, cheap ideals first (fewer unknowns)
@@ -255,26 +266,13 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     return n + ncols - rank
 
 
-def exact_dimension(
-    mesh: Mesh, smooth: SmoothnessSpec, d: int, method: str = "auto"
-) -> int:
+def exact_dimension(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Dimension of the degree-d superspline space, by the kernel oracle.
 
-    `method` selects the matrix realization: "stacked" builds the full
-    per-triangle system, "reduced" the spanning-tree reparametrization;
-    both compute the same kernel dimension and "auto" picks by size.
+    The kernel of the edge constraint map is evaluated through the
+    spanning-tree reparametrization of the dual graph.
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    _require_disk(mesh)
-    sys = _DegreeSystem(mesh, smooth, d)
-    if method == "auto":
-        method = "stacked" if mesh.num_triangles * sys.ncoef <= 600 else "reduced"
-    if method == "stacked":
-        return _exact_dim_stacked(sys)
-    if method == "reduced":
-        return _exact_dim_reduced(sys)
-    raise ValueError(f"unknown method {method!r}")
+    return _exact_dim_reduced(_DegreeSystem(mesh, smooth, d))
 
 
 def h0_dimension(
@@ -286,7 +284,6 @@ def h0_dimension(
     of each interior-edge ideal to its interior endpoint vertices with the
     sign convention [far] - [near] in global index order.
     """
-    _require_disk(mesh)
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
@@ -317,11 +314,7 @@ def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     Floored at C(d+2, 2): global polynomials are always supersplines, and
     this floor is what makes the reported bound informative at low degree.
     """
-    _require_disk(mesh)
-    sys = _DegreeSystem(mesh, smooth, d)
-    n = sys.ncoef
-    raw = n + sys.sum_edge_dims() - sys.sum_vertex_dims("full")
-    return max(raw, n)
+    return _DegreeSystem(mesh, smooth, d).lb51()
 
 
 def _bar_vertex_dims_closed(mesh: Mesh, r: int, s: int, d: int) -> int:
@@ -342,27 +335,23 @@ def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     back to rank arithmetic on the bar-variant vertex ideals.  Floored at
     C(d+2, 2) like lower_bound_51.
     """
-    _require_disk(mesh)
-    n = binom(d + 2, 2)
     uniform = smooth.is_uniform()
-    if uniform is not None and uniform[0] <= uniform[1]:
-        r, s = uniform
-        raw = (
-            n
-            + len(mesh.interior_edges) * dim_edge_ideal_closed(r, s, d)
-            - _bar_vertex_dims_closed(mesh, r, s, d)
-        )
-        return max(raw, n)
-    sys = _DegreeSystem(mesh, smooth, d)
-    raw = n + sys.sum_edge_dims() - sys.sum_vertex_dims("bar")
+    if uniform is None or uniform[0] > uniform[1]:
+        return _DegreeSystem(mesh, smooth, d).lb52()
+    _require_problem(mesh, d)
+    r, s = uniform
+    n = binom(d + 2, 2)
+    raw = (
+        n
+        + len(mesh.interior_edges) * dim_edge_ideal_closed(r, s, d)
+        - _bar_vertex_dims_closed(mesh, r, s, d)
+    )
     return max(raw, n)
 
 
 def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Upper bound from vertex ideals restricted along an admissible order."""
-    _require_disk(mesh)
-    sys = _DegreeSystem(mesh, smooth, d)
-    return sys.ncoef + sys.sum_edge_dims() - sys.sum_vertex_dims("tilde")
+    return _DegreeSystem(mesh, smooth, d).ub53()
 
 
 def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionReport:
@@ -373,18 +362,12 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     to the ideal dimension sums.  Disagreement raises
     InternalInconsistencyError (exit code 2 in the CLI).
     """
-    _require_disk(mesh)
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
     term_edges = sys.sum_edge_dims()
     full = sys.sum_vertex_dims("full")
-    bar = sys.sum_vertex_dims("bar")
-    tilde = sys.sum_vertex_dims("tilde")
     h0 = h0_dimension(mesh, smooth, d, sys)
-    if mesh.num_triangles * n <= 600:
-        exact = _exact_dim_stacked(sys)
-    else:
-        exact = _exact_dim_reduced(sys)
+    exact = _exact_dim_reduced(sys)
     assembled = n + term_edges - full + h0
     if exact != assembled:
         raise InternalInconsistencyError(
@@ -396,12 +379,12 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
         term_polys=mesh.num_triangles * n,
         term_edges=term_edges,
         term_vertices_full=full,
-        term_vertices_bar=bar,
-        term_vertices_tilde=tilde,
+        term_vertices_bar=sys.sum_vertex_dims("bar"),
+        term_vertices_tilde=sys.sum_vertex_dims("tilde"),
         h0_dim=h0,
-        lb_51=max(n + term_edges - full, n),
-        lb_52=max(n + term_edges - bar, n),
-        ub_53=n + term_edges - tilde,
+        lb_51=sys.lb51(),
+        lb_52=sys.lb52(),
+        ub_53=sys.ub53(),
         exact=exact,
     )
 

@@ -10,8 +10,7 @@ is established by the rank oracle in the test suite.
 Graded dimensions are computed as ranks of multiplication matrices: the
 degree-d piece of the ideal is spanned by generator-times-monomial
 products, laid out as coefficient vectors over the fixed degree-d monomial
-basis.  Results are cached per (ideal, degree); the cache tolerates
-concurrent idempotent writes.
+basis.
 """
 
 from __future__ import annotations
@@ -46,40 +45,25 @@ __all__ = [
 class GradedIdeal:
     """A homogeneous ideal given by a finite generator list."""
 
-    __slots__ = ("generators", "_dims", "_pieces")
+    __slots__ = ("generators",)
 
     def __init__(self, generators):
         gens = tuple(generators)
         if any(g.is_zero() for g in gens):
             raise ValueError("zero generator")
         self.generators = gens
-        self._dims: dict[int, int] = {}
-        self._pieces: dict[int, RatMatrix] = {}
 
     def min_degree(self) -> int | None:
         return min((g.degree for g in self.generators), default=None)
-
-    def graded_piece(self, d: int) -> RatMatrix:
-        """Span of the degree-d piece as rows over the monomial basis."""
-        m = self._pieces.get(d)
-        if m is None:
-            m = graded_piece_matrix(self.generators, d)
-            self._pieces[d] = m
-        return m
 
     def graded_dim(self, d: int) -> int:
         """Dimension of the degree-d piece over the rationals."""
         if d < 0:
             raise ValueError("degree must be non-negative")
-        value = self._dims.get(d)
-        if value is None:
-            lo = self.min_degree()
-            if lo is None or d < lo:
-                value = 0
-            else:
-                value = self.graded_piece(d).rank()
-            self._dims[d] = value
-        return value
+        lo = self.min_degree()
+        if lo is None or d < lo:
+            return 0
+        return graded_piece_matrix(self.generators, d).rank()
 
     def to_json(self) -> dict:
         return {"generators": [g.to_json() for g in self.generators]}
@@ -98,10 +82,6 @@ def graded_piece_matrix(generators, d: int) -> RatMatrix:
         for mono in graded_monomial_basis(d - g.degree):
             rows.append(g.times_monomial(mono).coefficient_vector())
     return RatMatrix(rows, ncols)
-
-
-def graded_dim(ideal: GradedIdeal, d: int) -> int:
-    return ideal.graded_dim(d)
 
 
 @dataclass(frozen=True)

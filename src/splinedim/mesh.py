@@ -32,14 +32,12 @@ __all__ = [
     "OrderingNotFoundError",
     "Point",
     "SmoothnessSpec",
-    "StarResult",
     "DiskReport",
     "direction_key",
     "distinct_slopes_at",
-    "load_mesh",
+    "load_mesh_document",
     "mesh_to_json",
     "parse_mesh_json",
-    "star",
     "validate_disk",
     "verify_vertex_ordering",
     "vertex_ordering",
@@ -165,9 +163,6 @@ class Mesh:
             f1_interior=len(self.interior_edges),
         )
 
-    def is_interior_edge(self, e: Edge) -> bool:
-        return tuple(sorted(e)) in self.interior_edges
-
     def is_interior_vertex(self, v: int) -> bool:
         return v in self.interior_vertices
 
@@ -176,15 +171,6 @@ class Mesh:
 
     def interior_edges_at_vertex(self, v: int) -> list[Edge]:
         return [e for e in self.edges_at_vertex(v) if e in self.interior_edges]
-
-    def content_key(self) -> tuple:
-        return (self.vertices, self.triangles)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mesh) and self.content_key() == other.content_key()
-
-    def __hash__(self) -> int:
-        return hash(self.content_key())
 
     def __repr__(self) -> str:
         c = self.face_counts()
@@ -239,18 +225,6 @@ class SmoothnessSpec:
     def max_s(self) -> int:
         return max(self.s.values()) if self.s else 0
 
-    def content_key(self) -> tuple:
-        return (tuple(sorted(self.r.items())), tuple(sorted(self.s.items())))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SmoothnessSpec)
-            and self.content_key() == other.content_key()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.content_key())
-
 
 def parse_mesh_json(data: dict) -> Mesh:
     try:
@@ -299,25 +273,15 @@ def parse_smoothness_json(
     return SmoothnessSpec(mesh, r, s)
 
 
-def load_mesh(source: str | Path) -> Mesh:
-    """Load a mesh from a JSON file path or a JSON text string."""
-    text = source
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
-        text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MeshError(f"mesh document is not valid JSON: {exc}") from exc
-    return parse_mesh_json(data)
-
-
 def load_mesh_document(
     source: str | Path,
     fallback_r: int | None = None,
     fallback_s: int | None = None,
 ) -> tuple[Mesh, SmoothnessSpec | None]:
+    """Load a mesh and its smoothness spec from a JSON file path or text.
+
+    The spec is None when neither the document nor the fallbacks give one.
+    """
     text = source
     if isinstance(source, Path) or (
         isinstance(source, str) and not source.lstrip().startswith("{")
@@ -454,31 +418,6 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     if not _boundary_is_single_cycle(mesh):
         failures.append("boundary cycle")
     return DiskReport(ok=not failures, failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class StarResult:
-    mesh: Mesh
-    original_indices: tuple[int, ...]
-    center: int
-
-
-def star(mesh: Mesh, v: int) -> StarResult:
-    """Sub-mesh of all triangles containing v, with re-indexed vertices.
-
-    `original_indices[new]` gives the index in the parent mesh; `center` is
-    the new index of v.
-    """
-    if not 0 <= v < mesh.num_vertices:
-        raise IndexError(v)
-    tris = mesh.vertex_triangles[v]
-    used = sorted({i for t in tris for i in mesh.triangles[t]})
-    remap = {orig: new for new, orig in enumerate(used)}
-    sub = Mesh(
-        [mesh.vertices[i] for i in used],
-        [tuple(remap[i] for i in mesh.triangles[t]) for t in tris],
-    )
-    return StarResult(sub, tuple(used), remap[v])
 
 
 def direction_key(p: Point, q: Point) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Mapping
 
-from .ratlinalg import exact_rational, rational_from_str, rational_to_str
+from .ratlinalg import exact_rational, rational_to_str
 
 Monomial3 = tuple[int, int, int]
 
@@ -26,16 +26,14 @@ __all__ = [
     "HomogeneousPolynomial",
     "LinearForm3",
     "Monomial3",
-    "dehomogenize",
     "edge_linear_form",
     "graded_monomial_basis",
-    "homogenize",
     "monomial_index",
     "vertex_complement_form",
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # every degree up to the CLI's guard of 30
 def graded_monomial_basis(d: int) -> tuple[Monomial3, ...]:
     """All C(d+2, 2) degree-d monomials in the fixed (descending) order."""
     if d < 0:
@@ -46,10 +44,14 @@ def graded_monomial_basis(d: int) -> tuple[Monomial3, ...]:
     return tuple(monos)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(d: int) -> dict[Monomial3, int]:
-    """Position of each degree-d monomial in the fixed order."""
-    return {m: k for k, m in enumerate(graded_monomial_basis(d))}
+def monomial_index(mono: Monomial3) -> int:
+    """Position of a monomial in the fixed order of its degree.
+
+    The (d-i)(d-i+1)/2 monomials with a larger x-exponent come first, and
+    among those with x-exponent i the z-exponent counts up from 0.
+    """
+    _, j, k = mono
+    return (j + k) * (j + k + 1) // 2 + k
 
 
 class HomogeneousPolynomial:
@@ -141,12 +143,10 @@ class HomogeneousPolynomial:
 
     def coefficient_vector(self) -> dict[int, int | Fraction]:
         """Sparse coefficients in the fixed degree-d monomial order."""
-        idx = monomial_index(self.degree)
-        return {idx[m]: v for m, v in self.terms.items()}
+        return {monomial_index(m): v for m, v in self.terms.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial3, int | Fraction]]:
-        idx = monomial_index(self.degree)
-        return sorted(self.terms.items(), key=lambda t: idx[t[0]])
+        return sorted(self.terms.items(), reverse=True)
 
     def to_json(self) -> dict:
         return {
@@ -156,13 +156,6 @@ class HomogeneousPolynomial:
                 for mono, coef in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HomogeneousPolynomial":
-        terms = {
-            tuple(t["exp"]): rational_from_str(t["coef"]) for t in data["terms"]
-        }
-        return cls(data["degree"], terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -241,40 +234,8 @@ class LinearForm3:
         """Whether the form vanishes on the homogenized point (v.x, v.y, 1)."""
         return self.evaluate(v[0], v[1], 1) == 0
 
-    def is_proportional(self, other: "LinearForm3") -> bool:
-        return self == other  # both are normalized
-
     def __repr__(self) -> str:
         return f"LinearForm3({self.a}, {self.b}, {self.c})"
-
-
-def homogenize(bivariate: Mapping[tuple[int, int], Fraction], d: int) -> HomogeneousPolynomial:
-    """Degree-d homogenization with respect to z.
-
-    `bivariate` maps (i, j) exponents of x^i y^j to coefficients; each term
-    becomes x^i y^j z^(d-i-j).
-
-    Raises:
-        ValueError: if some term has total degree above d.
-    """
-    terms: dict[Monomial3, Fraction] = {}
-    for (i, j), coef in bivariate.items():
-        if i < 0 or j < 0:
-            raise ValueError(f"negative exponent in {(i, j)}")
-        if i + j > d:
-            raise ValueError(f"term x^{i} y^{j} exceeds homogenization degree {d}")
-        coef = Fraction(coef)
-        if coef:
-            terms[(i, j, d - i - j)] = terms.get((i, j, d - i - j), Fraction(0)) + coef
-    return HomogeneousPolynomial(d, terms)
-
-
-def dehomogenize(p: HomogeneousPolynomial) -> dict[tuple[int, int], Fraction]:
-    """Set z = 1; inverse of homogenize at the declared degree."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j, _k), coef in p.terms.items():
-        out[(i, j)] = out.get((i, j), Fraction(0)) + coef
-    return {e: c for e, c in out.items() if c}
 
 
 def edge_linear_form(
@@ -308,6 +269,6 @@ def vertex_complement_form(
     if not ell_tau.vanishes_at_vertex(v):
         raise ValueError(f"form {ell_tau} does not vanish at vertex {v}")
     candidate = LinearForm3.make(1, 0, -Fraction(v[0]))
-    if candidate.is_proportional(ell_tau):
+    if candidate == ell_tau:  # both are normalized, so == is proportionality
         candidate = LinearForm3.make(0, 1, -Fraction(v[1]))
     return candidate

@@ -26,10 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RatMatrix",
     "binom",
     "exact_rational",
@@ -281,20 +278,8 @@ class RatMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def entry(self, i: int, j: int) -> int | Fraction:
-        if not 0 <= j < self._ncols:
-            raise IndexError(j)
-        return self._rows[i].get(j, 0)
-
     def row_dicts(self) -> tuple[dict[int, int | Fraction], ...]:
         return self._rows
-
-    def transpose(self) -> "RatMatrix":
-        rows: list[dict[int, int | Fraction]] = [dict() for _ in range(self._ncols)]
-        for i, row in enumerate(self._rows):
-            for c, v in row.items():
-                rows[c][i] = v
-        return RatMatrix(rows, len(self._rows))
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
@@ -356,25 +341,6 @@ class RatMatrix:
                 vec[pc] = -v.numerator * (scale // v.denominator)
             basis.append(vec)
         return basis
-
-    def row_space_contains(self, vector: dict[int, Fraction]) -> bool:
-        """Exact membership of a vector in the row space."""
-        vec = {c: Fraction(v) for c, v in vector.items() if Fraction(v) != 0}
-        for c in vec:
-            if not 0 <= c < self._ncols:
-                raise IndexError(c)
-        _, reduced = self.rref()
-        for row in reduced:
-            pc = min(row)
-            coeff = vec.get(pc)
-            if coeff:
-                for c, v in row.items():
-                    nv = vec.get(c, Fraction(0)) - coeff * v
-                    if nv:
-                        vec[c] = nv
-                    else:
-                        vec.pop(c, None)
-        return not vec
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"

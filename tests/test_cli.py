@@ -185,3 +185,10 @@ def test_methods_lb_ub():
         assert code == 0
         row = text.strip().splitlines()[1].split(",")
         assert row[col] != ""
+
+
+def test_empty_degree_range_is_rejected_by_name(capsys):
+    code, text = run(["dim", "--gen", "triangle", "-r", "1", "--degrees", "5:3"])
+    assert code == 1
+    assert text == ""
+    assert "error: degree range 5:3 is empty" in capsys.readouterr().err

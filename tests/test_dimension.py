@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from splinedim.cli import builtin_mesh
 from splinedim.dimension import (
     OutOfRangeError,
+    _DegreeSystem,
+    _exact_dim_reduced,
     argyris_dim,
     euler_assembly,
     exact_dimension,
@@ -23,7 +26,7 @@ from splinedim.dimension import (
     vertex_star_dim,
 )
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec
-from splinedim.ratlinalg import binom
+from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
 F = Fraction
@@ -46,6 +49,23 @@ def test_exact_two_triangle_argyris_value():
     assert exact_dimension(TWO, spec, 5) == 29
 
 
+def _exact_dim_stacked(sys):
+    """Reference kernel: the full stacked constraint system, one block of
+    unknowns per triangle and one row per edge functional."""
+    mesh, n = sys.mesh, sys.ncoef
+    rows = []
+    for e, data in sys.edges.items():
+        ta, tb = mesh.edge_triangles[e]
+        for q in data.functionals:
+            row = {}
+            for c, v in q.items():
+                row[ta * n + c] = v
+                row[tb * n + c] = -v
+            rows.append(row)
+    total_unknowns = mesh.num_triangles * n
+    return total_unknowns - RatMatrix(rows, total_unknowns).rank()
+
+
 def test_exact_methods_agree():
     rng = random.Random(4)
     meshes = [TWO, CROSS, STAR3, morgan_scott_mesh()]
@@ -54,10 +74,25 @@ def test_exact_methods_agree():
         r = rng.randint(0, 2)
         s = r + rng.randint(0, 2)
         d = rng.randint(0, 5)
-        spec = SmoothnessSpec.uniform(mesh, r, s)
-        a = exact_dimension(mesh, spec, d, method="stacked")
-        b = exact_dimension(mesh, spec, d, method="reduced")
-        assert a == b, (r, s, d)
+        sys = _DegreeSystem(mesh, SmoothnessSpec.uniform(mesh, r, s), d)
+        assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (r, s, d)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        exact_dimension,
+        h0_dimension,
+        lower_bound_51,
+        lower_bound_52,
+        upper_bound_53,
+        euler_assembly,
+    ],
+)
+def test_negative_degree_is_rejected(entry):
+    for mesh in (TWO, CROSS):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            entry(mesh, SmoothnessSpec.uniform(mesh, 1, 2), -1)
 
 
 def test_exact_rejects_invalid_mesh():
@@ -98,6 +133,18 @@ def test_bounds_single_triangle():
         assert lower_bound_51(TRIANGLE, spec, d) == n
         assert lower_bound_52(TRIANGLE, spec, d) == n
         assert upper_bound_53(TRIANGLE, spec, d) == n
+
+
+def test_lb52_closed_form_equals_rank_path():
+    # uniform specs take the closed form; the report ranks the bar ideals
+    stars = [builtin_mesh(f"star:{name}") for name in ("cross", "3-generic", "5-generic")]
+    for mesh in [TWO, morgan_scott_mesh(), *stars]:
+        for r in range(3):
+            for s in range(r, r + 3):
+                spec = SmoothnessSpec.uniform(mesh, r, s)
+                for d in range(9):
+                    closed = lower_bound_52(mesh, spec, d)
+                    assert closed == euler_assembly(mesh, spec, d).lb_52, (r, s, d)
 
 
 def test_sandwich_small_random_configs():

@@ -181,7 +181,8 @@ def test_mixed_generators_define_the_triple_intersection():
         for g in ideal.generators:
             for gens in defining:
                 span = graded_piece_matrix(gens, g.degree)
-                assert span.row_space_contains(g.coefficient_vector())
+                rows = [*span.row_dicts(), g.coefficient_vector()]
+                assert RatMatrix(rows, span.ncols).rank() == span.rank()
 
 
 def test_graded_dim_monotone_in_degree():
@@ -332,5 +333,10 @@ def test_edge_ideal_for_powell_sabin_zb_edge_is_principal():
 def test_graded_ideal_json_round_trip():
     ideal = edge_ideal(canonical_spec(1, 2, 2))
     data = ideal.to_json()
-    back = GradedIdeal([HomogeneousPolynomial.from_json(g) for g in data["generators"]])
+    back = GradedIdeal(
+        HomogeneousPolynomial(
+            g["degree"], {tuple(t["exp"]): F(t["coef"]) for t in g["terms"]}
+        )
+        for g in data["generators"]
+    )
     assert [g.terms for g in back.generators] == [g.terms for g in ideal.generators]

@@ -11,10 +11,8 @@ from splinedim.mesh import (
     SmoothnessSpec,
     direction_key,
     distinct_slopes_at,
-    load_mesh,
     load_mesh_document,
     mesh_to_json,
-    star,
     validate_disk,
     verify_vertex_ordering,
     vertex_ordering,
@@ -128,27 +126,6 @@ def test_validate_disk_annulus():
     assert "euler characteristic" in report.failures
 
 
-def test_star_of_fan_center():
-    fan = make_vertex_star([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    res = star(fan, 0)
-    assert res.mesh.num_triangles == 4
-    assert res.mesh.face_counts().f1_interior == 4
-    assert res.original_indices[res.center] == 0
-
-
-def test_star_of_triangle_vertex():
-    res = star(TRIANGLE, 1)
-    assert res.mesh == TRIANGLE
-
-
-def test_star_of_morgan_scott_interior_vertex():
-    ms = morgan_scott_mesh()
-    v = min(ms.interior_vertices)
-    res = star(ms, v)
-    assert res.mesh.num_triangles == 4
-    assert validate_disk(res.mesh).ok
-
-
 def test_distinct_slopes():
     crossed = make_vertex_star([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert distinct_slopes_at(crossed, 0) == 2
@@ -223,8 +200,8 @@ def test_mesh_json_round_trip():
     data = mesh_to_json(ms, spec)
     text = json.dumps(data)
     mesh2, spec2 = load_mesh_document(text)
-    assert mesh2 == ms
-    assert spec2 == spec
+    assert (mesh2.vertices, mesh2.triangles) == (ms.vertices, ms.triangles)
+    assert (spec2.r, spec2.s) == (spec.r, spec.s)
 
 
 def test_mesh_json_with_overrides():
@@ -244,7 +221,7 @@ def test_mesh_json_with_overrides():
 
 def test_load_mesh_parse_failure():
     with pytest.raises(MeshError, match="JSON"):
-        load_mesh("{not json")
+        load_mesh_document("{not json")
 
 
 def test_smoothness_spec_validation():

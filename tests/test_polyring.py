@@ -8,10 +8,9 @@ import pytest
 from splinedim.polyring import (
     HomogeneousPolynomial,
     LinearForm3,
-    dehomogenize,
     edge_linear_form,
     graded_monomial_basis,
-    homogenize,
+    monomial_index,
     vertex_complement_form,
 )
 from splinedim.ratlinalg import RatMatrix, binom
@@ -36,60 +35,10 @@ def test_monomial_basis_is_strictly_descending():
         assert list(basis) == sorted(basis, reverse=True)
 
 
-def test_homogenize_linear_plus_constant():
-    # x + 1 at degree 2 -> x*z + z^2
-    p = homogenize({(1, 0): F(1), (0, 0): F(1)}, 2)
-    assert p.terms == {(1, 0, 1): F(1), (0, 0, 2): F(1)}
-
-
-def test_homogenize_constant():
-    p = homogenize({(0, 0): F(1)}, 3)
-    assert p.terms == {(0, 0, 3): F(1)}
-
-
-def test_homogenize_mixed_degrees():
-    p = homogenize({(2, 0): F(1), (0, 1): F(1)}, 2)
-    assert p.terms == {(2, 0, 0): F(1), (0, 1, 1): F(1)}
-
-
-def test_homogenize_rejects_overdegree():
-    with pytest.raises(ValueError):
-        homogenize({(2, 1): F(1)}, 2)
-
-
-def test_dehomogenize_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        d = rng.randint(0, 5)
-        biv = {}
-        for _ in range(rng.randint(0, 6)):
-            i = rng.randint(0, d)
-            j = rng.randint(0, d - i)
-            biv[(i, j)] = F(rng.randint(-5, 5))
-        biv = {e: c for e, c in biv.items() if c}
-        assert dehomogenize(homogenize(biv, d)) == biv
-
-
-def test_homogenize_multiplicative():
-    rng = random.Random(11)
-    for _ in range(10):
-        dp, dq = rng.randint(0, 3), rng.randint(0, 3)
-        p = {
-            (i, j): F(rng.randint(-3, 3))
-            for i in range(dp + 1)
-            for j in range(dp + 1 - i)
-        }
-        q = {
-            (i, j): F(rng.randint(-3, 3))
-            for i in range(dq + 1)
-            for j in range(dq + 1 - i)
-        }
-        prod = {}
-        for (a, b), u in p.items():
-            for (c, e), v in q.items():
-                key = (a + c, b + e)
-                prod[key] = prod.get(key, F(0)) + u * v
-        assert homogenize(prod, dp + dq) == homogenize(p, dp) * homogenize(q, dq)
+def test_monomial_index_is_the_position_in_the_basis():
+    for d in range(25):
+        basis = graded_monomial_basis(d)
+        assert [monomial_index(m) for m in basis] == list(range(len(basis)))
 
 
 def test_edge_linear_form_axes():
@@ -178,7 +127,8 @@ def test_polynomial_json_round_trip_and_layout():
     assert data["degree"] == 2
     # serialized in the fixed order: xy before z^2
     assert [t["exp"] for t in data["terms"]] == [[1, 1, 0], [0, 0, 2]]
-    assert HomogeneousPolynomial.from_json(data) == poly
+    terms = {tuple(t["exp"]): F(t["coef"]) for t in data["terms"]}
+    assert HomogeneousPolynomial(data["degree"], terms) == poly
 
 
 def test_polynomial_arithmetic_basics():
