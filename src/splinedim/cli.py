@@ -115,16 +115,26 @@ def _uniform_spec(mesh: Mesh, args, need_spec: bool) -> SmoothnessSpec | None:
     return SmoothnessSpec.uniform(mesh, args.r, s)
 
 
+def _int_list(flag: str, text: str, sep: str, form: str, sizes: tuple[int, ...]) -> list[int]:
+    """`text` split at `sep` into integers; the count must be in `sizes`."""
+    parts = text.split(sep)
+    if len(parts) in sizes:
+        try:
+            return [int(x) for x in parts]
+        except ValueError:
+            pass
+    raise CliError(f"{flag} expects {form}, got {text!r}")
+
+
 def parse_degrees(args) -> list[int]:
     if getattr(args, "degrees", None):
+        if getattr(args, "d", None) is not None:
+            raise CliError("give either -d or --degrees, not both")
         text = args.degrees
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            degrees = list(range(int(lo), int(hi) + 1))
-            if not degrees:
-                raise CliError(f"degree range {text} is empty (need A <= B)")
-        else:
-            degrees = [int(text)]
+        bounds = _int_list("--degrees", text, ":", "A or A:B", (1, 2))
+        degrees = list(range(bounds[0], bounds[-1] + 1))
+        if not degrees:
+            raise CliError(f"degree range {text} is empty (need A <= B)")
     elif getattr(args, "d", None) is not None:
         degrees = [args.d]
     else:
@@ -268,7 +278,7 @@ def run_ideal(args, out) -> int:
     else:
         mesh, spec, _ = resolve_source(args)
         if args.edge:
-            i, j = (int(x) for x in args.edge.split(","))
+            i, j = _int_list("--edge", args.edge, ",", "I,J (two vertex indices)", (2,))
             ideal = edge_ideal_for(mesh, spec, (i, j))
             label = f"edge ideal J({(i, j)})"
         elif args.vertex is not None:
@@ -345,8 +355,8 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_degree_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-d", type=int, default=None, help="single degree")
-    p.add_argument("--degrees", help="degree range A:B (inclusive)")
+    p.add_argument("-d", type=int, default=None, help="single degree (not with --degrees)")
+    p.add_argument("--degrees", help="degree A or range A:B (inclusive)")
     p.add_argument("--allow-large", action="store_true", help="lift the d<=30 guard")
 
 

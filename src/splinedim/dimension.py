@@ -188,6 +188,45 @@ def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
     return total
 
 
+def _dual_bfs_tree(mesh: Mesh) -> tuple[list[Edge], list[dict[Edge, int]]]:
+    """Breadth-first spanning tree of the dual graph, rooted at its centre.
+
+    The root is a triangle of minimum eccentricity (the smallest index on
+    ties), and each triangle's neighbours are visited in sorted edge order,
+    so the tree is deterministic.  Returns the tree edges in discovery order
+    and, per triangle t, the signed tree path D[t] with
+    f_root - f_t = sum(sign * h_e), where h_e = f_ta - f_tb for ta < tb.
+    """
+    adj: list[list[tuple[int, Edge, int]]] = [[] for _ in range(mesh.num_triangles)]
+    for e in sorted(mesh.interior_edges):
+        ta, tb = mesh.edge_triangles[e]
+        adj[ta].append((tb, e, 1))
+        adj[tb].append((ta, e, -1))
+
+    def search(root: int) -> tuple[list[int], dict[int, tuple[int, Edge, int]], int]:
+        depth = {root: 0}
+        via: dict[int, tuple[int, Edge, int]] = {}
+        order = [root]
+        for u in order:
+            for v, e, sign in adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    via[v] = (u, e, sign)
+                    order.append(v)
+        return order, via, depth[order[-1]]
+
+    root = min(range(mesh.num_triangles), key=lambda t: search(t)[2])
+    order, via, _ = search(root)
+    diff: list[dict[Edge, int]] = [{} for _ in range(mesh.num_triangles)]
+    tree: list[Edge] = []
+    for v in order[1:]:
+        u, e, sign = via[v]
+        # f_root - f_v = (f_root - f_u) + (f_u - f_v), and f_u - f_v = sign * h_e
+        diff[v] = {**diff[u], e: sign}
+        tree.append(e)
+    return tree, diff
+
+
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     """Kernel dimension of the edge constraint map, on a spanning tree.
 
@@ -195,28 +234,14 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     elements of the edge ideals; only the non-tree edges contribute
     constraint rows, and the root polynomial drops out entirely.  This cuts
     the elimination size by roughly the number of triangles compared with
-    stacking one block of unknowns per triangle.
+    stacking one block of unknowns per triangle.  The tree is breadth-first
+    from a central triangle (`_dual_bfs_tree`): its fundamental cycles stay
+    short and local, so the constraint rows overlap in a nested pattern and
+    the elimination fills in little.
     """
     mesh, n = sys.mesh, sys.ncoef
-    # Kruskal on the dual graph, cheap ideals first (fewer unknowns)
-    parent = list(range(mesh.num_triangles))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: list[Edge] = []
-    nontree: list[Edge] = []
-    for e in sorted(sys.edges, key=lambda e: sys.edges[e].dim):
-        ta, tb = mesh.edge_triangles[e]
-        ra, rb = find(ta), find(tb)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(e)
-        else:
-            nontree.append(e)
+    tree, diff = _dual_bfs_tree(mesh)
+    in_tree = set(tree)
 
     col_of: dict[Edge, int] = {}
     ncols = 0
@@ -224,29 +249,10 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
         col_of[e] = ncols
         ncols += sys.edges[e].dim
 
-    # D[t] expresses f_root - f_t as a signed combination of tree unknowns
-    adj: dict[int, list[tuple[int, Edge, int]]] = {
-        t: [] for t in range(mesh.num_triangles)
-    }
-    for e in tree:
-        ta, tb = mesh.edge_triangles[e]
-        adj[ta].append((tb, e, 1))   # h_e = f_ta - f_tb with ta < tb
-        adj[tb].append((ta, e, -1))
-    diff: list[dict[Edge, int] | None] = [None] * mesh.num_triangles
-    diff[0] = {}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, e, sign in adj[u]:
-            if diff[v] is None:
-                dv = dict(diff[u])
-                dv[e] = dv.get(e, 0) + sign
-                diff[v] = {k: s for k, s in dv.items() if s}
-                stack.append(v)
-
     rows = []
-    for e in nontree:
-        data = sys.edges[e]
+    for e, data in sys.edges.items():
+        if e in in_tree:
+            continue
         ta, tb = mesh.edge_triangles[e]
         # f_ta - f_tb = D[tb] - D[ta]
         combo: dict[Edge, int] = dict(diff[tb])
@@ -282,29 +288,27 @@ def h0_dimension(
 
     Computed as the cokernel of the boundary map sending the degree-d piece
     of each interior-edge ideal to its interior endpoint vertices with the
-    sign convention [far] - [near] in global index order.
+    sign convention [far] - [near] in global index order.  The map is
+    assembled transposed, one row per (interior vertex, monomial) and one
+    column per edge basis vector, since rank is invariant under
+    transposition and the transposed layout fills in less.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
     interior = sorted(mesh.interior_vertices)
     block = {v: i * n for i, v in enumerate(interior)}
-    rows = []
-    for e, data in sys.edges.items():
-        lo, hi = e
+    rows: list[dict[int, int]] = [{} for _ in range(n * len(interior))]
+    col = 0
+    for (lo, hi), data in sys.edges.items():
         for bvec in data.basis:
-            row: dict[int, int] = {}
-            if hi in block:
-                base = block[hi]
-                for c, val in bvec.items():
-                    row[base + c] = val
-            if lo in block:
-                base = block[lo]
-                for c, val in bvec.items():
-                    row[base + c] = -val
-            if row:
-                rows.append(row)
-    rank = RatMatrix(rows, n * len(interior)).rank() if interior else 0
+            for v, sign in ((hi, 1), (lo, -1)):
+                base = block.get(v)
+                if base is not None:
+                    for c, val in bvec.items():
+                        rows[base + c][col] = sign * val
+            col += 1
+    rank = RatMatrix(rows, col).rank() if interior else 0
     return sys.sum_vertex_dims("full") - rank
 
 

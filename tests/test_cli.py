@@ -192,3 +192,35 @@ def test_empty_degree_range_is_rejected_by_name(capsys):
     assert code == 1
     assert text == ""
     assert "error: degree range 5:3 is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim", "--gen", "triangle", "-r", "1", "--degrees", "3:x"],
+         "error: --degrees expects A or A:B, got '3:x'"),
+        (["dim", "--gen", "triangle", "-r", "1", "--degrees", "x"],
+         "error: --degrees expects A or A:B, got 'x'"),
+        (["dim", "--gen", "triangle", "-r", "1", "--degrees", "2:3:4"],
+         "error: --degrees expects A or A:B, got '2:3:4'"),
+        (["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", "--edge", "0", "-d", "3"],
+         "error: --edge expects I,J (two vertex indices), got '0'"),
+        (["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", "--edge", "a,b", "-d", "3"],
+         "error: --edge expects I,J (two vertex indices), got 'a,b'"),
+        (["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", "--edge", "0,1,2", "-d", "3"],
+         "error: --edge expects I,J (two vertex indices), got '0,1,2'"),
+    ],
+)
+def test_parse_errors_name_the_flag_and_its_form(capsys, argv, message):
+    code, text = run(argv)
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize("command", ["dim", "ideal"])
+def test_d_and_degrees_together_are_rejected(capsys, command):
+    code, text = run([command, "--gen", "triangle", "-r", "1", "-d", "3", "--degrees", "2:4"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.strip() == "error: give either -d or --degrees, not both"

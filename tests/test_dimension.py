@@ -9,6 +9,7 @@ from splinedim.cli import builtin_mesh
 from splinedim.dimension import (
     OutOfRangeError,
     _DegreeSystem,
+    _dual_bfs_tree,
     _exact_dim_reduced,
     argyris_dim,
     euler_assembly,
@@ -76,6 +77,51 @@ def test_exact_methods_agree():
         d = rng.randint(0, 5)
         sys = _DegreeSystem(mesh, SmoothnessSpec.uniform(mesh, r, s), d)
         assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (r, s, d)
+    # 6-splits with their induced mixed specs: edge dimensions differ and
+    # the tree is rooted away from triangle 0
+    for base in ("morgan-scott", "two-triangles"):
+        for r, s in [(0, 1), (1, 2), (2, 3)]:
+            split = powell_sabin_6split(builtin_mesh(base), r, s)
+            assert _dual_bfs_tree(split.refined)[1][0], "root is triangle 0"
+            mixed = False
+            for d in range(6):
+                sys = _DegreeSystem(split.refined, split.spec, d)
+                mixed |= len({data.dim for data in sys.edges.values()}) > 1
+                assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (base, r, s, d)
+            assert mixed
+
+
+def _h0_boundary_rows(sys):
+    """Reference h0: the boundary map assembled untransposed, one row per
+    edge basis vector with +b at the higher and -b at the lower endpoint's
+    block (interior endpoints only)."""
+    n = sys.ncoef
+    interior = sorted(sys.mesh.interior_vertices)
+    block = {v: i * n for i, v in enumerate(interior)}
+    rows = []
+    for (lo, hi), data in sys.edges.items():
+        for bvec in data.basis:
+            row = {}
+            for v, sign in ((hi, 1), (lo, -1)):
+                if v in block:
+                    for c, val in bvec.items():
+                        row[block[v] + c] = sign * val
+            rows.append(row)
+    rank = RatMatrix(rows, n * len(interior)).rank()
+    return sys.sum_vertex_dims("full") - rank
+
+
+def test_h0_equals_the_untransposed_boundary_map():
+    for mesh in (TWO, CROSS, morgan_scott_mesh()):
+        for r, s in [(0, 0), (1, 1), (1, 2), (2, 3)]:
+            spec = SmoothnessSpec.uniform(mesh, r, s)
+            for d in range(7):
+                sys = _DegreeSystem(mesh, spec, d)
+                assert h0_dimension(mesh, spec, d) == _h0_boundary_rows(sys), (r, s, d)
+    split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
+    sys = _DegreeSystem(split.refined, split.spec, 5)
+    assert _h0_boundary_rows(sys) == 14
+    assert h0_dimension(split.refined, split.spec, 5) == 14
 
 
 @pytest.mark.parametrize(
