@@ -234,13 +234,28 @@ def emit_rows(rows: list[dict], fmt: str, out) -> None:
         print("  ".join(str(row.get(c, "")).rjust(widths[c]) for c in COLUMNS), file=out)
 
 
-def check_rows(rows) -> None:
+# report field behind each single-method column
+_REPORT_FIELDS = {"exact": "exact", "lb51": "lb_51", "lb52": "lb_52", "ub53": "ub_53"}
+
+
+def check_rows(rows, mesh, spec) -> None:
+    """Check the bound sandwich on full rows, and every other row's value
+    against the Euler assembly at its degree (formula and oracle rows
+    against its exact dimension)."""
     for row in rows:
         if {"lb52", "lb51", "exact", "ub53"} <= set(row):
             if not row["lb52"] <= row["lb51"] <= row["exact"] <= row["ub53"]:
                 raise InternalInconsistencyError(
                     f"bound sandwich violated at degree {row['d']}: {row}"
                 )
+            continue
+        (column,) = set(row) & set(_REPORT_FIELDS)
+        expected = getattr(euler_assembly(mesh, spec, row["d"]), _REPORT_FIELDS[column])
+        if row[column] != expected:
+            raise InternalInconsistencyError(
+                f"{row['method']} gives {column} = {row[column]} at degree {row['d']} "
+                f"but the Euler assembly gives {expected}"
+            )
 
 
 def run_dim(args, out) -> int:
@@ -248,7 +263,7 @@ def run_dim(args, out) -> int:
     degrees = parse_degrees(args)
     rows = compute_rows(mesh, spec, original, args, degrees)
     if args.check:
-        check_rows(rows)
+        check_rows(rows, mesh, spec)
     emit_rows(rows, args.format, out)
     return 0
 
@@ -373,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exact", "lb51", "lb52", "ub53", "formula", "all"],
     )
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    p.add_argument("--check", action="store_true", help="verify bound ordering per row")
+    p.add_argument("--check", action="store_true", help="cross-check rows (see README)")
     p.set_defaults(func=run_dim)
 
     p = sub.add_parser("table", help="full report over a degree range")

@@ -110,14 +110,15 @@ class _EdgeData:
     """Degree-d data for one interior edge: ideal basis and functionals.
 
     Both come from the one (memoized) reduced echelon form of the edge
-    ideal's degree-d piece, as primitive integer vectors.
+    ideal's degree-d piece, as primitive integer vectors: the basis is its
+    rows, the functionals its kernel basis.
     """
 
     __slots__ = ("dim", "basis", "functionals")
 
     def __init__(self, ideal: GradedIdeal, d: int):
         span = graded_piece_matrix(ideal.generators, d)
-        self.basis = span.row_basis()
+        self.basis = span.rref()[1]
         self.dim = len(self.basis)
         self.functionals = span.kernel_basis()
 

@@ -106,9 +106,11 @@ class EdgeIdealSpec:
                 f"need 0 <= r <= s at both endpoints, got r={self.r}, "
                 f"s=({self.s_gamma}, {self.s_gamma_prime})"
             )
-        forms = [self.ell_tau, self.ell_gamma, self.ell_gamma_prime]
-        m = RatMatrix.from_rows([[f.a, f.b, f.c] for f in forms])
-        if m.rank() != 3:
+        (a, b, c), (d, e, f), (g, h, i) = (
+            (form.a, form.b, form.c)
+            for form in (self.ell_tau, self.ell_gamma, self.ell_gamma_prime)
+        )
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
             raise ValueError("edge frame forms are linearly dependent")
 
 

@@ -226,13 +226,20 @@ class SmoothnessSpec:
         return max(self.s.values()) if self.s else 0
 
 
+def _json_int(field: str, value) -> int:
+    """`value` if it is a JSON integer; a float, bool or string raises."""
+    if type(value) is not int:
+        raise MeshError(f"{field} must hold JSON integers, got {value!r}")
+    return value
+
+
 def parse_mesh_json(data: dict) -> Mesh:
     try:
         vertices = [
             (rational_from_str(str(x)), rational_from_str(str(y)))
             for x, y in data["vertices"]
         ]
-        triangles = data["triangles"]
+        triangles = [[_json_int("triangles", i) for i in tri] for tri in data["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
     return Mesh(vertices, triangles)
@@ -259,17 +266,21 @@ def parse_smoothness_json(
         if not block:
             return None
         raise MeshError("smoothness block present but no default_r / -r given")
-    r = {e: int(default_r) for e in mesh.interior_edges}
-    for i, j, k in block.get("edge_r", []):
-        e = tuple(sorted((int(i), int(j))))
+    default_r = _json_int("default_r", default_r)
+    default_s = _json_int("default_s", default_s)
+    r = {e: default_r for e in mesh.interior_edges}
+    for entry in block.get("edge_r", []):
+        i, j, k = (_json_int("edge_r", x) for x in entry)
+        e = tuple(sorted((i, j)))
         if e not in mesh.interior_edges:
             raise MeshError(f"edge_r entry {e} is not an interior edge")
-        r[e] = int(k)
-    s = {v: int(default_s) for v in range(mesh.num_vertices)}
-    for i, k in block.get("vertex_s", []):
-        if not 0 <= int(i) < mesh.num_vertices:
+        r[e] = k
+    s = {v: default_s for v in range(mesh.num_vertices)}
+    for entry in block.get("vertex_s", []):
+        i, k = (_json_int("vertex_s", x) for x in entry)
+        if not 0 <= i < mesh.num_vertices:
             raise MeshError(f"vertex_s entry {i} out of range")
-        s[int(i)] = int(k)
+        s[i] = k
     return SmoothnessSpec(mesh, r, s)
 
 
@@ -484,18 +495,18 @@ def vertex_ordering(mesh: Mesh) -> list[int]:
 
     Boundary vertices come first; each interior vertex is appended once it
     has two placed (or boundary) neighbors along edges of different slopes.
-    Greedy placement succeeds on every disk triangulation we have met; a
-    brute-force search covers small meshes should it ever stall, and
-    failure is reported rather than silently producing a bad order.
+    Failure is reported rather than silently producing a bad order.
 
     Raises:
         OrderingNotFoundError: if no admissible ordering was found.
     """
-    boundary = sorted(mesh.boundary_vertices)
-    interior = sorted(mesh.interior_vertices)
-    order = list(boundary)
-    placed = set(boundary)
-    remaining = set(interior)
+    order = sorted(mesh.boundary_vertices)
+    placed = set(order)
+    remaining = set(mesh.interior_vertices)
+    # A stalled greedy pass proves that no admissible order exists: `_ready`
+    # is monotone in the placed set, and in any admissible order the first
+    # vertex the greedy pass left unplaced has only greedy-placed or boundary
+    # vertices before it, so it would already be ready for the greedy pass.
     while remaining:
         pick = next((v for v in sorted(remaining) if _ready(mesh, v, placed)), None)
         if pick is None:
@@ -503,34 +514,9 @@ def vertex_ordering(mesh: Mesh) -> list[int]:
         order.append(pick)
         placed.add(pick)
         remaining.remove(pick)
-    if not remaining:
-        check = verify_vertex_ordering(mesh, order)
-        if check is None:
-            return order
+    if remaining or verify_vertex_ordering(mesh, order) is not None:
+        raise OrderingNotFoundError(
+            "no vertex ordering with two distinct-slope predecessors per interior vertex"
+        )
+    return order
 
-    if len(interior) <= 10:
-        found = _ordering_backtrack(mesh, list(boundary), set(boundary), set(interior))
-        if found is not None:
-            return found
-    raise OrderingNotFoundError(
-        "no vertex ordering with two distinct-slope predecessors per interior vertex"
-    )
-
-
-def _ordering_backtrack(
-    mesh: Mesh, order: list[int], placed: set[int], remaining: set[int]
-) -> list[int] | None:
-    if not remaining:
-        return list(order)
-    for v in sorted(remaining):
-        if _ready(mesh, v, placed):
-            order.append(v)
-            placed.add(v)
-            remaining.remove(v)
-            found = _ordering_backtrack(mesh, order, placed, remaining)
-            if found is not None:
-                return found
-            order.pop()
-            placed.remove(v)
-            remaining.add(v)
-    return None

@@ -1,9 +1,10 @@
-"""Sparse trivariate homogeneous polynomial algebra over the rationals.
+"""Sparse trivariate homogeneous polynomials with integer coefficients.
 
-Polynomials live in Q[x, y, z] and are always homogeneous of a declared
-degree.  Coefficients are `int` where integral and `Fraction` only where a
-denominator remains, so products of integer linear forms stay integer.  The
-monomial order is graded lexicographic with x > y > z; within a fixed degree
+Polynomials live in Z[x, y, z] and are always homogeneous of a declared
+degree.  Every polynomial the package builds is a product of powers of
+integer-normalized linear forms, so coefficients are `int` (anything else
+raises `TypeError`); the ideals they generate are ideals of Q[x, y, z], and
+their graded dimensions are ranks over Q.  The monomial order is graded lexicographic with x > y > z; within a fixed degree
 this is plain descending lexicographic order on exponent triples, and every
 coefficient-vector layout in the package uses it.
 
@@ -17,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from typing import Mapping
-
-from .ratlinalg import exact_rational, rational_to_str
 
 Monomial3 = tuple[int, int, int]
 
@@ -55,37 +54,28 @@ def monomial_index(mono: Monomial3) -> int:
 
 
 class HomogeneousPolynomial:
-    """A homogeneous polynomial in Q[x, y, z] with sparse exact terms.
+    """A homogeneous polynomial in Z[x, y, z] with sparse terms.
 
     Invariant: every stored monomial has the declared degree and a nonzero
-    coefficient.
+    `int` coefficient.
     """
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Mapping[Monomial3, int | Fraction]):
+    def __init__(self, degree: int, terms: Mapping[Monomial3, int]):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        clean: dict[Monomial3, int | Fraction] = {}
+        clean: dict[Monomial3, int] = {}
         for mono, coef in terms.items():
             i, j, k = mono
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
                 raise ValueError(f"monomial {mono} has degree != {degree}")
             if type(coef) is not int:
-                coef = exact_rational(coef)
+                raise TypeError(f"coefficient {coef!r} of {mono} is not an int")
             if coef:
                 clean[mono] = coef
         self.degree = degree
         self.terms = clean
-
-    @classmethod
-    def zero(cls, degree: int) -> "HomogeneousPolynomial":
-        return cls(degree, {})
-
-    @classmethod
-    def variable(cls, name: str) -> "HomogeneousPolynomial":
-        exp = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
-        return cls(1, {exp: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,39 +90,19 @@ class HomogeneousPolynomial:
     def __hash__(self) -> int:
         return hash((self.degree, tuple(sorted(self.terms.items()))))
 
-    def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        if self.degree != other.degree:
-            raise ValueError("cannot add polynomials of different degrees")
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + coef
-        return HomogeneousPolynomial(self.degree, terms)
+    def __mul__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
+        if not isinstance(other, HomogeneousPolynomial):
+            return NotImplemented
+        terms: dict[Monomial3, int] = {}
+        for (a, b, c), u in self.terms.items():
+            for (p, q, r), v in other.terms.items():
+                mono = (a + p, b + q, c + r)
+                terms[mono] = terms.get(mono, 0) + u * v
+        return HomogeneousPolynomial(self.degree + other.degree, terms)
 
-    def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, HomogeneousPolynomial):
-            terms: dict[Monomial3, int | Fraction] = {}
-            for (a, b, c), u in self.terms.items():
-                for (p, q, r), v in other.terms.items():
-                    mono = (a + p, b + q, c + r)
-                    terms[mono] = terms.get(mono, 0) + u * v
-            return HomogeneousPolynomial(self.degree + other.degree, terms)
-        coef = exact_rational(other)
-        return HomogeneousPolynomial(
-            self.degree, {m: coef * v for m, v in self.terms.items()}
-        )
-
+    # Not needed for polynomial products; kept because perfbench/tracer.py
+    # wraps `__rmul__` by name, looking it up in the class dict.
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "HomogeneousPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = HomogeneousPolynomial(0, {(0, 0, 0): 1})
-        for _ in range(k):
-            out = out * self
-        return out
 
     def times_monomial(self, mono: Monomial3) -> "HomogeneousPolynomial":
         a, b, c = mono
@@ -141,18 +111,18 @@ class HomogeneousPolynomial:
             {(i + a, j + b, k + c): v for (i, j, k), v in self.terms.items()},
         )
 
-    def coefficient_vector(self) -> dict[int, int | Fraction]:
+    def coefficient_vector(self) -> dict[int, int]:
         """Sparse coefficients in the fixed degree-d monomial order."""
         return {monomial_index(m): v for m, v in self.terms.items()}
 
-    def sorted_terms(self) -> list[tuple[Monomial3, int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial3, int]]:
         return sorted(self.terms.items(), reverse=True)
 
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
             "terms": [
-                {"exp": list(mono), "coef": rational_to_str(coef)}
+                {"exp": list(mono), "coef": str(coef)}
                 for mono, coef in self.sorted_terms()
             ],
         }
@@ -168,11 +138,11 @@ class HomogeneousPolynomial:
                 if e
             )
             if coef == 1 and mono:
-                parts.append(mono or "1")
+                parts.append(mono)
             elif coef == -1 and mono:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{rational_to_str(coef)}{mono}" if mono else rational_to_str(coef))
+                parts.append(f"{coef}{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -213,8 +183,8 @@ class LinearForm3:
         """(a*x + b*y + c*z)^k by the integer multinomial expansion.
 
         Terms are inserted in the fixed descending monomial order, as
-        `poly() ** k` inserts them, so matrices built from either are laid
-        out identically.
+        repeated multiplication of `poly()` inserts them, so matrices built
+        from either are laid out identically.
         """
         if k < 0:
             raise ValueError("negative power")

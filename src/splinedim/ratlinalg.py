@@ -1,18 +1,19 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra over the integers, with ranks over the rationals.
 
-Everything here is exact: rationals are Python `int`s where integral and
-`fractions.Fraction`s only where a denominator remains, over Python's
-arbitrary-precision integers, and rank decisions are exact-zero decisions.
-No floating point is ever used; a single rounding error would flip a
-dimension count downstream.
+Every matrix this package builds is integral: its rows are coefficient
+vectors of products of powers of integer-normalized linear forms.  Entries
+are therefore Python `int`s (anything else raises `TypeError`), over
+Python's arbitrary-precision integers, and rank decisions are exact-zero
+decisions; ranks are ranks over Q.  No floating point is ever used; a
+single rounding error would flip a dimension count downstream.
 
 Matrices are stored sparsely (dict-of-columns per row).  Both elimination
-engines work fraction-free over the integers: rows are cleared of
-denominators (integer rows skip this) and divided by the gcd of their
-entries after every update, which keeps intermediate growth tame on the
+engines work fraction-free: every update replaces a row by the integer
+combination that cancels the pivot column and divides it by the gcd of its
+entries (`_eliminate`), which keeps intermediate growth tame on the
 structured matrices this package produces.  The rank engine pivots
-Markowitz-style; the reduced echelon form behind `rref`, `row_basis` and
-`kernel_basis` is one Gauss-Jordan elimination per matrix, kept on it.
+Markowitz-style; the reduced echelon form behind `rref` and `kernel_basis`
+is one Gauss-Jordan elimination per matrix, kept on it.
 
 All values are immutable after construction (the memoized rank and echelon
 form are idempotent writes) and safe to share across threads; individual
@@ -24,12 +25,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RatMatrix",
     "binom",
-    "exact_rational",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -54,14 +54,6 @@ def binom(a: int, b: int) -> int:
     return out
 
 
-def exact_rational(value) -> int | Fraction:
-    """`value` as an exact rational: `int` when integral, else `Fraction`."""
-    if type(value) is int:
-        return value
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
-
-
 def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     if q.denominator == 1:
@@ -82,37 +74,43 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _to_int_rows(rows: Iterable[dict[int, int | Fraction]]) -> list[dict[int, int]]:
-    """Clear denominators per row and gcd-normalize; drops zero rows.
+def _primitive_rows(rows) -> list[dict[int, int]]:
+    """The nonzero rows, each divided by the gcd of its entries."""
+    return [_normalize_int_row(r) for r in rows if r]
 
-    Rows whose entries are all `int` skip the denominator pass.
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, int]:
+    """One fraction-free step: `row` with pivot column `pc` cancelled by `piv`.
+
+    Returns a*row - b*piv divided by the gcd of its entries, where a and b
+    are piv[pc] and row[pc] over their gcd; an empty dict when that is zero.
     """
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        denominators = [v.denominator for v in row.values() if type(v) is not int]
-        if denominators:
-            scale = lcm(*denominators)
-            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        out.append(_normalize_int_row(row))
-    return out
+    pv, rv = piv[pc], row[pc]
+    g = gcd(pv, rv)
+    a = pv // g
+    b = rv // g
+    new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+    for c, w in piv.items():
+        nv = new.get(c, 0) - b * w
+        if nv:
+            new[c] = nv
+        else:
+            del new[c]
+    return _normalize_int_row(new) if new else new
 
 
 def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Reduced echelon form of a nonzero integer matrix, fraction-free.
+    """Reduced echelon form of an integer matrix given by nonzero rows.
 
     Gauss-Jordan elimination over the integers: the sparsest remaining row
     supplies the next pivot (its leftmost entry, made positive), and every
-    other row, reduced or not, is replaced by the integer combination
-    a*row - b*pivot_row that cancels the pivot column, then divided by its
-    gcd.  Returns (pivot_columns, rows) in increasing pivot order; each row
-    is primitive, has a positive pivot entry and is zero in every other
-    pivot column.  Any order of pivot rows yields the same pivot columns
-    (the leading columns of the row space), so these rows are the unique
-    reduced rows scaled to primitive integers.
+    other row, reduced or not, that meets the pivot column goes through
+    `_eliminate`.  Returns (pivot_columns, rows) in increasing pivot order;
+    each row is primitive, has a positive pivot entry and is zero in every
+    other pivot column.  Any order of pivot rows yields the same pivot
+    columns (the leading columns of the row space), so these rows are the
+    unique reduced rows scaled to primitive integers.
     """
-    rows = [r for r in rows if r]
     pivots: list[int] = []
     reduced: list[dict[int, int]] = []
     while rows:
@@ -120,26 +118,12 @@ def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, 
         rows.sort(key=len)
         row = rows.pop(0)
         pc = min(row)
-        pv = row[pc]
-        if pv < 0:
+        if row[pc] < 0:
             row = {c: -v for c, v in row.items()}
-            pv = -pv
         for other_list in (reduced, rows):
             for k, other in enumerate(other_list):
-                ov = other.get(pc)
-                if ov is None:
-                    continue
-                g = gcd(pv, ov)
-                a = pv // g
-                b = ov // g
-                new = {c: a * v for c, v in other.items()} if a != 1 else dict(other)
-                for c, w in row.items():
-                    nv = new.get(c, 0) - b * w
-                    if nv:
-                        new[c] = nv
-                    else:
-                        del new[c]
-                other_list[k] = _normalize_int_row(new) if new else new
+                if pc in other:
+                    other_list[k] = _eliminate(other, row, pc)
         rows = [r for r in rows if r]
         pivots.append(pc)
         reduced.append(row)
@@ -186,35 +170,11 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
             if not s:
                 del colmap[c]
         rank += 1
-        pv = piv[pc]
 
         touched = list(colmap.pop(pc, ()))
         for rid in touched:
             row = live[rid]
-            rv = row[pc]
-            g = gcd(pv, rv)
-            a = pv // g
-            b = rv // g
-            # new_row = a*row - b*piv  (pivot column cancels exactly)
-            new_row: dict[int, int] = {}
-            if a == 1:
-                for c, v in row.items():
-                    w = piv.get(c)
-                    nv = v - b * w if w is not None else v
-                    if nv:
-                        new_row[c] = nv
-            else:
-                for c, v in row.items():
-                    w = piv.get(c)
-                    nv = a * v - b * w if w is not None else a * v
-                    if nv:
-                        new_row[c] = nv
-            for c, w in piv.items():
-                if c not in row:
-                    new_row[c] = -b * w
-            new_row.pop(pc, None)
-            if new_row:
-                new_row = _normalize_int_row(new_row)
+            new_row = _eliminate(row, piv, pc)
             # update column index incrementally
             for c in row:
                 if c != pc and c not in new_row:
@@ -233,16 +193,16 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
 
 
 class RatMatrix:
-    """An immutable exact rational matrix.
+    """An immutable exact integer matrix; its rank is the rank over Q.
 
-    Rows are stored as sparse column->value dicts whose values are `int`
-    where integral and `Fraction` only where a denominator remains; dense
-    row lists are accepted at construction.  Arithmetic never rounds.
+    Rows are stored as sparse column->value dicts of nonzero `int`s; an
+    entry of any other type (`Fraction`, `float`, `bool`, ...) raises
+    `TypeError`.  Arithmetic never rounds.
     """
 
     __slots__ = ("_rows", "_ncols", "_rank", "_echelon")
 
-    def __init__(self, rows: Sequence[dict[int, int | Fraction]], ncols: int):
+    def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         cleaned = []
         for row in rows:
             r = {}
@@ -250,25 +210,14 @@ class RatMatrix:
                 if not 0 <= c < ncols:
                     raise IndexError(f"column {c} out of range for {ncols} columns")
                 if type(v) is not int:
-                    v = exact_rational(v)
+                    raise TypeError(f"matrix entry {v!r} at column {c} is not an int")
                 if v:
                     r[c] = v
             cleaned.append(r)
-        self._rows: tuple[dict[int, int | Fraction], ...] = tuple(cleaned)
+        self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
         self._rank: int | None = None
         self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        """Build from dense row lists of ints/Fractions/strings."""
-        ncols = len(rows[0]) if rows else 0
-        sparse = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            sparse.append(dict(enumerate(row)))
-        return cls(sparse, ncols)
 
     @property
     def nrows(self) -> int:
@@ -278,46 +227,29 @@ class RatMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def row_dicts(self) -> tuple[dict[int, int | Fraction], ...]:
+    def row_dicts(self) -> tuple[dict[int, int], ...]:
         return self._rows
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
         if self._rank is None:
-            self._rank = _sparse_int_rank(_to_int_rows(self._rows))
+            self._rank = _sparse_int_rank(_primitive_rows(self._rows))
         return self._rank
 
-    def kernel_dim(self) -> int:
-        """Dimension of the (right) null space: ncols - rank."""
-        return self._ncols - self.rank()
-
-    def rref(self) -> tuple[list[int], list[dict[int, Fraction]]]:
-        """Reduced row echelon form.
+    def rref(self) -> tuple[list[int], list[dict[int, int]]]:
+        """Reduced row echelon form, as primitive integer rows.
 
         Returns (pivot_columns, rows): pivot columns in increasing order and
-        the corresponding unit-pivot reduced rows, as `Fraction`s.  The
-        elimination itself runs once per matrix, over the integers
-        (`_int_echelon`); later calls only rebuild the rows from it.  Meant
-        for the small matrices (graded pieces of single ideals) where an
-        explicit basis is needed; rank of large systems should go through
-        rank().
+        the reduced rows scaled to primitive integers with positive pivots,
+        so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  The
+        elimination runs once per matrix (`_int_echelon`) and the result is
+        kept on it and shared: callers must not modify it.  Meant for the
+        small matrices (graded pieces of single ideals) where an explicit
+        basis is needed; rank of large systems should go through rank().
         """
         if self._echelon is None:
-            self._echelon = _int_echelon(_to_int_rows(self._rows))
-        pivots, rows = self._echelon
-        reduced = []
-        for pc, row in zip(pivots, rows):
-            pv = row[pc]
-            reduced.append({c: Fraction(v, pv) for c, v in row.items()})
-        return list(pivots), reduced
-
-    def row_basis(self) -> list[dict[int, int]]:
-        """A basis of the row space: the reduced rows as primitive integer rows.
-
-        Row i is the i-th reduced row of rref() times the least common
-        denominator of its entries, so its pivot entry is positive.
-        """
-        return _to_int_rows(self.rref()[1])
+            self._echelon = _int_echelon(_primitive_rows(self._rows))
+        return self._echelon
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """A basis of the null space {w : M w = 0}, as sparse vectors.
@@ -333,12 +265,12 @@ class RatMatrix:
         for c in range(self._ncols):
             if c in pivot_set:
                 continue
-            # e_c - sum(row[c] * e_pc), times the common denominator
-            entries = [(pc, row[c]) for pc, row in zip(pivots, reduced) if c in row]
-            scale = lcm(*(v.denominator for _, v in entries))
+            # e_c - sum(row[c] / row[pc] * e_pc), times the common denominator
+            entries = [(pc, row[pc], row[c]) for pc, row in zip(pivots, reduced) if c in row]
+            scale = lcm(*(pv // gcd(v, pv) for _, pv, v in entries))
             vec = {c: scale}
-            for pc, v in entries:
-                vec[pc] = -v.numerator * (scale // v.denominator)
+            for pc, pv, v in entries:
+                vec[pc] = -v * scale // pv
             basis.append(vec)
         return basis
 

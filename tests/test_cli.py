@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import splinedim.cli
 from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import star_smoothness_spec
 from splinedim.mesh import mesh_to_json
@@ -224,3 +225,55 @@ def test_d_and_degrees_together_are_rejected(capsys, command):
     assert code == 1
     assert text == ""
     assert capsys.readouterr().err.strip() == "error: give either -d or --degrees, not both"
+
+
+# the sources of the golden `dim` commands, with the methods each accepts
+_CHECK_SOURCES = {
+    "ps6-triangle": (["--gen", "ps6:triangle", "-r", "1", "-s", "2", "--degrees", "2:4"],
+                     ["exact", "lb51", "lb52", "ub53", "formula", "all"]),
+    "star4": (["--gen", "star:4-generic", "-r", "1", "--degrees", "1:4"],
+              ["exact", "lb51", "lb52", "ub53", "formula", "all"]),
+    "morgan-scott": (["--gen", "morgan-scott", "-r", "1", "-s", "2", "--degrees", "3:5"],
+                     ["exact", "lb51", "lb52", "ub53", "all"]),
+}
+
+
+@pytest.mark.parametrize(
+    "source, method",
+    [(name, method) for name, (_, methods) in _CHECK_SOURCES.items() for method in methods],
+)
+def test_check_passes_for_every_method_and_prints_the_same_bytes(source, method):
+    argv = ["dim", *_CHECK_SOURCES[source][0], "--method", method, "--format", "csv"]
+    code, text = run(argv)
+    assert code == 0
+    assert run([*argv, "--check"]) == (0, text)
+
+
+def test_check_catches_a_single_method_that_disagrees_with_the_euler_assembly(
+    monkeypatch, capsys
+):
+    real = splinedim.cli.lower_bound_52
+    monkeypatch.setattr(splinedim.cli, "lower_bound_52", lambda *args: real(*args) + 1)
+    argv = ["dim", *_CHECK_SOURCES["ps6-triangle"][0], "--method", "lb52"]
+    assert run(argv)[0] == 0  # without --check the wrong value is printed
+    code, text = run([*argv, "--check"])
+    assert (code, text) == (2, "")
+    assert "but the Euler assembly gives" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "smoothness, message",
+    [
+        ({"default_r": 1.5, "default_s": 2.9}, "default_r must hold JSON integers, got 1.5"),
+        ({"default_r": 1, "default_s": 2.9}, "default_s must hold JSON integers, got 2.9"),
+        ({"default_r": True}, "default_r must hold JSON integers, got True"),
+    ],
+)
+def test_mesh_json_rejects_non_integer_orders(tmp_path, capsys, smoothness, message):
+    doc = mesh_to_json(builtin_mesh("morgan-scott"))
+    doc["smoothness"] = smoothness
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["gen", "--mesh", str(path)], ["dim", "--mesh", str(path), "-d", "3"]):
+        assert run(argv) == (1, "")
+        assert f"error: {message}" in capsys.readouterr().err

@@ -219,6 +219,36 @@ def test_mesh_json_with_overrides():
     assert spec2.s[1] == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("default_r", 1.5),
+        ("default_r", True),
+        ("default_r", "1"),
+        ("default_s", 2.9),
+        ("default_s", False),
+        ("edge_r", [[3, 4, 2.5]]),
+        ("edge_r", [[3.0, 4, 2]]),
+        ("edge_r", [[3, 4, True]]),
+        ("vertex_s", [[0, 5.5]]),
+        ("vertex_s", [["0", 5]]),
+    ],
+)
+def test_smoothness_orders_must_be_json_integers(field, value):
+    doc = mesh_to_json(morgan_scott_mesh())
+    doc["smoothness"] = {"default_r": 1, "default_s": 2, field: value}
+    with pytest.raises(MeshError, match=f"{field} must hold JSON integers"):
+        load_mesh_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
+def test_triangle_indices_must_be_json_integers(index):
+    doc = mesh_to_json(TWO_TRIANGLES)
+    doc["triangles"][0][1] = index
+    with pytest.raises(MeshError, match="triangles must hold JSON integers"):
+        load_mesh_document(json.dumps(doc))
+
+
 def test_load_mesh_parse_failure():
     with pytest.raises(MeshError, match="JSON"):
         load_mesh_document("{not json")

@@ -92,7 +92,7 @@ def test_vertex_complement_form_rank_two():
         ell = edge_linear_form(v, other)
         comp = vertex_complement_form(ell, v)
         assert comp.vanishes_at_vertex(v)
-        m = RatMatrix.from_rows([[ell.a, ell.b, ell.c], [comp.a, comp.b, comp.c]])
+        m = RatMatrix([dict(enumerate((f.a, f.b, f.c))) for f in (ell, comp)], 3)
         assert m.rank() == 2
 
 
@@ -109,35 +109,43 @@ def test_linear_form_normalization():
 )
 def test_power_is_repeated_multiplication(form):
     ell = LinearForm3(*form)
+    expected = HomogeneousPolynomial(0, {(0, 0, 0): 1})
     for k in range(13):
         p = ell.power(k)
-        expected = ell.poly() ** k
         assert p == expected
         assert list(p.terms) == list(expected.terms)  # same term order
         assert all(type(v) is int for v in p.terms.values())
+        expected = expected * ell.poly()
 
 
 def test_polynomial_json_round_trip_and_layout():
-    p = LinearForm3
-    poly = (
-        HomogeneousPolynomial.variable("x") * HomogeneousPolynomial.variable("y")
-        + F(1, 2) * HomogeneousPolynomial.variable("z") ** 2
-    )
+    poly = HomogeneousPolynomial(2, {(0, 0, 2): -3, (1, 1, 0): 1})
     data = poly.to_json()
     assert data["degree"] == 2
     # serialized in the fixed order: xy before z^2
-    assert [t["exp"] for t in data["terms"]] == [[1, 1, 0], [0, 0, 2]]
-    terms = {tuple(t["exp"]): F(t["coef"]) for t in data["terms"]}
+    assert data["terms"] == [{"exp": [1, 1, 0], "coef": "1"}, {"exp": [0, 0, 2], "coef": "-3"}]
+    terms = {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]}
     assert HomogeneousPolynomial(data["degree"], terms) == poly
+    assert repr(poly) == "xy - 3z^2"
 
 
 def test_polynomial_arithmetic_basics():
-    x = HomogeneousPolynomial.variable("x")
-    y = HomogeneousPolynomial.variable("y")
-    p = (x + y) ** 2
-    assert p.terms == {(2, 0, 0): F(1), (1, 1, 0): F(2), (0, 2, 0): F(1)}
-    assert (p - p).is_zero()
+    x_plus_y = LinearForm3(1, 1, 0).poly()
+    p = x_plus_y * x_plus_y
+    assert p.terms == {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
+    assert p == x_plus_y * LinearForm3(1, 1, 0).poly()
+    assert (p * LinearForm3(1, -1, 0).poly()).terms == {
+        (3, 0, 0): 1, (2, 1, 0): 1, (1, 2, 0): -1, (0, 3, 0): -1
+    }
+    assert HomogeneousPolynomial(2, {(2, 0, 0): 0}).is_zero()
     with pytest.raises(ValueError):
-        x + p
+        HomogeneousPolynomial(2, {(1, 0, 0): 1})
 
-    assert p.times_monomial((0, 0, 1)).degree == 3
+    q = p.times_monomial((0, 0, 1))
+    assert q.degree == 3 and q.terms == {(2, 0, 1): 1, (1, 1, 1): 2, (0, 2, 1): 1}
+
+
+@pytest.mark.parametrize("coef", [F(1, 2), F(3, 1), 2.0, True, "1"])
+def test_non_int_coefficients_raise_type_error(coef):
+    with pytest.raises(TypeError, match="not an int"):
+        HomogeneousPolynomial(1, {(1, 0, 0): 1, (0, 1, 0): coef})

@@ -1,4 +1,10 @@
-"""Tests for exact rational linear algebra."""
+"""Tests for exact integer linear algebra with ranks over the rationals.
+
+The references are plain Fraction eliminations.  Random rational matrices
+are fed to RatMatrix with each row's denominators cleared here (a row
+scaling, so rank, pivots and kernel are unchanged), and to the references
+as they are.
+"""
 
 import math
 import random
@@ -16,33 +22,58 @@ from splinedim.ratlinalg import (
 )
 
 
+def _cleared(rows):
+    """Each row times the lcm of its entries' denominators, as ints."""
+    out = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        out.append([int(v * scale) for v in row])
+    return out
+
+
+def _matrix(rows):
+    """RatMatrix of dense rows, rational rows cleared to integers first."""
+    ncols = len(rows[0]) if rows else 0
+    return RatMatrix([dict(enumerate(row)) for row in _cleared(rows)], ncols)
+
+
 def test_rank_identity():
-    m = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.rank() == 3
-    assert m.kernel_dim() == 0
+    assert m.kernel_basis() == []
 
 
 def test_rank_zero_matrix():
-    m = RatMatrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0]])
+    m = _matrix([[0, 0, 0, 0], [0, 0, 0, 0]])
     assert m.rank() == 0
-    assert m.kernel_dim() == 4
+    assert m.kernel_basis() == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 
 def test_rank_proportional_rows():
-    m = RatMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
+    m = _matrix([[1, 2], [2, 4], [3, 6]])
     assert m.rank() == 1
 
 
 def test_kernel_dim_examples():
-    assert RatMatrix.from_rows([[1, 1, 0], [0, 1, 1]]).kernel_dim() == 1
-    assert RatMatrix(({}, {}), 5).kernel_dim() == 5
+    assert _matrix([[1, 1, 0], [0, 1, 1]]).kernel_basis() == [{2: 1, 0: 1, 1: -1}]
+    assert len(RatMatrix(({}, {}), 5).kernel_basis()) == 5
 
 
 def test_rank_rational_entries():
-    m = RatMatrix.from_rows(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    )
-    assert m.rank() == 1
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 2)]]
+    m = _matrix(rows)
+    assert m.row_dicts() == ({0: 3, 1: 2}, {0: 3, 1: 2})
+    assert m.rank() == 1 == _rank_by_fraction_elimination(rows)
+    assert m.rref() == ([0], [{0: 3, 1: 2}])
+    assert m.kernel_basis() == [{1: 3, 0: -2}]
+    _check_against_reference(m)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2, 1), 1.0, True, "1"])
+def test_non_int_entries_raise_type_error(entry):
+    with pytest.raises(TypeError, match="not an int"):
+        RatMatrix([{0: 1, 1: entry}], 2)
 
 
 def _random_matrix(rng, nrows, ncols):
@@ -58,30 +89,30 @@ def _random_matrix(rng, nrows, ncols):
 def test_rank_equals_rank_of_transpose(seed):
     rng = random.Random(seed)
     rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    m = RatMatrix.from_rows(rows)
+    m = _matrix(rows)
     transpose = [list(col) for col in zip(*rows)]
-    assert m.rank() == RatMatrix.from_rows(transpose).rank()
+    assert m.rank() == _matrix(transpose).rank()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_rank_invariant_under_scaling_and_permutation(seed):
     rng = random.Random(100 + seed)
     rows = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
-    m = RatMatrix.from_rows(rows)
+    m = _matrix(rows)
     scaled = [
         [v * Fraction(rng.choice([1, 2, -3, 5]), rng.choice([1, 2])) for v in row]
         for row in rows
     ]
     rng.shuffle(scaled)
-    assert RatMatrix.from_rows(scaled).rank() == m.rank()
+    assert _matrix(scaled).rank() == m.rank()
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_kernel_dim_plus_rank_is_cols(seed):
     rng = random.Random(200 + seed)
     nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-    m = RatMatrix.from_rows(_random_matrix(rng, nrows, ncols))
-    assert m.rank() + m.kernel_dim() == ncols
+    m = _matrix(_random_matrix(rng, nrows, ncols))
+    assert m.rank() + len(m.kernel_basis()) == ncols
 
 
 def _rank_by_fraction_elimination(rows):
@@ -114,14 +145,15 @@ def _rank_by_fraction_elimination(rows):
 def test_rank_matches_dense_elimination_oracle(seed):
     rng = random.Random(300 + seed)
     rows = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-    assert RatMatrix.from_rows(rows).rank() == _rank_by_fraction_elimination(rows)
+    assert _matrix(rows).rank() == _rank_by_fraction_elimination(rows)
 
 
 def _rref_by_fraction_loop(matrix):
     """Gauss-Jordan elimination over Fraction, the reference for rref().
 
     This is the loop RatMatrix.rref ran before it moved to fraction-free
-    integer elimination; both must return the same unit-pivot rows.
+    integer elimination; its unit-pivot rows must be rref()'s primitive
+    integer rows divided by their pivots.
     """
     rows = [{c: Fraction(v) for c, v in r.items()} for r in matrix.row_dicts() if r]
     pivots: list[int] = []
@@ -158,8 +190,14 @@ def _rref_by_fraction_loop(matrix):
 def _check_against_reference(m):
     """rref() equals the Fraction loop; kernel_basis() is a primitive integer basis."""
     pivots, rows = m.rref()
-    assert (pivots, rows) == _rref_by_fraction_loop(m)
+    unit_rows = [
+        {c: Fraction(v, row[pc]) for c, v in row.items()} for pc, row in zip(pivots, rows)
+    ]
+    assert (pivots, unit_rows) == _rref_by_fraction_loop(m)
     assert len(pivots) == m.rank()
+    for pc, row in zip(pivots, rows):
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1 and row[pc] > 0
     kernel = m.kernel_basis()
     assert len(kernel) == m.ncols - m.rank()
     for w in kernel:
@@ -170,18 +208,13 @@ def _check_against_reference(m):
     # one vector per non-pivot column, so they are independent
     free = [c for c in range(m.ncols) if c not in set(pivots)]
     assert [sorted(set(w) - set(pivots)) for w in kernel] == [[c] for c in free]
-    for row, irow in zip(rows, m.row_basis()):
-        assert all(type(v) is int for v in irow.values())
-        assert math.gcd(*irow.values()) == 1
-        scale = irow[min(irow)]
-        assert scale > 0 and irow == {c: v * scale for c, v in row.items()}
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_rref_and_kernel_match_fraction_loop_on_random_matrices(seed):
     rng = random.Random(300 + seed)
     rows = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-    _check_against_reference(RatMatrix.from_rows(rows))
+    _check_against_reference(_matrix(rows))
 
 
 _entries = st.one_of(
@@ -200,26 +233,14 @@ _entries = st.one_of(
 )
 @settings(max_examples=150, deadline=None)
 def test_rref_and_kernel_match_fraction_loop_property(rows):
-    _check_against_reference(RatMatrix.from_rows(rows))
-
-
-def test_non_integral_entries_are_cleared_to_integers():
-    m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 2)]])
-    # integral values are stored as int, the rest stay Fraction
-    assert m.row_dicts()[1] == {0: Fraction(3, 2), 1: 1}
-    assert type(m.row_dicts()[1][1]) is int
-    assert type(m.row_dicts()[0][0]) is Fraction
-    assert m.rank() == 1
-    assert m.rref() == ([0], [{0: 1, 1: Fraction(2, 3)}])
-    assert m.row_basis() == [{0: 3, 1: 2}]
-    assert m.kernel_basis() == [{1: 3, 0: -2}]
-    _check_against_reference(m)
+    _check_against_reference(_matrix(rows))
 
 
 def test_rref_gives_unit_pivot_basis():
-    m = RatMatrix.from_rows([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
+    m = _matrix([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
     pivots, rows = m.rref()
     assert len(pivots) == m.rank() == 2
+    assert rows == [{0: 1, 2: -1}, {1: 1, 2: 2}]
     for pc, row in zip(pivots, rows):
         assert row[pc] == 1
         for other in rows:
@@ -230,8 +251,8 @@ def test_rref_gives_unit_pivot_basis():
 def test_row_space_membership():
     # a vector lies in the row space exactly when appending it keeps the rank
     rows = [[1, 0, 1], [0, 1, 1]]
-    assert RatMatrix.from_rows([*rows, [2, 3, 5]]).rank() == 2
-    assert RatMatrix.from_rows([*rows, [1, 0, 0]]).rank() == 3
+    assert _matrix([*rows, [2, 3, 5]]).rank() == 2
+    assert _matrix([*rows, [1, 0, 0]]).rank() == 3
 
 
 def test_binom_small_values():
