@@ -61,9 +61,16 @@ def test_kernel_dim_examples():
 
 
 def test_rank_rational_entries():
+    m = _matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    assert m.rank() == 1
+
+
+def test_non_integral_entries_are_cleared_to_integers():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 2)]]
     m = _matrix(rows)
+    # each row is scaled by its denominators' lcm and stored as plain ints
     assert m.row_dicts() == ({0: 3, 1: 2}, {0: 3, 1: 2})
+    assert all(type(v) is int for row in m.row_dicts() for v in row.values())
     assert m.rank() == 1 == _rank_by_fraction_elimination(rows)
     assert m.rref() == ([0], [{0: 3, 1: 2}])
     assert m.kernel_basis() == [{1: 3, 0: -2}]
