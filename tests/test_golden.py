@@ -34,6 +34,11 @@ COMMANDS["dim_formula_star_csv"] = [
 COMMANDS["dim_all_morgan_scott_check"] = [
     "dim", *_MS, "--degrees", "3:5", "--check",
 ]
+# uniform specs: LB5.2 across the whole range, below and above s+1
+COMMANDS["dim_lb52_morgan_scott"] = ["dim", *_MS, "--degrees", "0:8", "--method", "lb52"]
+COMMANDS["dim_lb52_star_cross"] = [
+    "dim", "--gen", "star:cross", "-r", "1", "-s", "3", "--degrees", "0:8", "--method", "lb52",
+]
 for _fmt in ("text", "csv", "json"):
     COMMANDS[f"table_{_fmt}"] = [
         "table", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:5",
