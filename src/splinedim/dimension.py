@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 from .ideals import (
     GradedIdeal,
+    dim_bar_vertex_ideal_count,
     dim_edge_ideal_boundary_closed,
-    dim_edge_ideal_closed,
+    dim_edge_ideal_count,
     dim_vertex_star_ideal_closed,
     edge_ideal_for,
+    edge_ideal_spec_for,
     graded_piece_matrix,
     vertex_ideal,
 )
@@ -127,10 +129,11 @@ class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
     Validates the disk and the degree, builds each interior edge's data once,
-    and ranks each vertex-ideal variant at most once.  The bounds are
-    C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full (LB5.1),
-    bar (LB5.2) or tilde (UB5.3) vertex ideals; the lower bounds are floored
-    at C(d+2, 2), since global polynomials are always supersplines.
+    and sums each vertex-ideal variant at most once (bar by counting, full
+    and tilde by rank).  The bounds are C(d+2, 2) + sum of edge dims - sum
+    of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde (UB5.3)
+    vertex ideals; the lower bounds are floored at C(d+2, 2), since global
+    polynomials are always supersplines.
     """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
@@ -151,15 +154,17 @@ class _DegreeSystem:
     def sum_vertex_dims(self, variant: str) -> int:
         """Sum over interior vertices of the degree-d vertex ideal dimensions.
 
-        Each variant is ranked once per system; the tilde variant restricts
-        along the admissible vertex ordering.
+        Each variant is summed once per system; the bar variant is counted,
+        and the tilde variant restricts along the admissible vertex ordering.
         """
         total = self._vertex_totals.get(variant)
         if total is None:
-            mesh, smooth = self.mesh, self.smooth
+            mesh, smooth, d = self.mesh, self.smooth, self.d
             ordering = vertex_ordering(mesh) if variant == "tilde" else None
             total = sum(
-                vertex_ideal(mesh, smooth, v, variant, ordering).graded_dim(self.d)
+                dim_bar_vertex_ideal_count(mesh, smooth, v, d)
+                if variant == "bar"
+                else vertex_ideal(mesh, smooth, v, variant, ordering).graded_dim(d)
                 for v in sorted(mesh.interior_vertices)
             )
             self._vertex_totals[variant] = total
@@ -322,36 +327,22 @@ def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     return _DegreeSystem(mesh, smooth, d).lb51()
 
 
-def _bar_vertex_dims_closed(mesh: Mesh, r: int, s: int, d: int) -> int:
-    total = 0
-    for v in sorted(mesh.interior_vertices):
-        if d <= s:
-            continue  # no bar generator has degree below s+1
-        t = distinct_slopes_at(mesh, v)
-        total += dim_vertex_star_ideal_closed(t, r, s, d)
-    return total
+def _counted_edge_dims(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
+    """Sum of the interior edge ideal dimensions, as lattice-point counts."""
+    specs = (edge_ideal_spec_for(mesh, smooth, e) for e in mesh.interior_edges)
+    return sum(dim_edge_ideal_count(x.r, x.s_gamma, x.s_gamma_prime, d) for x in specs)
 
 
 def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
-    """Computable lower bound with simplified (center-only) vertex ideals.
+    """Combinatorial lower bound with simplified (center-only) vertex ideals.
 
-    Uniform specs use the closed forms (edge count times the uniform edge
-    dimension, two-branch vertex formula per slope count); mixed specs fall
-    back to rank arithmetic on the bar-variant vertex ideals.  Floored at
-    C(d+2, 2) like lower_bound_51.
+    C(d+2, 2) + edge counts - bar vertex counts, floored at C(d+2, 2) like
+    lower_bound_51; no rank is computed for any spec.
     """
-    uniform = smooth.is_uniform()
-    if uniform is None or uniform[0] > uniform[1]:
-        return _DegreeSystem(mesh, smooth, d).lb52()
     _require_problem(mesh, d)
-    r, s = uniform
     n = binom(d + 2, 2)
-    raw = (
-        n
-        + len(mesh.interior_edges) * dim_edge_ideal_closed(r, s, d)
-        - _bar_vertex_dims_closed(mesh, r, s, d)
-    )
-    return max(raw, n)
+    bar = sum(dim_bar_vertex_ideal_count(mesh, smooth, v, d) for v in mesh.interior_vertices)
+    return max(n + _counted_edge_dims(mesh, smooth, d) - bar, n)
 
 
 def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -364,27 +355,31 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
 
     The exact dimension comes from the kernel oracle and the homology term
     from the boundary-map cokernel; the degree-d Euler identity ties them
-    to the ideal dimension sums.  Disagreement raises
+    to the ideal dimension sums.  The echelon edge dims must equal their
+    lattice counts, and the bar sum must not fall below the full one (each
+    J(v) lies in its bar ideal).  A violation raises
     InternalInconsistencyError (exit code 2 in the CLI).
     """
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
     term_edges = sys.sum_edge_dims()
     full = sys.sum_vertex_dims("full")
+    bar = sys.sum_vertex_dims("bar")
     h0 = h0_dimension(mesh, smooth, d, sys)
     exact = _exact_dim_reduced(sys)
     assembled = n + term_edges - full + h0
-    if exact != assembled:
+    counted = _counted_edge_dims(mesh, smooth, d)
+    if exact != assembled or counted != term_edges or bar < full:
         raise InternalInconsistencyError(
-            f"kernel oracle gives {exact} but Euler assembly gives {assembled} "
-            f"at degree {d}"
+            f"at degree {d}: kernel oracle {exact} vs Euler assembly {assembled}, "
+            f"edge ideals counted {counted} vs ranked {term_edges}, bar {bar} vs full {full}"
         )
     return DimensionReport(
         d=d,
         term_polys=mesh.num_triangles * n,
         term_edges=term_edges,
         term_vertices_full=full,
-        term_vertices_bar=sys.sum_vertex_dims("bar"),
+        term_vertices_bar=bar,
         term_vertices_tilde=sys.sum_vertex_dims("tilde"),
         h0_dim=h0,
         lb_51=sys.lb51(),

@@ -7,17 +7,17 @@ in which the ideal is monomial, so an explicit minimal generating set can
 be written down; its correctness against the defining triple intersection
 is established by the rank oracle in the test suite.
 
-Graded dimensions are computed as ranks of multiplication matrices: the
-degree-d piece of the ideal is spanned by generator-times-monomial
-products, laid out as coefficient vectors over the fixed degree-d monomial
-basis.
+`GradedIdeal.graded_dim` is a rank: the degree-d piece is spanned by
+generator-times-monomial products over the degree-d monomial basis.  The
+edge and bar vertex ideal dimensions are also counted, with no rank: lattice
+points of the monomial model, and binary-form Hilbert functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mesh import Edge, Mesh, SmoothnessSpec
+from .mesh import Edge, Mesh, SmoothnessSpec, direction_key
 from .polyring import (
     HomogeneousPolynomial,
     LinearForm3,
@@ -30,8 +30,10 @@ from .ratlinalg import RatMatrix, binom
 __all__ = [
     "EdgeIdealSpec",
     "GradedIdeal",
+    "dim_bar_vertex_ideal_count",
     "dim_edge_ideal_boundary_closed",
     "dim_edge_ideal_closed",
+    "dim_edge_ideal_count",
     "dim_vertex_star_ideal_closed",
     "edge_ideal",
     "edge_ideal_for",
@@ -136,6 +138,14 @@ def _minimal_exponents(r: int, s1: int, s2: int) -> list[tuple[int, int, int]]:
     return sorted(set(minimal))
 
 
+def dim_edge_ideal_count(r: int, s1: int, s2: int, d: int) -> int:
+    """dim J(e)_d: the monomials x^a y^b z^c of degree d in the monomial model."""
+    return sum(
+        max(0, d - a + 1 - max(0, s1 + 1 - a) - max(0, s2 + 1 - a))
+        for a in range(r + 1, d + 1)
+    )
+
+
 def edge_ideal(spec: EdgeIdealSpec) -> GradedIdeal:
     """The ideal of one interior edge as an explicit generator list.
 
@@ -202,6 +212,28 @@ def _bar_generators_for_edge(
             g = g * comp.power(i)
         gens.append(g)
     return gens
+
+
+def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: int) -> int:
+    """dim of the bar vertex ideal's degree-d piece, by counting.
+
+    The generators lie in the two-variable ring S of forms through v, so
+    dim I_d = sum over k <= d of dim J_k, and J_k sums ell^a_c * S_(k-a_c)
+    over the slope classes c of edges with s_e < k, a_c the least r_e + 1.
+    Powers of distinct binary forms have the expected Hilbert function
+    min(k+1, sum of (k - a_c + 1)_+): apolarity for fat points on P^1.
+    """
+    p = mesh.vertices[v]
+    edges = mesh.interior_edges_at_vertex(v)
+    keys = [direction_key(p, mesh.vertices[sum(e) - v]) for e in edges]
+    total = 0
+    for k in range(d + 1):
+        a: dict[tuple[int, int], int] = {}
+        for key, e in zip(keys, edges):
+            if smooth.effective_s(v, e) < k:  # then r_e + 1 <= k
+                a[key] = min(a.get(key, k), smooth.r[e] + 1)
+        total += min(k + 1, sum(k - ac + 1 for ac in a.values()))
+    return total
 
 
 def vertex_ideal(

@@ -61,6 +61,13 @@ class FaceCounts:
     f1_interior: int
 
 
+def _require_int(field: str, value, kind: str = "JSON integers") -> int:
+    """`value` if it is an `int`; a float, bool, Fraction or string raises."""
+    if type(value) is not int:
+        raise MeshError(f"{field} must hold {kind}, got {value!r}")
+    return value
+
+
 def _orient_ccw(pts: Sequence[Point], tri: tuple[int, int, int]) -> tuple[int, int, int]:
     a, b, c = (pts[i] for i in tri)
     cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -99,7 +106,7 @@ class Mesh:
             raise MeshError("duplicate vertices")
         tris = []
         for tri in triangles:
-            tri = tuple(int(i) for i in tri)
+            tri = tuple(_require_int("triangles", i, "integers") for i in tri)
             if len(set(tri)) != 3:
                 raise MeshError(f"triangle {tri} repeats a vertex")
             if any(not 0 <= i < len(pts) for i in tri):
@@ -190,8 +197,9 @@ class SmoothnessSpec:
     __slots__ = ("r", "s")
 
     def __init__(self, mesh: Mesh, r: Mapping[Edge, int], s: Mapping[int, int]):
-        r = {tuple(sorted(e)): int(k) for e, k in r.items()}
-        s = {int(v): int(k) for v, k in s.items()}
+        for x in (*(i for e in r for i in e), *r.values(), *s, *s.values()):
+            _require_int("smoothness indices and orders", x, "integers")
+        r = {tuple(sorted(e)): k for e, k in r.items()}
         if set(r) != set(mesh.interior_edges):
             raise MeshError("edge smoothness must cover exactly the interior edges")
         if set(s) != set(range(mesh.num_vertices)):
@@ -199,7 +207,7 @@ class SmoothnessSpec:
         if any(k < 0 for k in r.values()) or any(k < 0 for k in s.values()):
             raise MeshError("smoothness orders must be non-negative")
         self.r = r
-        self.s = s
+        self.s = dict(s)
 
     @classmethod
     def uniform(cls, mesh: Mesh, r: int, s: int | None = None) -> "SmoothnessSpec":
@@ -214,23 +222,8 @@ class SmoothnessSpec:
     def effective_s(self, vertex: int, edge: Edge) -> int:
         return max(self.s[vertex], self.r[tuple(sorted(edge))])
 
-    def is_uniform(self) -> tuple[int, int] | None:
-        """(r, s) when all edge orders agree and all vertex orders agree."""
-        rs = set(self.r.values())
-        ss = set(self.s.values())
-        if len(rs) <= 1 and len(ss) == 1:
-            return (next(iter(rs)) if rs else 0, next(iter(ss)))
-        return None
-
     def max_s(self) -> int:
         return max(self.s.values()) if self.s else 0
-
-
-def _json_int(field: str, value) -> int:
-    """`value` if it is a JSON integer; a float, bool or string raises."""
-    if type(value) is not int:
-        raise MeshError(f"{field} must hold JSON integers, got {value!r}")
-    return value
 
 
 def parse_mesh_json(data: dict) -> Mesh:
@@ -239,7 +232,7 @@ def parse_mesh_json(data: dict) -> Mesh:
             (rational_from_str(str(x)), rational_from_str(str(y)))
             for x, y in data["vertices"]
         ]
-        triangles = [[_json_int("triangles", i) for i in tri] for tri in data["triangles"]]
+        triangles = [[_require_int("triangles", i) for i in tri] for tri in data["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
     return Mesh(vertices, triangles)
@@ -266,18 +259,18 @@ def parse_smoothness_json(
         if not block:
             return None
         raise MeshError("smoothness block present but no default_r / -r given")
-    default_r = _json_int("default_r", default_r)
-    default_s = _json_int("default_s", default_s)
+    default_r = _require_int("default_r", default_r)
+    default_s = _require_int("default_s", default_s)
     r = {e: default_r for e in mesh.interior_edges}
     for entry in block.get("edge_r", []):
-        i, j, k = (_json_int("edge_r", x) for x in entry)
+        i, j, k = (_require_int("edge_r", x) for x in entry)
         e = tuple(sorted((i, j)))
         if e not in mesh.interior_edges:
             raise MeshError(f"edge_r entry {e} is not an interior edge")
         r[e] = k
     s = {v: default_s for v in range(mesh.num_vertices)}
     for entry in block.get("vertex_s", []):
-        i, k = (_json_int("vertex_s", x) for x in entry)
+        i, k = (_require_int("vertex_s", x) for x in entry)
         if not 0 <= i < mesh.num_vertices:
             raise MeshError(f"vertex_s entry {i} out of range")
         s[i] = k

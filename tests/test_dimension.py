@@ -1,14 +1,18 @@
 """Tests for the dimension pipeline: oracle, homology, bounds, formulas."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from splinedim.cli import builtin_mesh
+import splinedim.dimension
+from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import (
+    InternalInconsistencyError,
     OutOfRangeError,
     _DegreeSystem,
+    _EdgeData,
     _dual_bfs_tree,
     _exact_dim_reduced,
     argyris_dim,
@@ -26,6 +30,7 @@ from splinedim.dimension import (
     upper_bound_53,
     vertex_star_dim,
 )
+from splinedim.ideals import edge_ideal_for, vertex_ideal
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
@@ -181,16 +186,65 @@ def test_bounds_single_triangle():
         assert upper_bound_53(TRIANGLE, spec, d) == n
 
 
-def test_lb52_closed_form_equals_rank_path():
-    # uniform specs take the closed form; the report ranks the bar ideals
-    stars = [builtin_mesh(f"star:{name}") for name in ("cross", "3-generic", "5-generic")]
+def _lb52_by_ranks(mesh, spec, d):
+    """LB5.2 from echelon edge dims and bar vertex ideal ranks."""
+    n = binom(d + 2, 2)
+    edges = sum(_EdgeData(edge_ideal_for(mesh, spec, e), d).dim for e in mesh.interior_edges)
+    bar = sum(vertex_ideal(mesh, spec, v, "bar").graded_dim(d) for v in mesh.interior_vertices)
+    return max(n + edges - bar, n)
+
+
+def _lb52_configs():
+    stars = [builtin_mesh(f"star:{name}") for name in ("cross", "3-generic", "5-generic", "8-generic")]
     for mesh in [TWO, morgan_scott_mesh(), *stars]:
         for r in range(3):
             for s in range(r, r + 3):
-                spec = SmoothnessSpec.uniform(mesh, r, s)
-                for d in range(9):
-                    closed = lower_bound_52(mesh, spec, d)
-                    assert closed == euler_assembly(mesh, spec, d).lb_52, (r, s, d)
+                yield mesh, SmoothnessSpec.uniform(mesh, r, s)
+    for base, r, s in (("triangle", 1, 2), ("triangle", 2, 3), ("morgan-scott", 1, 2)):
+        res = powell_sabin_6split(builtin_mesh(base), r, s)
+        yield res.refined, res.spec
+    rng = random.Random(7)
+    for mesh in [TWO, CROSS, STAR3, STAR4, morgan_scott_mesh()] * 2:
+        r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
+        s = {v: rng.randint(0, 3) for v in range(mesh.num_vertices)}
+        yield mesh, SmoothnessSpec(mesh, r, s)
+
+
+def test_lb52_equals_the_rank_reference():
+    above = 0
+    for mesh, spec in _lb52_configs():
+        above += any(k > spec.s[v] for e, k in spec.r.items() for v in e)
+        for d in range(9):
+            assert lower_bound_52(mesh, spec, d) == _lb52_by_ranks(mesh, spec, d), (mesh, d)
+    assert above >= 5  # the ps6 specs and most random ones have r_e > s_v somewhere
+
+
+def test_lower_bound_52_computes_no_rank(monkeypatch):
+    res = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+    ms = morgan_scott_mesh()
+    jobs = [(res.refined, res.spec, d) for d in (4, 5, 6)]
+    jobs += [(ms, SmoothnessSpec.uniform(ms, 1, 2), d) for d in (3, 5, 8)]
+    expected = [euler_assembly(*job).lb_52 for job in jobs]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("lower_bound_52 built a RatMatrix")
+
+    monkeypatch.setattr(RatMatrix, "__init__", no_matrix)
+    assert [lower_bound_52(*job) for job in jobs] == expected
+
+
+@pytest.mark.parametrize("counter", ["dim_edge_ideal_count", "dim_bar_vertex_ideal_count"])
+def test_a_wrong_count_is_caught_by_the_report(monkeypatch, capsys, counter):
+    # an edge count off by one breaks equality with the echelon dims; a bar
+    # count of zero falls below the full vertex ideals it contains
+    real = getattr(splinedim.dimension, counter)
+    wrong = (lambda *a: real(*a) + 1) if counter == "dim_edge_ideal_count" else (lambda *a: 0)
+    monkeypatch.setattr(splinedim.dimension, counter, wrong)
+    with pytest.raises(InternalInconsistencyError):
+        euler_assembly(morgan_scott_mesh(), SmoothnessSpec.uniform(morgan_scott_mesh(), 1, 2), 4)
+    argv = ["table", "--gen", "morgan-scott", "-r", "1", "-s", "2", "-d", "4", "--check"]
+    assert main(argv, out=io.StringIO()) == 2
+    assert "degree 4" in capsys.readouterr().err
 
 
 def test_sandwich_small_random_configs():

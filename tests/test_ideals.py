@@ -6,14 +6,18 @@ through the rank machinery it checks.
 """
 
 import itertools
+import random
 
 import pytest
 
+from splinedim.cli import builtin_mesh
 from splinedim.ideals import (
     EdgeIdealSpec,
     GradedIdeal,
+    dim_bar_vertex_ideal_count,
     dim_edge_ideal_boundary_closed,
     dim_edge_ideal_closed,
+    dim_edge_ideal_count,
     dim_vertex_star_ideal_closed,
     edge_ideal,
     edge_ideal_for,
@@ -21,7 +25,7 @@ from splinedim.ideals import (
     vertex_ideal,
     vertex_socle_params,
 )
-from splinedim.mesh import SmoothnessSpec
+from splinedim.mesh import SmoothnessSpec, distinct_slopes_at
 from splinedim.polyring import HomogeneousPolynomial, LinearForm3
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh
@@ -112,6 +116,30 @@ def test_closed_form_boundary_vs_oracle_grid():
             ideal = edge_ideal(canonical_spec(r, s, r))
             for d in range(0, 12):
                 assert dim_edge_ideal_boundary_closed(r, s, d) == ideal.graded_dim(d)
+
+
+def test_edge_count_equals_the_monomial_oracle_and_the_rank():
+    for r in range(0, 4):
+        for s1 in range(r, 6):
+            for s2 in range(r, 6):
+                ideal = edge_ideal(canonical_spec(r, s1, s2))
+                exps = gen_exponents(ideal)
+                for d in range(0, 13):
+                    count = dim_edge_ideal_count(r, s1, s2, d)
+                    assert count == monomial_ideal_dim(exps, d), (r, s1, s2, d)
+                    if d <= 9:
+                        assert count == ideal.graded_dim(d), (r, s1, s2, d)
+
+
+def test_edge_count_reproduces_the_edge_closed_forms():
+    for r in range(0, 5):
+        for s in range(r, 8):
+            for d in range(0, 25):
+                assert dim_edge_ideal_count(r, s, s, d) == dim_edge_ideal_closed(r, s, d)
+                if d >= s - 1:
+                    assert (
+                        dim_edge_ideal_count(r, s, r, d) == dim_edge_ideal_boundary_closed(r, s, d)
+                    ), (r, s, d)
 
 
 def test_closed_form_special_values():
@@ -257,6 +285,41 @@ def test_vertex_star_ideal_closed_vs_rank_oracle():
                     assert (
                         dim_vertex_star_ideal_closed(t, r, s, d) == ideal.graded_dim(d)
                     ), (t, r, s, d)
+
+
+def test_bar_count_reproduces_the_star_closed_form():
+    # the closed form takes the slope count: star:cross has 2 and star:5-generic 4
+    for name in ["cross", *(f"{t}-generic" for t in range(3, 9))]:
+        star = builtin_mesh(f"star:{name}")
+        (center,) = star.interior_vertices
+        t = distinct_slopes_at(star, center)
+        for r in range(0, 4):
+            for s in range(r, r + 4):
+                spec = SmoothnessSpec.uniform(star, r, s)
+                for d in range(s, s + 10):
+                    assert dim_bar_vertex_ideal_count(star, spec, center, d) == (
+                        dim_vertex_star_ideal_closed(t, r, s, d)
+                    ), (t, r, s, d)
+
+
+def test_bar_count_equals_the_bar_rank_with_collinear_edges_and_mixed_orders():
+    # star:cross has two slopes at four edges; random orders put r_e above s_v
+    rng = random.Random(5)
+    meshes = [builtin_mesh("star:cross"), builtin_mesh("star:4-generic"), morgan_scott_mesh()]
+    cases = above = 0
+    for mesh in meshes:
+        for _ in range(6):
+            r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
+            s = {v: rng.randint(0, 3) for v in range(mesh.num_vertices)}
+            spec = SmoothnessSpec(mesh, r, s)
+            above += any(r[e] > s[v] for e in r for v in e)
+            for v in sorted(mesh.interior_vertices):
+                ideal = vertex_ideal(mesh, spec, v, "bar")
+                for d in range(0, 9):
+                    count = dim_bar_vertex_ideal_count(mesh, spec, v, d)
+                    assert count == ideal.graded_dim(d), (mesh, r, s, v, d)
+                    cases += 1
+    assert above and cases == 9 * 6 * (1 + 1 + 3)
 
 
 def test_socle_collapse_on_stars():

@@ -260,8 +260,37 @@ def test_smoothness_spec_validation():
     with pytest.raises(MeshError):
         SmoothnessSpec(TWO_TRIANGLES, {(0, 2): -1}, {v: 1 for v in range(4)})
     spec = SmoothnessSpec.uniform(TWO_TRIANGLES, 1)
-    assert spec.is_uniform() == (1, 1)
+    assert spec.r == {(0, 2): 1} and spec.s == {v: 1 for v in range(4)}
     assert spec.effective_s(0, (0, 2)) == 1
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, True, "1", F(1)])
+def test_mesh_rejects_non_integer_triangle_indices(index):
+    with pytest.raises(MeshError, match="triangles must hold integers"):
+        Mesh([(0, 0), (1, 0), (0, 1)], [(0, index, 2)])
+
+
+_S = {v: 2 for v in range(4)}
+
+
+@pytest.mark.parametrize(
+    "r, s",
+    [
+        ({(0, 2): 1.9}, _S),
+        ({(0, 2): True}, _S),
+        ({(0, 2): "1"}, _S),
+        ({(0, 2.0): 1}, _S),
+        ({(0, F(2)): 1}, _S),
+        ({(0, 2): 1}, {**_S, 3: 2.5}),
+        ({(0, 2): 1}, {**_S, 3: 1.0}),
+        ({(0, 2): 1}, {0: 2, 1.0: 2, 2: 2, 3: 2}),
+        ({(0, 2): 1}, {0: 2, True: 2, 2: 2, 3: 2}),
+    ],
+)
+def test_smoothness_spec_rejects_non_integer_indices_and_orders(r, s):
+    # int() used to truncate these silently: r = 1.9 was stored as 1
+    with pytest.raises(MeshError, match="smoothness indices and orders must hold integers"):
+        SmoothnessSpec(TWO_TRIANGLES, r, s)
 
 
 def test_star_and_fractional_coordinates():
