@@ -184,6 +184,11 @@ def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
     raise CliError("no closed formula applies to this configuration")
 
 
+# Euler terms of a full row; only the JSON output prints them
+_TERM_FIELDS = ("term_polys", "term_edges", "term_vertices_full", "term_vertices_bar",
+                "term_vertices_tilde")
+
+
 def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
     rows = []
     for d in degrees:
@@ -198,6 +203,7 @@ def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
                     "ub53": rep.ub_53,
                     "exact": rep.exact,
                     "method": "exact",
+                    **{name: getattr(rep, name) for name in _TERM_FIELDS},
                 }
             )
         elif args.method == "exact":

@@ -100,6 +100,24 @@ def test_table_json_is_sorted_and_stable():
     assert text == json.dumps(data, sort_keys=True) + "\n"
 
 
+def test_table_json_rows_carry_the_euler_terms_and_text_does_not():
+    source = ["--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:5"]
+    code, text = run(["table", *source, "--format", "json"])
+    assert code == 0
+    for row in json.loads(text)["rows"]:
+        n = (row["d"] + 2) * (row["d"] + 1) // 2
+        assert row["term_polys"] == 42 * n
+        assert row["exact"] == n + row["term_edges"] - row["term_vertices_full"] + row["h0"]
+        assert row["lb51"] == max(n + row["term_edges"] - row["term_vertices_full"], n)
+        assert row["lb52"] == max(n + row["term_edges"] - row["term_vertices_bar"], n)
+        assert row["ub53"] == n + row["term_edges"] - row["term_vertices_tilde"]
+    for fmt in ("text", "csv"):
+        code, text = run(["table", *source, "--format", fmt])
+        assert "term" not in text
+    code, text = run(["dim", *source, "--method", "lb51", "--format", "json"])
+    assert "term" not in text
+
+
 def test_ideal_canonical_dump():
     code, text = run(["ideal", "--canonical", "-r", "1", "-s", "2",
                       "--degrees", "3:5", "--format", "json"])
