@@ -184,11 +184,6 @@ def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
     raise CliError("no closed formula applies to this configuration")
 
 
-# Euler terms of a full row; only the JSON output prints them
-_TERM_FIELDS = ("term_polys", "term_edges", "term_vertices_full", "term_vertices_bar",
-                "term_vertices_tilde")
-
-
 def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
     rows = []
     for d in degrees:
@@ -203,7 +198,8 @@ def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
                     "ub53": rep.ub_53,
                     "exact": rep.exact,
                     "method": "exact",
-                    **{name: getattr(rep, name) for name in _TERM_FIELDS},
+                    # the Euler terms, which only the JSON output prints
+                    **{k: v for k, v in vars(rep).items() if k.startswith("term_")},
                 }
             )
         elif args.method == "exact":

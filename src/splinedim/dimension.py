@@ -27,7 +27,7 @@ from .ideals import (
     edge_ideal_for,
     edge_ideal_spec_for,
     graded_piece_matrix,
-    vertex_ideal,
+    vertex_ideal_edges,
 )
 from .mesh import (
     Edge,
@@ -113,7 +113,8 @@ class _EdgeData:
 
     Both come from the one (memoized) reduced echelon form of the edge
     ideal's degree-d piece, as primitive integer vectors: the basis is its
-    rows, the functionals its kernel basis.
+    rows, the functionals its kernel basis.  The vertex ideals stack these
+    rows, and the kernel oracle and h0 use them too.
     """
 
     __slots__ = ("dim", "basis", "functionals")
@@ -128,12 +129,15 @@ class _EdgeData:
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
-    Validates the disk and the degree, builds each interior edge's data once,
-    and sums each vertex-ideal variant at most once (bar by counting, full
-    and tilde by rank).  The bounds are C(d+2, 2) + sum of edge dims - sum
-    of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde (UB5.3)
-    vertex ideals; the lower bounds are floored at C(d+2, 2), since global
-    polynomials are always supersplines.
+    Validates the disk and the degree, and builds and echelonizes each
+    interior edge's degree-d piece once.  Each vertex-ideal variant is
+    computed at most once: bar by counting, and full and tilde as the rank
+    of the stacked echelon rows of their edges (`vertex_ideal_edges`), since
+    the degree-d piece of a sum of ideals is the sum of the pieces.  The
+    bounds are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the
+    full (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; the lower
+    bounds are floored at C(d+2, 2), since global polynomials are always
+    supersplines.
     """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
@@ -146,29 +150,31 @@ class _DegreeSystem:
             e: _EdgeData(edge_ideal_for(mesh, smooth, e), d)
             for e in sorted(mesh.interior_edges)
         }
-        self._vertex_totals: dict[str, int] = {}
+        self._vertex_dims: dict[str, dict[int, int]] = {}
 
     def sum_edge_dims(self) -> int:
         return sum(data.dim for data in self.edges.values())
 
-    def sum_vertex_dims(self, variant: str) -> int:
-        """Sum over interior vertices of the degree-d vertex ideal dimensions.
+    def vertex_dims(self, variant: str) -> dict[int, int]:
+        """Degree-d dimension of each interior vertex's ideal of `variant`."""
+        dims = self._vertex_dims.get(variant)
+        if dims is None:
+            mesh, d = self.mesh, self.d
+            interior = sorted(mesh.interior_vertices)
+            if variant == "bar":
+                dims = {v: dim_bar_vertex_ideal_count(mesh, self.smooth, v, d) for v in interior}
+            else:
+                ordering = vertex_ordering(mesh) if variant == "tilde" else None
+                dims = {}
+                for v in interior:
+                    edges = vertex_ideal_edges(mesh, v, variant, ordering)
+                    rows = [b for e in edges for b in self.edges[e].basis]
+                    dims[v] = RatMatrix(rows, self.ncoef).rank() if rows else 0
+            self._vertex_dims[variant] = dims
+        return dims
 
-        Each variant is summed once per system; the bar variant is counted,
-        and the tilde variant restricts along the admissible vertex ordering.
-        """
-        total = self._vertex_totals.get(variant)
-        if total is None:
-            mesh, smooth, d = self.mesh, self.smooth, self.d
-            ordering = vertex_ordering(mesh) if variant == "tilde" else None
-            total = sum(
-                dim_bar_vertex_ideal_count(mesh, smooth, v, d)
-                if variant == "bar"
-                else vertex_ideal(mesh, smooth, v, variant, ordering).graded_dim(d)
-                for v in sorted(mesh.interior_vertices)
-            )
-            self._vertex_totals[variant] = total
-        return total
+    def sum_vertex_dims(self, variant: str) -> int:
+        return sum(self.vertex_dims(variant).values())
 
     def _bound(self, variant: str) -> int:
         return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims(variant)
@@ -356,30 +362,31 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     The exact dimension comes from the kernel oracle and the homology term
     from the boundary-map cokernel; the degree-d Euler identity ties them
     to the ideal dimension sums.  The echelon edge dims must equal their
-    lattice counts, and the bar sum must not fall below the full one (each
-    J(v) lies in its bar ideal).  A violation raises
-    InternalInconsistencyError (exit code 2 in the CLI).
+    lattice counts, and at every interior vertex tilde <= full <= bar must
+    hold, since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
+    violation raises InternalInconsistencyError (exit code 2 in the CLI).
     """
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
     term_edges = sys.sum_edge_dims()
-    full = sys.sum_vertex_dims("full")
-    bar = sys.sum_vertex_dims("bar")
+    tilde, full, bar = (sys.vertex_dims(x) for x in ("tilde", "full", "bar"))
     h0 = h0_dimension(mesh, smooth, d, sys)
     exact = _exact_dim_reduced(sys)
-    assembled = n + term_edges - full + h0
+    assembled = n + term_edges - sys.sum_vertex_dims("full") + h0
     counted = _counted_edge_dims(mesh, smooth, d)
-    if exact != assembled or counted != term_edges or bar < full:
+    unordered = [v for v in full if not tilde[v] <= full[v] <= bar[v]]
+    if exact != assembled or counted != term_edges or unordered:
         raise InternalInconsistencyError(
             f"at degree {d}: kernel oracle {exact} vs Euler assembly {assembled}, "
-            f"edge ideals counted {counted} vs ranked {term_edges}, bar {bar} vs full {full}"
+            f"edge ideals counted {counted} vs ranked {term_edges}, "
+            f"vertices breaking tilde <= full <= bar: {unordered}"
         )
     return DimensionReport(
         d=d,
         term_polys=mesh.num_triangles * n,
         term_edges=term_edges,
-        term_vertices_full=full,
-        term_vertices_bar=bar,
+        term_vertices_full=sys.sum_vertex_dims("full"),
+        term_vertices_bar=sys.sum_vertex_dims("bar"),
         term_vertices_tilde=sys.sum_vertex_dims("tilde"),
         h0_dim=h0,
         lb_51=sys.lb51(),

@@ -7,10 +7,12 @@ in which the ideal is monomial, so an explicit minimal generating set can
 be written down; its correctness against the defining triple intersection
 is established by the rank oracle in the test suite.
 
-`GradedIdeal.graded_dim` is a rank: the degree-d piece is spanned by
-generator-times-monomial products over the degree-d monomial basis.  The
-edge and bar vertex ideal dimensions are also counted, with no rank: lattice
-points of the monomial model, and binary-form Hilbert functions.
+`GradedIdeal.graded_dim` ranks generator-times-monomial products over the
+degree-d monomial basis; only the `ideal` dump and the tests use it, since
+the dimension pipeline ranks the stacked edge echelon rows of the edges
+`vertex_ideal_edges` selects.  The edge and bar vertex ideal dimensions
+are also counted, with no rank: lattice points of the monomial model, and
+binary-form Hilbert functions.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "edge_ideal_spec_for",
     "graded_piece_matrix",
     "vertex_ideal",
+    "vertex_ideal_edges",
     "vertex_socle_params",
 ]
 
@@ -236,6 +239,27 @@ def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: in
     return total
 
 
+def vertex_ideal_edges(mesh: Mesh, v: int, variant: str, ordering=None) -> list[Edge]:
+    """The interior edges at v whose edge ideals sum to its full or tilde ideal.
+
+    full: every interior edge at v.  tilde: the edges whose far vertex is
+    on the boundary or earlier in `ordering`.
+    """
+    edges = mesh.interior_edges_at_vertex(v)
+    if variant == "full":
+        return edges
+    if variant != "tilde":
+        raise ValueError(f"unknown variant {variant!r}")
+    if ordering is None:
+        raise ValueError("tilde variant needs a vertex ordering")
+    pos = {u: k for k, u in enumerate(ordering)}
+    far = (sum(e) - v for e in edges)
+    kept = [e for e, w in zip(edges, far) if w in mesh.boundary_vertices or pos[w] < pos[v]]
+    if not kept:
+        raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
+    return kept
+
+
 def vertex_ideal(
     mesh: Mesh,
     smooth: SmoothnessSpec,
@@ -245,35 +269,19 @@ def vertex_ideal(
 ) -> GradedIdeal:
     """The ideal attached to an interior vertex.
 
-    full:  sum of the edge ideals over all interior edges at v.
-    bar:   same sum but with only the center-vertex intersection kept,
-           i.e. <ell_tau^(r+1)> cap m_v^(s_v+1) per edge.
-    tilde: sum of full edge ideals restricted to edges whose far vertex is
-           earlier in `ordering` or on the boundary.
+    full, tilde: sum of the edge ideals over `vertex_ideal_edges`.
+    bar:   same sum as full but with only the center-vertex intersection
+           kept, i.e. <ell_tau^(r+1)> cap m_v^(s_v+1) per edge.
     """
     if not mesh.is_interior_vertex(v):
         raise ValueError(f"vertex {v} is not interior")
-    edges = mesh.interior_edges_at_vertex(v)
-    gens: list[HomogeneousPolynomial] = []
-    if variant == "full":
-        for e in edges:
-            gens.extend(edge_ideal_for(mesh, smooth, e).generators)
-    elif variant == "bar":
-        for e in edges:
-            gens.extend(_bar_generators_for_edge(mesh, smooth, e, v))
-    elif variant == "tilde":
-        if ordering is None:
-            raise ValueError("tilde variant needs a vertex ordering")
-        pos = {u: k for k, u in enumerate(ordering)}
-        for e in edges:
-            w = e[1] if e[0] == v else e[0]
-            if w in mesh.boundary_vertices or pos[w] < pos[v]:
-                gens.extend(edge_ideal_for(mesh, smooth, e).generators)
-        if not gens:
-            raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
+    if variant == "bar":
+        edges = mesh.interior_edges_at_vertex(v)
+        parts = (_bar_generators_for_edge(mesh, smooth, e, v) for e in edges)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return GradedIdeal(gens)
+        edges = vertex_ideal_edges(mesh, v, variant, ordering)
+        parts = (edge_ideal_for(mesh, smooth, e).generators for e in edges)
+    return GradedIdeal(g for gens in parts for g in gens)
 
 
 def dim_edge_ideal_closed(r: int, s: int, d: int) -> int:

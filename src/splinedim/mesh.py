@@ -6,8 +6,8 @@ load time; edges, adjacency, and interior/boundary classification are
 derived once and cached.  Meshes are immutable after construction and all
 queries are pure.
 
-Floating-point coordinates are deliberately not accepted: every downstream
-dimension count is an exact-zero decision on coordinates.
+Only `int` and `Fraction` coordinates are accepted, floats deliberately not:
+every downstream dimension count is an exact-zero decision on coordinates.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ def _require_int(field: str, value, kind: str = "JSON integers") -> int:
     return value
 
 
+def _rational(value) -> Fraction:
+    """`value` as a Fraction if it is an `int` or a `Fraction`, else MeshError."""
+    if type(value) not in (int, Fraction):
+        raise MeshError(f"vertex coordinates must be ints or Fractions, got {value!r}")
+    return Fraction(value)
+
+
 def _orient_ccw(pts: Sequence[Point], tri: tuple[int, int, int]) -> tuple[int, int, int]:
     a, b, c = (pts[i] for i in tri)
     cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -101,7 +108,7 @@ class Mesh:
         vertices: Iterable[Point],
         triangles: Iterable[Sequence[int]],
     ):
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+        pts = tuple((_rational(x), _rational(y)) for x, y in vertices)
         if len(set(pts)) != len(pts):
             raise MeshError("duplicate vertices")
         tris = []

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import splinedim.dimension
+import splinedim.ideals
 from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import (
     InternalInconsistencyError,
@@ -31,7 +32,7 @@ from splinedim.dimension import (
     vertex_star_dim,
 )
 from splinedim.ideals import edge_ideal_for, vertex_ideal
-from splinedim.mesh import Mesh, MeshError, SmoothnessSpec
+from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, vertex_ordering
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
@@ -242,6 +243,66 @@ def test_a_wrong_count_is_caught_by_the_report(monkeypatch, capsys, counter):
     monkeypatch.setattr(splinedim.dimension, counter, wrong)
     with pytest.raises(InternalInconsistencyError):
         euler_assembly(morgan_scott_mesh(), SmoothnessSpec.uniform(morgan_scott_mesh(), 1, 2), 4)
+    argv = ["table", "--gen", "morgan-scott", "-r", "1", "-s", "2", "-d", "4", "--check"]
+    assert main(argv, out=io.StringIO()) == 2
+    assert "degree 4" in capsys.readouterr().err
+
+
+def test_full_and_tilde_vertex_dims_equal_the_vertex_ideal_ranks():
+    # the same configs as LB5.2: r_e > s_v (ps6 and random specs), collinear
+    # edges through a vertex (star:cross, the ps6 edge points), stars
+    cases = 0
+    for mesh, spec in _lb52_configs():
+        ordering = vertex_ordering(mesh)
+        for d in range(9):
+            sys = _DegreeSystem(mesh, spec, d)
+            for variant in ("full", "tilde"):
+                got = sys.vertex_dims(variant)
+                assert got == {
+                    v: vertex_ideal(mesh, spec, v, variant, ordering).graded_dim(d)
+                    for v in mesh.interior_vertices
+                }, (mesh, variant, d)
+                cases += len(got)
+    assert cases > 1000
+
+
+def test_a_report_builds_each_edge_piece_once_and_no_vertex_ideal(monkeypatch):
+    calls = {"graded_piece_matrix": 0, "vertex_ideal": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(splinedim.ideals, name))
+        for module in (splinedim.ideals, splinedim.dimension):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    res = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+    for d in (4, 5, 6):
+        calls.update(graded_piece_matrix=0, vertex_ideal=0)
+        euler_assembly(res.refined, res.spec, d)
+        assert calls == {"graded_piece_matrix": len(res.refined.interior_edges), "vertex_ideal": 0}
+
+
+@pytest.mark.parametrize("variant", ["tilde", "full"])
+def test_a_non_incident_edge_stacked_at_a_vertex_is_caught(monkeypatch, capsys, variant):
+    # a non-incident edge's rows lift the tilde (or full) dimension at v above
+    # the full (or bar) one; for tilde the Euler identity still holds
+    ms = morgan_scott_mesh()
+    v0 = min(ms.interior_vertices)
+    stray = min(e for e in ms.interior_edges if v0 not in e)
+    real = splinedim.dimension.vertex_ideal_edges
+
+    def stacked(mesh, v, which, ordering=None):
+        edges = real(mesh, v, which, ordering)
+        return [*mesh.interior_edges_at_vertex(v), stray] if (v, which) == (v0, variant) else edges
+
+    monkeypatch.setattr(splinedim.dimension, "vertex_ideal_edges", stacked)
+    with pytest.raises(InternalInconsistencyError, match=rf"tilde <= full <= bar: \[{v0}\]"):
+        euler_assembly(ms, SmoothnessSpec.uniform(ms, 1, 2), 4)
     argv = ["table", "--gen", "morgan-scott", "-r", "1", "-s", "2", "-d", "4", "--check"]
     assert main(argv, out=io.StringIO()) == 2
     assert "degree 4" in capsys.readouterr().err

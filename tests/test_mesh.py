@@ -270,6 +270,21 @@ def test_mesh_rejects_non_integer_triangle_indices(index):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, index, 2)])
 
 
+@pytest.mark.parametrize("coordinate", [0.1, 1.0, "1/2", True, None, 1j])
+def test_mesh_rejects_coordinates_that_are_not_ints_or_fractions(coordinate):
+    # Fraction() used to turn 0.1 into 3602879701896397/36028797018963968
+    with pytest.raises(MeshError, match="vertex coordinates must be ints or Fractions"):
+        Mesh([(coordinate, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    with pytest.raises(MeshError, match="vertex coordinates must be ints or Fractions"):
+        Mesh([(0, 0), (1, coordinate), (0, 1)], [(0, 1, 2)])
+
+
+def test_mesh_keeps_int_and_fraction_coordinates_exact():
+    mesh = Mesh([(0, 0), (F(1, 3), 0), (0, 7)], [(0, 1, 2)])
+    assert mesh.vertices == ((0, 0), (F(1, 3), 0), (0, 7))
+    assert all(type(c) is Fraction for p in mesh.vertices for c in p)
+
+
 _S = {v: 2 for v in range(4)}
 
 
