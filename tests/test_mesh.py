@@ -1,9 +1,12 @@
 """Tests for the triangulation data structure and combinatorics."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinedim.mesh import (
     Mesh,
@@ -109,7 +112,7 @@ def test_validate_disk_shared_vertex_only():
     )
     report = validate_disk(m)
     assert not report.ok
-    assert any("hereditary" in f for f in report.failures)
+    assert report.failures == ("connected", "hereditary (vertex 0)", "boundary cycle")
 
 
 def test_validate_disk_annulus():
@@ -123,7 +126,14 @@ def test_validate_disk_annulus():
     m = Mesh(outer + inner, tris)
     report = validate_disk(m)
     assert not report.ok
-    assert "euler characteristic" in report.failures
+    assert report.failures == ("euler characteristic", "boundary cycle")
+
+
+def test_validate_disk_two_disjoint_triangles():
+    m = Mesh([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)], [(0, 1, 2), (3, 4, 5)])
+    report = validate_disk(m)
+    assert not report.ok
+    assert report.failures == ("connected", "euler characteristic", "boundary cycle")
 
 
 def test_distinct_slopes():
@@ -153,6 +163,26 @@ def test_direction_key_identifies_opposites():
     p = (F(0), F(0))
     assert direction_key(p, (F(2), F(4))) == direction_key(p, (F(-1), F(-2)))
     assert direction_key(p, (F(1, 3), F(0))) == (1, 0)
+
+
+_COORD = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COORD, _COORD, _COORD, _COORD)
+def test_direction_key_is_the_primitive_integer_direction(px, py, qx, qy):
+    p, q = (px, py), (qx, qy)
+    if p == q:
+        with pytest.raises(ValueError, match="zero direction"):
+            direction_key(p, q)
+        return
+    key = direction_key(p, q)
+    dx, dy = qx - px, qy - py
+    assert all(type(k) is int for k in key)
+    assert math.gcd(*key) == 1
+    assert next(k for k in key if k) > 0
+    assert key[0] * dy == key[1] * dx  # proportional to q - p
+    assert direction_key(q, p) == key
 
 
 def test_vertex_ordering_no_interior():

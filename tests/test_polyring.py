@@ -1,9 +1,12 @@
 """Tests for the homogeneous polynomial algebra."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinedim.polyring import (
     HomogeneousPolynomial,
@@ -149,3 +152,24 @@ def test_polynomial_arithmetic_basics():
 def test_non_int_coefficients_raise_type_error(coef):
     with pytest.raises(TypeError, match="not an int"):
         HomogeneousPolynomial(1, {(1, 0, 0): 1, (0, 1, 0): coef})
+
+
+_COEF = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEF, _COEF, _COEF)
+def test_linear_form_make_is_the_primitive_integer_form(a, b, c):
+    given_coefs = (a, b, c)
+    if given_coefs == (0, 0, 0):
+        with pytest.raises(ValueError, match="identically zero"):
+            LinearForm3.make(a, b, c)
+        return
+    form = LinearForm3.make(a, b, c)
+    out = (form.a, form.b, form.c)
+    assert all(type(k) is int for k in out)
+    assert math.gcd(*out) == 1
+    assert next(k for k in out if k) > 0
+    # proportional to the input: every 2x2 minor of (out, input) vanishes
+    assert all(out[i] * given_coefs[j] == out[j] * given_coefs[i] for i in range(3) for j in range(3))
+    assert LinearForm3.make(-a, -b, -c) == form
