@@ -20,6 +20,7 @@ from .dimension import (
     lower_bound_52,
     ps_dim_general,
     schumaker_dim,
+    star_smoothness_spec,
     upper_bound_53,
     vertex_star_dim,
 )
@@ -111,8 +112,7 @@ def _uniform_spec(mesh: Mesh, args, need_spec: bool) -> SmoothnessSpec | None:
         if need_spec:
             raise CliError("-r is required for this source")
         return None
-    s = args.s if args.s is not None else args.r
-    return SmoothnessSpec.uniform(mesh, args.r, s)
+    return SmoothnessSpec.uniform(mesh, args.r, args.s)
 
 
 def _int_list(flag: str, text: str, sep: str, form: str, sizes: tuple[int, ...]) -> list[int]:
@@ -150,16 +150,11 @@ def parse_degrees(args) -> list[int]:
 
 
 def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int] | None:
-    """(r, s) when a star's spec has order r on every edge and at every
-    boundary vertex and supersmoothness s at the center, else None."""
+    """(r, s) when a star's spec is `star_smoothness_spec(mesh, r, s)`, else None."""
     (center,) = mesh.interior_vertices
-    edge_orders = set(spec.r.values())
-    if len(edge_orders) != 1:
-        return None
-    (r,) = edge_orders
-    if any(spec.s[v] != r for v in mesh.boundary_vertices):
-        return None
-    return r, spec.s[center]
+    r, s = next(iter(spec.r.values())), spec.s[center]
+    star = star_smoothness_spec(mesh, r, s)
+    return (r, s) if (star.r, star.s) == (spec.r, spec.s) else None
 
 
 def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
@@ -184,6 +179,10 @@ def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
     raise CliError("no closed formula applies to this configuration")
 
 
+# report field behind each bound and dimension column
+_REPORT_FIELDS = {"exact": "exact", "lb51": "lb_51", "lb52": "lb_52", "ub53": "ub_53"}
+
+
 def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
     rows = []
     for d in degrees:
@@ -193,10 +192,7 @@ def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
                 {
                     "d": d,
                     "h0": rep.h0_dim,
-                    "lb52": rep.lb_52,
-                    "lb51": rep.lb_51,
-                    "ub53": rep.ub_53,
-                    "exact": rep.exact,
+                    **{column: getattr(rep, field) for column, field in _REPORT_FIELDS.items()},
                     "method": "exact",
                     # the Euler terms, which only the JSON output prints
                     **{k: v for k, v in vars(rep).items() if k.startswith("term_")},
@@ -236,10 +232,6 @@ def emit_rows(rows: list[dict], fmt: str, out) -> None:
         print("  ".join(str(row.get(c, "")).rjust(widths[c]) for c in COLUMNS), file=out)
 
 
-# report field behind each single-method column
-_REPORT_FIELDS = {"exact": "exact", "lb51": "lb_51", "lb52": "lb_52", "ub53": "ub_53"}
-
-
 def check_rows(rows, mesh, spec) -> None:
     """Check the bound sandwich on full rows, and every other row's value
     against the Euler assembly at its degree (formula and oracle rows
@@ -277,6 +269,8 @@ def run_table(args, out) -> int:
 
 def run_ideal(args, out) -> int:
     degrees = parse_degrees(args)
+    if sum((args.edge is not None, args.vertex is not None, args.canonical)) > 1:
+        raise CliError("give only one of --edge, --vertex and --canonical")
     if args.canonical:
         if args.r is None or args.s is None:
             raise CliError("--canonical needs -r and -s")

@@ -17,17 +17,20 @@ ideal to edges reaching earlier vertices in an admissible ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ideals import (
     GradedIdeal,
     dim_bar_vertex_ideal_count,
     dim_edge_ideal_boundary_closed,
+    dim_edge_ideal_closed,
     dim_edge_ideal_count,
     dim_vertex_star_ideal_closed,
     edge_ideal_for,
     edge_ideal_spec_for,
     graded_piece_matrix,
     vertex_ideal_edges,
+    vertex_socle_params,
 )
 from .mesh import (
     Edge,
@@ -102,12 +105,6 @@ def _require_disk(mesh: Mesh) -> None:
         raise MeshError(f"mesh is not a valid disk: {', '.join(report.failures)}")
 
 
-def _require_problem(mesh: Mesh, d: int) -> None:
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    _require_disk(mesh)
-
-
 class _EdgeData:
     """Degree-d data for one interior edge: ideal basis and functionals.
 
@@ -129,28 +126,40 @@ class _EdgeData:
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
-    Validates the disk and the degree, and builds and echelonizes each
-    interior edge's degree-d piece once.  Each vertex-ideal variant is
-    computed at most once: bar by counting, and full and tilde as the rank
-    of the stacked echelon rows of their edges (`vertex_ideal_edges`), since
-    the degree-d piece of a sum of ideals is the sum of the pieces.  The
-    bounds are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the
-    full (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; the lower
-    bounds are floored at C(d+2, 2), since global polynomials are always
-    supersplines.
+    Validates the disk and the degree.  On first use of `edges` it builds
+    and echelonizes each interior edge's degree-d piece, once.  Each
+    vertex-ideal variant is computed at most once: bar by counting, and
+    full and tilde as the rank of the stacked echelon rows of their edges
+    (`vertex_ideal_edges`), since the degree-d piece of a sum of ideals is
+    the sum of the pieces.  The bounds are C(d+2, 2) + sum of edge dims -
+    sum of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde (UB5.3)
+    vertex ideals; LB5.2 takes the counted edge dims, so it builds no
+    matrix.  The lower bounds are floored at C(d+2, 2), since global
+    polynomials are always supersplines.
     """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
-        _require_problem(mesh, d)
+        if d < 0:
+            raise ValueError("degree must be non-negative")
+        _require_disk(mesh)
         self.mesh = mesh
         self.smooth = smooth
         self.d = d
         self.ncoef = binom(d + 2, 2)
-        self.edges = {
-            e: _EdgeData(edge_ideal_for(mesh, smooth, e), d)
-            for e in sorted(mesh.interior_edges)
-        }
         self._vertex_dims: dict[str, dict[int, int]] = {}
+
+    @cached_property
+    def edges(self) -> dict[Edge, _EdgeData]:
+        return {
+            e: _EdgeData(edge_ideal_for(self.mesh, self.smooth, e), self.d)
+            for e in sorted(self.mesh.interior_edges)
+        }
+
+    @cached_property
+    def counted_edge_dims(self) -> int:
+        """Sum of the interior edge ideal dimensions, as lattice-point counts."""
+        specs = (edge_ideal_spec_for(self.mesh, self.smooth, e) for e in self.mesh.interior_edges)
+        return sum(dim_edge_ideal_count(x.r, x.s_gamma, x.s_gamma_prime, self.d) for x in specs)
 
     def sum_edge_dims(self) -> int:
         return sum(data.dim for data in self.edges.values())
@@ -176,17 +185,14 @@ class _DegreeSystem:
     def sum_vertex_dims(self, variant: str) -> int:
         return sum(self.vertex_dims(variant).values())
 
-    def _bound(self, variant: str) -> int:
-        return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims(variant)
-
     def lb51(self) -> int:
-        return max(self._bound("full"), self.ncoef)
+        return max(self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims("full"), self.ncoef)
 
     def lb52(self) -> int:
-        return max(self._bound("bar"), self.ncoef)
+        return max(self.ncoef + self.counted_edge_dims - self.sum_vertex_dims("bar"), self.ncoef)
 
     def ub53(self) -> int:
-        return self._bound("tilde")
+        return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims("tilde")
 
 
 def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
@@ -333,22 +339,13 @@ def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     return _DegreeSystem(mesh, smooth, d).lb51()
 
 
-def _counted_edge_dims(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
-    """Sum of the interior edge ideal dimensions, as lattice-point counts."""
-    specs = (edge_ideal_spec_for(mesh, smooth, e) for e in mesh.interior_edges)
-    return sum(dim_edge_ideal_count(x.r, x.s_gamma, x.s_gamma_prime, d) for x in specs)
-
-
 def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Combinatorial lower bound with simplified (center-only) vertex ideals.
 
     C(d+2, 2) + edge counts - bar vertex counts, floored at C(d+2, 2) like
     lower_bound_51; no rank is computed for any spec.
     """
-    _require_problem(mesh, d)
-    n = binom(d + 2, 2)
-    bar = sum(dim_bar_vertex_ideal_count(mesh, smooth, v, d) for v in mesh.interior_vertices)
-    return max(n + _counted_edge_dims(mesh, smooth, d) - bar, n)
+    return _DegreeSystem(mesh, smooth, d).lb52()
 
 
 def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -373,7 +370,7 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     h0 = h0_dimension(mesh, smooth, d, sys)
     exact = _exact_dim_reduced(sys)
     assembled = n + term_edges - sys.sum_vertex_dims("full") + h0
-    counted = _counted_edge_dims(mesh, smooth, d)
+    counted = sys.counted_edge_dims
     unordered = [v for v in full if not tilde[v] <= full[v] <= bar[v]]
     if exact != assembled or counted != term_edges or unordered:
         raise InternalInconsistencyError(
@@ -403,8 +400,6 @@ def _star_center(mesh: Mesh) -> int:
 
 
 def star_profile(mesh: Mesh, r: int) -> StarProfile:
-    from .ideals import vertex_socle_params
-
     center = _star_center(mesh)
     t = distinct_slopes_at(mesh, center)
     omega, a, b = vertex_socle_params(t, r)
@@ -540,12 +535,8 @@ def ps_dim_general(mesh: Mesh, r: int, s: int, d: int) -> int:
     c = mesh.face_counts()
     n = binom(d + 2, 2)
     spokes_to_edge_points = 3 * c.f2 * binom(d - s + 1, 2)
-    spokes_to_vertices = 3 * c.f2 * ((d - s) ** 2 - binom(d - 2 * s + r, 2))
-    edge_halves = (
-        2
-        * c.f1_interior
-        * ((s - r + 1) * binom(d - s + 1, 2) - (s - r) * binom(d - s, 2))
-    )
+    spokes_to_vertices = 3 * c.f2 * dim_edge_ideal_closed(r, s, d)
+    edge_halves = 2 * c.f1_interior * dim_edge_ideal_boundary_closed(r, s, d)
     vertices_stable = (c.f0_interior + c.f2) * (n - binom(s + 2, 2))
     edge_points = c.f1_interior * dim_ps_edge_point_ideal(r, s, d)
     return (

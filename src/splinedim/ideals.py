@@ -200,17 +200,14 @@ def _bar_generators_for_edge(
     mesh: Mesh, smooth: SmoothnessSpec, edge: Edge, v: int
 ) -> list[HomogeneousPolynomial]:
     """Generators of <ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v."""
-    e = tuple(sorted(edge))
-    p = mesh.vertices[v]
-    w = e[1] if e[0] == v else e[0]
-    ell_tau = edge_linear_form(p, mesh.vertices[w])
-    comp = vertex_complement_form(ell_tau, p)
-    r = smooth.r[e]
-    s = smooth.effective_s(v, e)
+    spec = edge_ideal_spec_for(mesh, smooth, edge)
+    if v == min(edge):
+        comp, s = spec.ell_gamma, spec.s_gamma
+    else:
+        comp, s = spec.ell_gamma_prime, spec.s_gamma_prime
     gens = []
-    for i in range(s - r + 1):
-        m = max(r + 1, s + 1 - i)
-        g = ell_tau.power(m)
+    for i in range(s - spec.r + 1):
+        g = spec.ell_tau.power(max(spec.r + 1, s + 1 - i))
         if i:
             g = g * comp.power(i)
         gens.append(g)

@@ -13,13 +13,13 @@ every downstream dimension count is an exact-zero decision on coordinates.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .ratlinalg import rational_from_str, rational_to_str
+from .ratlinalg import primitive_int_vector, rational_from_str, rational_to_str
 
 Point = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
@@ -245,6 +245,18 @@ def parse_mesh_json(data: dict) -> Mesh:
     return Mesh(vertices, triangles)
 
 
+def _entries(block: dict, field: str, size: int, form: str):
+    """Yield each `field` entry of a smoothness block as `size` JSON integers."""
+    try:
+        for entry in block.get(field, []):
+            values = tuple(_require_int(field, x) for x in entry)
+            if len(values) != size:
+                raise MeshError(f"{field} entries must be {form}, got {entry!r}")
+            yield values
+    except TypeError:  # the field or one of its entries is not a list
+        raise MeshError(f"{field} must be a list of {form} entries, got {block[field]!r}") from None
+
+
 def parse_smoothness_json(
     mesh: Mesh,
     block: dict | None,
@@ -258,6 +270,8 @@ def parse_smoothness_json(
     when nothing at all is specified.
     """
     block = block or {}
+    if not isinstance(block, dict):
+        raise MeshError(f"smoothness must be a JSON object, got {block!r}")
     default_r = block.get("default_r", fallback_r)
     default_s = block.get("default_s", fallback_s)
     if default_s is None:
@@ -269,15 +283,13 @@ def parse_smoothness_json(
     default_r = _require_int("default_r", default_r)
     default_s = _require_int("default_s", default_s)
     r = {e: default_r for e in mesh.interior_edges}
-    for entry in block.get("edge_r", []):
-        i, j, k = (_require_int("edge_r", x) for x in entry)
+    for i, j, k in _entries(block, "edge_r", 3, "[i, j, r]"):
         e = tuple(sorted((i, j)))
         if e not in mesh.interior_edges:
             raise MeshError(f"edge_r entry {e} is not an interior edge")
         r[e] = k
     s = {v: default_s for v in range(mesh.num_vertices)}
-    for entry in block.get("vertex_s", []):
-        i, k = (_require_int("vertex_s", x) for x in entry)
+    for i, k in _entries(block, "vertex_s", 2, "[v, s]"):
         if not 0 <= i < mesh.num_vertices:
             raise MeshError(f"vertex_s entry {i} out of range")
         s[i] = k
@@ -339,73 +351,23 @@ class DiskReport:
     failures: tuple[str, ...]
 
 
-def _triangle_adjacency_connected(mesh: Mesh) -> bool:
-    if not mesh.triangles:
-        return False
-    seen = {0}
-    stack = [0]
-    adj: dict[int, list[int]] = {t: [] for t in range(mesh.num_triangles)}
-    for e in mesh.interior_edges:
-        a, b = mesh.edge_triangles[e]
+def _connected(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the graph on `nodes` with edges `pairs` is non-empty and connected."""
+    adj: dict[int, list[int]] = {u: [] for u in nodes}
+    for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
+    if not adj:
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
     while stack:
-        t = stack.pop()
-        for u in adj[t]:
+        for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == mesh.num_triangles
-
-
-def _vertex_star_is_fan_connected(mesh: Mesh, v: int) -> bool:
-    tris = mesh.vertex_triangles[v]
-    if not tris:
-        return False
-    index = {t: k for k, t in enumerate(tris)}
-    adj: dict[int, list[int]] = {k: [] for k in range(len(tris))}
-    for w in mesh.vertex_neighbors[v]:
-        e = tuple(sorted((v, w)))
-        ts = mesh.edge_triangles[e]
-        if len(ts) == 2:
-            a, b = (index[t] for t in ts)
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for u in adj[k]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(tris)
-
-
-def _boundary_is_single_cycle(mesh: Mesh) -> bool:
-    if not mesh.boundary_edges:
-        return False
-    incidence: dict[int, list[Edge]] = {}
-    for e in mesh.boundary_edges:
-        for v in e:
-            incidence.setdefault(v, []).append(e)
-    if any(len(es) != 2 for es in incidence.values()):
-        return False
-    # walk the cycle from an arbitrary boundary vertex
-    start = next(iter(incidence))
-    prev, cur = None, start
-    visited_edges = set()
-    while True:
-        nxt_edge = next(
-            e for e in incidence[cur] if e not in visited_edges
-        ) if prev is not None else incidence[cur][0]
-        visited_edges.add(nxt_edge)
-        prev, cur = cur, nxt_edge[0] if nxt_edge[1] == cur else nxt_edge[1]
-        if cur == start:
-            break
-        if len(visited_edges) > len(mesh.boundary_edges):
-            return False
-    return len(visited_edges) == len(mesh.boundary_edges)
+    return len(seen) == len(adj)
 
 
 def validate_disk(mesh: Mesh) -> DiskReport:
@@ -414,19 +376,23 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     Verifies: hereditary (triangle fans around every vertex are connected
     through edges at that vertex), connectedness through interior edges,
     the Euler relation f0 - f1 + f2 = 1, and that the boundary edges form a
-    single simple cycle.  Purity is automatic from the representation.
-    Failures are reported, not raised.
+    single simple cycle: two at every boundary vertex, and connected.
+    Purity is automatic from the representation.  Failures are reported,
+    not raised.
     """
     failures = []
-    if not _triangle_adjacency_connected(mesh):
+    dual = (mesh.edge_triangles[e] for e in mesh.interior_edges)
+    if not _connected(range(mesh.num_triangles), dual):
         failures.append("connected")
     for v in range(mesh.num_vertices):
-        if not _vertex_star_is_fan_connected(mesh, v):
+        fan = (mesh.edge_triangles[e] for e in mesh.interior_edges_at_vertex(v))
+        if not _connected(mesh.vertex_triangles[v], fan):
             failures.append(f"hereditary (vertex {v})")
     c = mesh.face_counts()
     if c.f0 - c.f1 + c.f2 != 1:
         failures.append("euler characteristic")
-    if not _boundary_is_single_cycle(mesh):
+    degree = Counter(v for e in mesh.boundary_edges for v in e)
+    if any(k != 2 for k in degree.values()) or not _connected(degree, mesh.boundary_edges):
         failures.append("boundary cycle")
     return DiskReport(ok=not failures, failures=tuple(failures))
 
@@ -440,13 +406,7 @@ def direction_key(p: Point, q: Point) -> tuple[int, int]:
     dx, dy = q[0] - p[0], q[1] - p[1]
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
-    den = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
-    ix, iy = int(dx * den), int(dy * den)
-    g = gcd(abs(ix), abs(iy))
-    ix, iy = ix // g, iy // g
-    if ix < 0 or (ix == 0 and iy < 0):
-        ix, iy = -ix, -iy
-    return (ix, iy)
+    return primitive_int_vector((dx, dy))
 
 
 def distinct_slopes_at(mesh: Mesh, v: int) -> int:

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Mapping
+
+from .ratlinalg import primitive_int_vector
 
 Monomial3 = tuple[int, int, int]
 
@@ -160,19 +162,9 @@ class LinearForm3:
 
     @classmethod
     def make(cls, a, b, c) -> "LinearForm3":
-        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-        if fa == fb == fc == 0:
+        if a == b == c == 0:
             raise ValueError("linear form must not be identically zero")
-        lcm = 1
-        for v in (fa, fb, fc):
-            lcm = lcm // gcd(lcm, v.denominator) * v.denominator
-        ia, ib, ic = int(fa * lcm), int(fb * lcm), int(fc * lcm)
-        g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
-        ia, ib, ic = ia // g, ib // g, ic // g
-        lead = next(v for v in (ia, ib, ic) if v)
-        if lead < 0:
-            ia, ib, ic = -ia, -ib, -ic
-        return cls(ia, ib, ic)
+        return cls(*primitive_int_vector((a, b, c)))
 
     def poly(self) -> HomogeneousPolynomial:
         return HomogeneousPolynomial(

@@ -30,6 +30,7 @@ from typing import Sequence
 __all__ = [
     "RatMatrix",
     "binom",
+    "primitive_int_vector",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -72,6 +73,17 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
+
+
+def primitive_int_vector(values) -> tuple[int, ...]:
+    """Rationals, not all zero, scaled to coprime integers, first nonzero positive."""
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def _primitive_rows(rows) -> list[dict[int, int]]:

@@ -288,10 +288,49 @@ def test_check_catches_a_single_method_that_disagrees_with_the_euler_assembly(
     ],
 )
 def test_mesh_json_rejects_non_integer_orders(tmp_path, capsys, smoothness, message):
+    _assert_smoothness_rejected(tmp_path, capsys, smoothness, message)
+
+
+@pytest.mark.parametrize(
+    "smoothness, message",
+    [
+        ([1], "smoothness must be a JSON object, got [1]"),
+        ("x", "smoothness must be a JSON object, got 'x'"),
+        ({"default_r": 1, "edge_r": 5}, "edge_r must be a list of [i, j, r] entries, got 5"),
+        ({"default_r": 1, "vertex_s": [5]}, "vertex_s must be a list of [v, s] entries, got [5]"),
+        ({"default_r": 1, "edge_r": [[0, 2]]}, "edge_r entries must be [i, j, r], got [0, 2]"),
+        ({"default_r": 1, "vertex_s": [[0, 1, 2]]}, "vertex_s entries must be [v, s], got [0, 1, 2]"),
+    ],
+)
+def test_a_malformed_smoothness_block_is_a_mesh_error_naming_the_field(
+    tmp_path, capsys, smoothness, message
+):
+    # these used to end in a traceback or in Python's unpacking message
+    _assert_smoothness_rejected(tmp_path, capsys, smoothness, message)
+
+
+def _assert_smoothness_rejected(tmp_path, capsys, smoothness, message):
     doc = mesh_to_json(builtin_mesh("morgan-scott"))
     doc["smoothness"] = smoothness
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(doc))
     for argv in (["gen", "--mesh", str(path)], ["dim", "--mesh", str(path), "-d", "3"]):
         assert run(argv) == (1, "")
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "selectors",
+    [
+        ["--edge", "3,4", "--vertex", "3"],
+        ["--canonical", "--vertex", "3"],
+        ["--canonical", "--edge", "3,4"],
+        ["--canonical", "--edge", "3,4", "--vertex", "0"],
+    ],
+)
+def test_ideal_rejects_more_than_one_selector(capsys, selectors):
+    # the first selector used to win silently
+    code, text = run(["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", *selectors, "-d", "4"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err.strip()
+    assert err == "error: give only one of --edge, --vertex and --canonical"
