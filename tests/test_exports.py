@@ -81,3 +81,36 @@ def test_the_benchmark_tracer_sees_each_single_method_entry_point(tmp_path, meth
     assert proc.returncode == 0, proc.stderr
     calls, _ = json.loads(out.read_text())["spans"][span]
     assert calls == 1
+
+
+def _traced_calls(tmp_path, *argv):
+    """Calls per span of one `splinedim ARGV` run under perfbench/traced.py."""
+    out = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name: calls for name, (calls, _ns) in json.loads(out.read_text())["spans"].items()}
+
+
+def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
+    """Each span the tracer wraps must still be reached through the names the
+    package calls it by; `table` builds no `GradedIdeal`, so `ideal --variant
+    tilde` covers the vertex ideal and its `graded_dim`."""
+    calls = _traced_calls(tmp_path, "table", "--gen", "ps6:morgan-scott", "-r", "1", "-s", "2", "-d", "3")
+    stages = (
+        "ideals.edge_ideal_for", "dimension.euler_assembly", "dimension.h0_dimension",
+        "mesh.validate_disk", "mesh.vertex_ordering", "refine.powell_sabin_6split",
+        "ratlinalg.rank", "ratlinalg.rref", "ratlinalg.kernel_basis", "ratlinalg.matrix_init",
+        "ideals.graded_piece_matrix", "polyring.power", "polyring.mul",
+        "polyring.times_monomial", "cli.main",
+    )
+    assert [name for name in stages if not calls.get(name)] == []
+    calls = _traced_calls(
+        tmp_path, "ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2",
+        "--vertex", "3", "--variant", "tilde", "-d", "4",
+    )
+    stages = ("ideals.vertex_ideal", "ideals.graded_dim", "mesh.vertex_ordering")
+    assert [name for name in stages if not calls.get(name)] == []

@@ -14,6 +14,8 @@ from splinedim.cli import builtin_mesh
 from splinedim.ideals import (
     EdgeIdealSpec,
     GradedIdeal,
+    _bar_generators_for_edge,
+    _minimal_exponents,
     dim_bar_vertex_ideal_count,
     dim_edge_ideal_boundary_closed,
     dim_edge_ideal_closed,
@@ -21,14 +23,21 @@ from splinedim.ideals import (
     dim_vertex_star_ideal_closed,
     edge_ideal,
     edge_ideal_for,
+    edge_ideal_spec_for,
     graded_piece_matrix,
     vertex_ideal,
+    vertex_ideal_edges,
     vertex_socle_params,
 )
-from splinedim.mesh import SmoothnessSpec, distinct_slopes_at
+from splinedim.mesh import (
+    SmoothnessSpec,
+    distinct_slopes_at,
+    verify_vertex_ordering,
+    vertex_ordering,
+)
 from splinedim.polyring import HomogeneousPolynomial, LinearForm3
 from splinedim.ratlinalg import RatMatrix, binom
-from splinedim.refine import make_vertex_star, morgan_scott_mesh
+from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
 X = LinearForm3(1, 0, 0)
 Y = LinearForm3(0, 1, 0)
@@ -76,6 +85,65 @@ def test_edge_ideal_uniform_generators():
 def test_edge_ideal_boundary_type_generators():
     ideal = edge_ideal(canonical_spec(1, 2, 1))
     assert sorted(gen_exponents(ideal)) == [(2, 1, 0), (3, 0, 0)]
+
+
+def reference_minimal_exponents(r, s1, s2):
+    """Minimal exponents of the monomial model by enumerate and filter:
+    every (m, i, j) with i <= s1-r, j <= s2-r and m = max(r+1, s1+1-i,
+    s2+1-j), less those another triple divides."""
+    triples = [
+        (max(r + 1, s1 + 1 - i, s2 + 1 - j), i, j)
+        for i in range(s1 - r + 1)
+        for j in range(s2 - r + 1)
+    ]
+    minimal = [
+        t
+        for t in triples
+        if not any(u != t and all(a <= b for a, b in zip(u, t)) for u in triples)
+    ]
+    return sorted(set(minimal))
+
+
+def test_minimal_exponents_equal_the_enumerate_and_filter_reference():
+    cases = 0
+    for r, s1, s2 in itertools.product(range(9), repeat=3):
+        if r <= min(s1, s2):
+            assert _minimal_exponents(r, s1, s2) == reference_minimal_exponents(r, s1, s2), (
+                r, s1, s2,
+            )
+            cases += 1
+    assert cases == sum((9 - r) ** 2 for r in range(9))
+
+
+def reference_bar_generators(mesh, smooth, edge, v):
+    """<ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v, written out:
+    ell_tau^max(r+1, s_v+1-i) * comp_v^i for 0 <= i <= s_v - r."""
+    spec = edge_ideal_spec_for(mesh, smooth, edge)
+    if v == min(edge):
+        comp, s = spec.ell_gamma, spec.s_gamma
+    else:
+        comp, s = spec.ell_gamma_prime, spec.s_gamma_prime
+    gens = []
+    for i in range(s - spec.r + 1):
+        g = spec.ell_tau.power(max(spec.r + 1, s + 1 - i))
+        if i:
+            g = g * comp.power(i)
+        gens.append(g)
+    return gens
+
+
+def test_bar_generators_equal_the_reference_at_both_edge_ends():
+    rng = random.Random(11)
+    ms = morgan_scott_mesh()
+    for mesh in (ms, powell_sabin_6split(ms, 1, 2).refined):
+        for _ in range(3):
+            r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
+            s = {v: rng.randint(0, 4) for v in range(mesh.num_vertices)}
+            spec = SmoothnessSpec(mesh, r, s)
+            for e in sorted(mesh.interior_edges):
+                for v in e:  # v is the lower, then the upper endpoint
+                    got = _bar_generators_for_edge(mesh, spec, e, v)
+                    assert got == reference_bar_generators(mesh, spec, e, v), (r, s, e, v)
 
 
 def test_edge_ideal_rejects_dependent_frame():
@@ -355,8 +423,6 @@ def test_vertex_ideal_full_collapse_at_uniform_r():
 
 
 def test_vertex_ideal_tilde_contained_in_full():
-    from splinedim.mesh import vertex_ordering
-
     ms = morgan_scott_mesh()
     spec = SmoothnessSpec.uniform(ms, 1, 2)
     order = vertex_ordering(ms)
@@ -365,6 +431,22 @@ def test_vertex_ideal_tilde_contained_in_full():
         tilde = vertex_ideal(ms, spec, v, "tilde", ordering=order)
         for d in range(0, 8):
             assert tilde.graded_dim(d) <= full.graded_dim(d)
+
+
+@pytest.mark.parametrize("name", ["morgan-scott", "ps6-ms"])
+def test_boundary_neighbours_count_as_earlier_wherever_the_ordering_lists_them(name):
+    ms = morgan_scott_mesh()
+    mesh = ms if name == "morgan-scott" else powell_sabin_6split(ms, 1, 2).refined
+    greedy = vertex_ordering(mesh)
+    interior = [v for v in greedy if v not in mesh.boundary_vertices]
+    boundary_last = interior + sorted(mesh.boundary_vertices)
+    assert verify_vertex_ordering(mesh, boundary_last) is None
+    kept_boundary = 0
+    for v in interior:
+        edges = vertex_ideal_edges(mesh, v, "tilde", boundary_last)
+        assert edges == vertex_ideal_edges(mesh, v, "tilde", greedy), v
+        kept_boundary += sum(sum(e) - v in mesh.boundary_vertices for e in edges)
+    assert kept_boundary
 
 
 def test_vertex_ideal_requires_interior_vertex():
