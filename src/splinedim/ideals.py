@@ -3,9 +3,11 @@
 Every ideal here is generated by products of powers of linear forms.  For
 an interior edge with endpoint orders (s1, s2) and edge order r, the three
 forms (edge form, one complement form per endpoint) are a coordinate frame
-in which the ideal is monomial, so an explicit minimal generating set can
-be written down; its correctness against the defining triple intersection
-is established by the rank oracle in the test suite.
+in which the ideal is the monomial model: x^a y^b z^c with a >= r+1,
+a+b >= s1+1 and a+c >= s2+1.  `_minimal_exponents` lists its minimal
+generators, which give the edge ideals and, with the far order lowered to
+r, the bar generators; the rank oracle in the test suite checks them
+against the defining triple intersection.
 
 `GradedIdeal.graded_dim` ranks generator-times-monomial products over the
 degree-d monomial basis; only the `ideal` dump and the tests use it, since
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mesh import Edge, Mesh, SmoothnessSpec, direction_key
+from .mesh import Edge, Mesh, SmoothnessSpec, direction_key, predecessors
 from .polyring import (
     HomogeneousPolynomial,
     LinearForm3,
@@ -124,21 +126,10 @@ def _minimal_exponents(r: int, s1: int, s2: int) -> list[tuple[int, int, int]]:
 
     In the adapted frame the edge ideal is <x^(r+1)> cap <x,y>^(s1+1) cap
     <x,z>^(s2+1), a monomial ideal whose members x^a y^b z^c are exactly
-    those with a >= r+1, a+b >= s1+1, a+c >= s2+1.
+    those with a >= r+1, a+b >= s1+1, a+c >= s2+1: one minimal monomial
+    for each edge exponent a up to max(s1, s2)+1.
     """
-    triples = []
-    for i in range(s1 - r + 1):
-        for j in range(s2 - r + 1):
-            m = max(r + 1, s1 + 1 - i, s2 + 1 - j)
-            triples.append((m, i, j))
-    minimal = []
-    for t in triples:
-        if not any(
-            u != t and u[0] <= t[0] and u[1] <= t[1] and u[2] <= t[2]
-            for u in triples
-        ):
-            minimal.append(t)
-    return sorted(set(minimal))
+    return [(a, max(0, s1 + 1 - a), max(0, s2 + 1 - a)) for a in range(r + 1, max(s1, s2) + 2)]
 
 
 def dim_edge_ideal_count(r: int, s1: int, s2: int, d: int) -> int:
@@ -149,23 +140,29 @@ def dim_edge_ideal_count(r: int, s1: int, s2: int, d: int) -> int:
     )
 
 
+def _products(forms, exponents) -> list[HomogeneousPolynomial]:
+    """f0^a * f1^b * f2^c for `forms` (f0, f1, f2) and each (a, b, c); zero b, c skipped."""
+    tau, *others = forms
+    gens = []
+    for a, *rest in exponents:
+        g = tau.power(a)
+        for form, k in zip(others, rest):
+            if k:
+                g = g * form.power(k)
+        gens.append(g)
+    return gens
+
+
 def edge_ideal(spec: EdgeIdealSpec) -> GradedIdeal:
     """The ideal of one interior edge as an explicit generator list.
 
-    Generators are ell_tau^m * ell_gamma^i * ell_gamma'^j over the minimal
-    exponent triples with m = max(r+1, s_gamma+1-i, s_gamma'+1-j); in the
-    uniform case s_gamma = s_gamma' this reduces to the single-parameter
-    family ell_tau^(s+1-i) ell_gamma^i ell_gamma'^i, 0 <= i <= s-r.
+    Generators are ell_tau^a * ell_gamma^b * ell_gamma'^c over the minimal
+    exponents of the monomial model, `_minimal_exponents`; in the uniform
+    case s_gamma = s_gamma' = s they are ell_tau^(s+1-i) ell_gamma^i
+    ell_gamma'^i, 0 <= i <= s-r.
     """
-    gens = []
-    for m, i, j in _minimal_exponents(spec.r, spec.s_gamma, spec.s_gamma_prime):
-        g = spec.ell_tau.power(m)
-        if i:
-            g = g * spec.ell_gamma.power(i)
-        if j:
-            g = g * spec.ell_gamma_prime.power(j)
-        gens.append(g)
-    return GradedIdeal(gens)
+    exponents = _minimal_exponents(spec.r, spec.s_gamma, spec.s_gamma_prime)
+    return GradedIdeal(_products((spec.ell_tau, spec.ell_gamma, spec.ell_gamma_prime), exponents))
 
 
 def edge_ideal_spec_for(mesh: Mesh, smooth: SmoothnessSpec, edge: Edge) -> EdgeIdealSpec:
@@ -199,19 +196,16 @@ def edge_ideal_for(mesh: Mesh, smooth: SmoothnessSpec, edge: Edge) -> GradedIdea
 def _bar_generators_for_edge(
     mesh: Mesh, smooth: SmoothnessSpec, edge: Edge, v: int
 ) -> list[HomogeneousPolynomial]:
-    """Generators of <ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v."""
+    """Generators of <ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v.
+
+    This is the edge ideal with the far order lowered to r, listed from the
+    highest power of ell_tau down.
+    """
     spec = edge_ideal_spec_for(mesh, smooth, edge)
-    if v == min(edge):
-        comp, s = spec.ell_gamma, spec.s_gamma
-    else:
-        comp, s = spec.ell_gamma_prime, spec.s_gamma_prime
-    gens = []
-    for i in range(s - spec.r + 1):
-        g = spec.ell_tau.power(max(spec.r + 1, s + 1 - i))
-        if i:
-            g = g * comp.power(i)
-        gens.append(g)
-    return gens
+    near, far, s = spec.ell_gamma, spec.ell_gamma_prime, spec.s_gamma
+    if v != min(edge):
+        near, far, s = far, near, spec.s_gamma_prime
+    return _products((spec.ell_tau, near, far), reversed(_minimal_exponents(spec.r, s, spec.r)))
 
 
 def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: int) -> int:
@@ -239,8 +233,8 @@ def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: in
 def vertex_ideal_edges(mesh: Mesh, v: int, variant: str, ordering=None) -> list[Edge]:
     """The interior edges at v whose edge ideals sum to its full or tilde ideal.
 
-    full: every interior edge at v.  tilde: the edges whose far vertex is
-    on the boundary or earlier in `ordering`.
+    full: every interior edge at v.  tilde: the edges to v's predecessors,
+    the neighbours on the boundary or earlier in `ordering`.
     """
     edges = mesh.interior_edges_at_vertex(v)
     if variant == "full":
@@ -249,9 +243,8 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str, ordering=None) -> list[
         raise ValueError(f"unknown variant {variant!r}")
     if ordering is None:
         raise ValueError("tilde variant needs a vertex ordering")
-    pos = {u: k for k, u in enumerate(ordering)}
-    far = (sum(e) - v for e in edges)
-    kept = [e for e, w in zip(edges, far) if w in mesh.boundary_vertices or pos[w] < pos[v]]
+    earlier = set(predecessors(mesh, v, set(ordering[: ordering.index(v)])))
+    kept = [e for e in edges if sum(e) - v in earlier]
     if not kept:
         raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
     return kept

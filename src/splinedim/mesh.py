@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .ratlinalg import primitive_int_vector, rational_from_str, rational_to_str
 
@@ -38,6 +38,7 @@ __all__ = [
     "load_mesh_document",
     "mesh_to_json",
     "parse_mesh_json",
+    "predecessors",
     "validate_disk",
     "verify_vertex_ordering",
     "vertex_ordering",
@@ -409,45 +410,42 @@ def direction_key(p: Point, q: Point) -> tuple[int, int]:
     return primitive_int_vector((dx, dy))
 
 
+def _slopes(mesh: Mesh, v: int, neighbours: Iterable[int]) -> set[tuple[int, int]]:
+    p = mesh.vertices[v]
+    return {direction_key(p, mesh.vertices[w]) for w in neighbours}
+
+
 def distinct_slopes_at(mesh: Mesh, v: int) -> int:
     """Number of distinct directions among the edges containing v."""
     if not 0 <= v < mesh.num_vertices:
         raise IndexError(v)
-    p = mesh.vertices[v]
-    return len({direction_key(p, mesh.vertices[w]) for w in mesh.vertex_neighbors[v]})
+    return len(_slopes(mesh, v, mesh.vertex_neighbors[v]))
+
+
+def predecessors(mesh: Mesh, v: int, placed: Container[int]) -> list[int]:
+    """v's neighbours that may precede it: on the boundary or in `placed`.
+
+    The upper-bound construction (UB5.3) keeps, at each interior vertex,
+    only the edges to these neighbours.
+    """
+    return [w for w in mesh.vertex_neighbors[v] if w in mesh.boundary_vertices or w in placed]
 
 
 def verify_vertex_ordering(mesh: Mesh, order: Sequence[int]) -> str | None:
     """Independent postcondition check for vertex_ordering.
 
-    Every interior vertex must have two neighbors that are earlier in the
-    order or on the boundary, joined to it by edges of different slopes.
-    Returns a failure description, or None if the ordering is admissible.
+    Every interior vertex must have two predecessors, joined to it by
+    edges of different slopes.  Returns a failure description, or None if
+    the ordering is admissible.
     """
     if sorted(order) != list(range(mesh.num_vertices)):
         return "not a permutation of the vertices"
-    pos = {v: k for k, v in enumerate(order)}
-    for v in mesh.interior_vertices:
-        p = mesh.vertices[v]
-        slopes = {
-            direction_key(p, mesh.vertices[w])
-            for w in mesh.vertex_neighbors[v]
-            if w in mesh.boundary_vertices or pos[w] < pos[v]
-        }
-        if len(slopes) < 2:
+    placed: set[int] = set()
+    for v in order:
+        if v in mesh.interior_vertices and len(_slopes(mesh, v, predecessors(mesh, v, placed))) < 2:
             return f"interior vertex {v} lacks two earlier neighbors with distinct slopes"
+        placed.add(v)
     return None
-
-
-def _ready(mesh: Mesh, v: int, placed: set[int]) -> bool:
-    p = mesh.vertices[v]
-    slopes = set()
-    for w in mesh.vertex_neighbors[v]:
-        if w in placed or w in mesh.boundary_vertices:
-            slopes.add(direction_key(p, mesh.vertices[w]))
-            if len(slopes) >= 2:
-                return True
-    return False
 
 
 def vertex_ordering(mesh: Mesh) -> list[int]:
@@ -463,12 +461,16 @@ def vertex_ordering(mesh: Mesh) -> list[int]:
     order = sorted(mesh.boundary_vertices)
     placed = set(order)
     remaining = set(mesh.interior_vertices)
-    # A stalled greedy pass proves that no admissible order exists: `_ready`
-    # is monotone in the placed set, and in any admissible order the first
-    # vertex the greedy pass left unplaced has only greedy-placed or boundary
-    # vertices before it, so it would already be ready for the greedy pass.
+    # A stalled greedy pass proves that no admissible order exists: the
+    # predecessors grow with the placed set, and in any admissible order the
+    # first vertex the greedy pass left unplaced has only greedy-placed or
+    # boundary vertices before it, so it would already be ready for the
+    # greedy pass.
     while remaining:
-        pick = next((v for v in sorted(remaining) if _ready(mesh, v, placed)), None)
+        ready = (
+            v for v in sorted(remaining) if len(_slopes(mesh, v, predecessors(mesh, v, placed))) > 1
+        )
+        pick = next(ready, None)
         if pick is None:
             break
         order.append(pick)
