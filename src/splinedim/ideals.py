@@ -196,11 +196,8 @@ def edge_ideal_for(mesh: Mesh, smooth: SmoothnessSpec, edge: Edge) -> GradedIdea
 def _bar_generators_for_edge(
     mesh: Mesh, smooth: SmoothnessSpec, edge: Edge, v: int
 ) -> list[HomogeneousPolynomial]:
-    """Generators of <ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v.
-
-    This is the edge ideal with the far order lowered to r, listed from the
-    highest power of ell_tau down.
-    """
+    """Generators of <ell_tau^(r+1)> cap m_v^(s_v+1) for one edge at v: the
+    edge ideal with the far order lowered to r, highest ell_tau power first."""
     spec = edge_ideal_spec_for(mesh, smooth, edge)
     near, far, s = spec.ell_gamma, spec.ell_gamma_prime, spec.s_gamma
     if v != min(edge):

@@ -248,14 +248,14 @@ def parse_mesh_json(data: dict) -> Mesh:
 
 def _entries(block: dict, field: str, size: int, form: str):
     """Yield each `field` entry of a smoothness block as `size` JSON integers."""
-    try:
-        for entry in block.get(field, []):
-            values = tuple(_require_int(field, x) for x in entry)
-            if len(values) != size:
-                raise MeshError(f"{field} entries must be {form}, got {entry!r}")
-            yield values
-    except TypeError:  # the field or one of its entries is not a list
-        raise MeshError(f"{field} must be a list of {form} entries, got {block[field]!r}") from None
+    entries = block.get(field, [])
+    if not isinstance(entries, list) or not all(isinstance(entry, list) for entry in entries):
+        raise MeshError(f"{field} must be a list of {form} entries, got {entries!r}")
+    for entry in entries:
+        values = tuple(_require_int(field, x) for x in entry)
+        if len(values) != size:
+            raise MeshError(f"{field} entries must be {form}, got {entry!r}")
+        yield values
 
 
 def parse_smoothness_json(
@@ -267,10 +267,11 @@ def parse_smoothness_json(
     """Assemble the smoothness spec from the optional JSON block.
 
     Explicit edge_r / vertex_s entries override default_r / default_s; CLI
-    flags supply the fallbacks when the block omits defaults.  Returns None
-    when nothing at all is specified.
+    flags supply the fallbacks when the block omits defaults.  Only a
+    missing (None) block is absent.  Returns None when nothing at all is
+    specified.
     """
-    block = block or {}
+    block = {} if block is None else block
     if not isinstance(block, dict):
         raise MeshError(f"smoothness must be a JSON object, got {block!r}")
     default_r = block.get("default_r", fallback_r)

@@ -300,6 +300,15 @@ def test_mesh_json_rejects_non_integer_orders(tmp_path, capsys, smoothness, mess
         ({"default_r": 1, "vertex_s": [5]}, "vertex_s must be a list of [v, s] entries, got [5]"),
         ({"default_r": 1, "edge_r": [[0, 2]]}, "edge_r entries must be [i, j, r], got [0, 2]"),
         ({"default_r": 1, "vertex_s": [[0, 1, 2]]}, "vertex_s entries must be [v, s], got [0, 1, 2]"),
+        # these printed a row: a falsy block read as no block, a string or
+        # an object read as an empty list, or its keys read as entries
+        (0, "smoothness must be a JSON object, got 0"),
+        (False, "smoothness must be a JSON object, got False"),
+        ([], "smoothness must be a JSON object, got []"),
+        ({"default_r": 1, "edge_r": ""}, "edge_r must be a list of [i, j, r] entries, got ''"),
+        ({"default_r": 1, "edge_r": {}}, "edge_r must be a list of [i, j, r] entries, got {}"),
+        ({"default_r": 1, "vertex_s": {"01": 1}}, "vertex_s must be a list of [v, s] entries, got {'01': 1}"),
+        ({"default_r": 1, "vertex_s": ["01"]}, "vertex_s must be a list of [v, s] entries, got ['01']"),
     ],
 )
 def test_a_malformed_smoothness_block_is_a_mesh_error_naming_the_field(
