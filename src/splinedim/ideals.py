@@ -240,7 +240,7 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str, ordering=None) -> list[
         raise ValueError(f"unknown variant {variant!r}")
     if ordering is None:
         raise ValueError("tilde variant needs a vertex ordering")
-    earlier = set(predecessors(mesh, v, set(ordering[: ordering.index(v)])))
+    earlier = predecessors(mesh, v, set(ordering[: ordering.index(v)]))
     kept = [e for e in edges if sum(e) - v in earlier]
     if not kept:
         raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
