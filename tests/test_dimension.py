@@ -117,6 +117,13 @@ def _h0_boundary_rows(sys):
     return sys.sum_vertex_dims("full") - rank
 
 
+def _random_spec(rng, mesh):
+    """Per-edge r and per-vertex s, each drawn from 0..3."""
+    r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
+    s = {v: rng.randint(0, 3) for v in range(mesh.num_vertices)}
+    return SmoothnessSpec(mesh, r, s)
+
+
 def test_h0_equals_the_untransposed_boundary_map():
     for mesh in (TWO, CROSS, morgan_scott_mesh()):
         for r, s in [(0, 0), (1, 1), (1, 2), (2, 3)]:
@@ -128,6 +135,29 @@ def test_h0_equals_the_untransposed_boundary_map():
     sys = _DegreeSystem(split.refined, split.spec, 5)
     assert _h0_boundary_rows(sys) == 14
     assert h0_dimension(split.refined, split.spec, 5) == 14
+    # 6-splits, whose vertex blocks share edge columns, with h0 > 0 at the
+    # lowest degree of each; h0 on a fresh system and on one that has ranked
+    # only its tilde ideals must not depend on what ran before
+    jobs = [(powell_sabin_6split(morgan_scott_mesh(), 2, 3), d, h) for d, h in ((4, 9), (5, 0), (6, 0))]
+    jobs.append((powell_sabin_6split(morgan_scott_mesh(), 3, 5), 7, 1))
+    for split, d, h0 in jobs:
+        mesh, spec = split.refined, split.spec
+        fresh = h0_dimension(mesh, spec, d, _DegreeSystem(mesh, spec, d))
+        after_tilde = _DegreeSystem(mesh, spec, d)
+        after_tilde.vertex_dims("tilde")
+        assert fresh == h0_dimension(mesh, spec, d, after_tilde) == h0
+        assert _h0_boundary_rows(_DegreeSystem(mesh, spec, d)) == h0, d
+    # random per-edge and per-vertex orders
+    rng = random.Random(13)
+    split = powell_sabin_6split(builtin_mesh("two-triangles"), 1, 2).refined
+    positive = 0
+    for mesh in [morgan_scott_mesh(), split] * 4:
+        spec = _random_spec(rng, mesh)
+        for d in range(7):
+            expected = _h0_boundary_rows(_DegreeSystem(mesh, spec, d))
+            assert h0_dimension(mesh, spec, d) == expected, (spec.r, spec.s, d)
+            positive += expected > 0
+    assert positive >= 10
 
 
 @pytest.mark.parametrize(
@@ -206,9 +236,7 @@ def _lb52_configs():
         yield res.refined, res.spec
     rng = random.Random(7)
     for mesh in [TWO, CROSS, STAR3, STAR4, morgan_scott_mesh()] * 2:
-        r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
-        s = {v: rng.randint(0, 3) for v in range(mesh.num_vertices)}
-        yield mesh, SmoothnessSpec(mesh, r, s)
+        yield mesh, _random_spec(rng, mesh)
 
 
 def test_lb52_equals_the_rank_reference():

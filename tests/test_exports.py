@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import splinedim
+from splinedim import ratlinalg
+from splinedim.dimension import euler_assembly
+from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
 MODULES = ["dimension", "ideals", "mesh", "polyring", "ratlinalg", "refine"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,3 +117,24 @@ def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
     )
     stages = ("ideals.vertex_ideal", "ideals.graded_dim", "mesh.vertex_ordering")
     assert [name for name in stages if not calls.get(name)] == []
+
+
+def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
+    """The benchmark times rank eliminations through its `RatMatrix.rank`
+    span; an elimination started anywhere else would hide its time."""
+    calls = {"rank": 0, "elimination": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ratlinalg.RatMatrix, "rank", counted("rank", ratlinalg.RatMatrix.rank))
+    monkeypatch.setattr(
+        ratlinalg, "_sparse_int_rank", counted("elimination", ratlinalg._sparse_int_rank)
+    )
+    split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+    euler_assembly(split.refined, split.spec, 5)
+    assert calls["elimination"] == calls["rank"] > 0

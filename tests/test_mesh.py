@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinedim.cli import builtin_mesh
 from splinedim.mesh import (
     Mesh,
     MeshError,
@@ -16,6 +17,7 @@ from splinedim.mesh import (
     distinct_slopes_at,
     load_mesh_document,
     mesh_to_json,
+    predecessors,
     validate_disk,
     verify_vertex_ordering,
     vertex_ordering,
@@ -208,6 +210,44 @@ def test_vertex_ordering_powell_sabin_morgan_scott():
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     order = vertex_ordering(split.refined)
     assert verify_vertex_ordering(split.refined, order) is None
+
+
+def _ordering_by_rescan(mesh):
+    """The greedy ordering as first written: each pick rescans the remaining
+    interior vertices in index order and takes the first ready one."""
+    order = sorted(mesh.boundary_vertices)
+    placed = set(order)
+    remaining = set(mesh.interior_vertices)
+
+    def ready(v):
+        p = mesh.vertices[v]
+        slopes = {direction_key(p, mesh.vertices[w]) for w in predecessors(mesh, v, placed)}
+        return len(slopes) > 1
+
+    while remaining:
+        pick = next((v for v in sorted(remaining) if ready(v)), None)
+        if pick is None:
+            break
+        order.append(pick)
+        placed.add(pick)
+        remaining.remove(pick)
+    assert not remaining
+    return order
+
+
+def test_vertex_ordering_equals_the_rescanning_greedy():
+    ms = morgan_scott_mesh()
+    ps6 = powell_sabin_6split(ms, 1, 2).refined
+    meshes = [
+        ms,
+        ps6,
+        powell_sabin_6split(ps6, 1, 2).refined,
+        powell_sabin_6split(TWO_TRIANGLES, 2, 3).refined,
+        builtin_mesh("star:cross"),
+        *(builtin_mesh(f"star:{t}-generic") for t in range(3, 9)),
+    ]
+    for mesh in meshes:
+        assert vertex_ordering(mesh) == _ordering_by_rescan(mesh), mesh
 
 
 def test_verify_vertex_ordering_rejects_bad_orders():
