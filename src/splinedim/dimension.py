@@ -131,7 +131,8 @@ class _DegreeSystem:
     vertex-ideal variant is computed at most once: bar by counting, and
     full and tilde as the rank of the stacked echelon rows of their edges
     (`vertex_ideal_edges`), since the degree-d piece of a sum of ideals is
-    the sum of the pieces.  The bounds are C(d+2, 2) + sum of edge dims -
+    the sum of the pieces.  Those ranks keep their pivot columns
+    (monomials), which h0 reuses; the dims are their counts.  The bounds are C(d+2, 2) + sum of edge dims -
     sum of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde (UB5.3)
     vertex ideals; LB5.2 takes the counted edge dims, so it builds no
     matrix.  The lower bounds are floored at C(d+2, 2), since global
@@ -147,6 +148,7 @@ class _DegreeSystem:
         self.d = d
         self.ncoef = binom(d + 2, 2)
         self._vertex_dims: dict[str, dict[int, int]] = {}
+        self._pivots: dict[str, dict[int, list[int]]] = {}
 
     @cached_property
     def edges(self) -> dict[Edge, _EdgeData]:
@@ -164,21 +166,31 @@ class _DegreeSystem:
     def sum_edge_dims(self) -> int:
         return sum(data.dim for data in self.edges.values())
 
+    def vertex_pivots(self, variant: str) -> dict[int, list[int]]:
+        """Pivot monomials of each interior vertex's stacked edge rows, for
+        the ranked variants (full or tilde)."""
+        pivots = self._pivots.get(variant)
+        if pivots is None:
+            mesh = self.mesh
+            ordering = vertex_ordering(mesh) if variant == "tilde" else None
+            pivots = {}
+            for v in sorted(mesh.interior_vertices):
+                edges = vertex_ideal_edges(mesh, v, variant, ordering)
+                rows = [b for e in edges for b in self.edges[e].basis]
+                pivots[v] = RatMatrix(rows, self.ncoef).pivot_columns() if rows else []
+            self._pivots[variant] = pivots
+        return pivots
+
     def vertex_dims(self, variant: str) -> dict[int, int]:
         """Degree-d dimension of each interior vertex's ideal of `variant`."""
         dims = self._vertex_dims.get(variant)
         if dims is None:
-            mesh, d = self.mesh, self.d
-            interior = sorted(mesh.interior_vertices)
             if variant == "bar":
+                mesh, d = self.mesh, self.d
+                interior = sorted(mesh.interior_vertices)
                 dims = {v: dim_bar_vertex_ideal_count(mesh, self.smooth, v, d) for v in interior}
             else:
-                ordering = vertex_ordering(mesh) if variant == "tilde" else None
-                dims = {}
-                for v in interior:
-                    edges = vertex_ideal_edges(mesh, v, variant, ordering)
-                    rows = [b for e in edges for b in self.edges[e].basis]
-                    dims[v] = RatMatrix(rows, self.ncoef).rank() if rows else 0
+                dims = {v: len(cols) for v, cols in self.vertex_pivots(variant).items()}
             self._vertex_dims[variant] = dims
         return dims
 
@@ -307,27 +319,35 @@ def h0_dimension(
     Computed as the cokernel of the boundary map sending the degree-d piece
     of each interior-edge ideal to its interior endpoint vertices with the
     sign convention [far] - [near] in global index order.  The map is
-    assembled transposed, one row per (interior vertex, monomial) and one
-    column per edge basis vector, since rank is invariant under
-    transposition and the transposed layout fills in less.
+    assembled transposed (rows (interior vertex v, monomial c), one column
+    per edge basis vector), since rank is invariant under transposition and
+    the transposed layout fills in less.  Only the rows at v's full pivot
+    monomials are built: v's block is its stacked edge rows transposed,
+    with signs, so the rows at those pivot columns span its row space, and
+    the row space of the map is the sum of its blocks' row spaces.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
-    n = sys.ncoef
-    interior = sorted(mesh.interior_vertices)
-    block = {v: i * n for i, v in enumerate(interior)}
-    rows: list[dict[int, int]] = [{} for _ in range(n * len(interior))]
+    # the row of each kept (vertex, monomial), in vertex then monomial order
+    row_at: dict[int, dict[int, int]] = {}
+    nrows = 0
+    for v, cols in sys.vertex_pivots("full").items():
+        row_at[v] = {c: nrows + k for k, c in enumerate(sorted(cols))}
+        nrows += len(cols)
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     col = 0
     for (lo, hi), data in sys.edges.items():
         for bvec in data.basis:
             for v, sign in ((hi, 1), (lo, -1)):
-                base = block.get(v)
-                if base is not None:
+                at = row_at.get(v)
+                if at is not None:
                     for c, val in bvec.items():
-                        rows[base + c][col] = sign * val
+                        k = at.get(c)
+                        if k is not None:
+                            rows[k][col] = sign * val
             col += 1
-    rank = RatMatrix(rows, col).rank() if interior else 0
-    return sys.sum_vertex_dims("full") - rank
+    rank = RatMatrix(rows, col).rank() if row_at else 0
+    return nrows - rank
 
 
 def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:

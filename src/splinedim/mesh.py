@@ -12,6 +12,7 @@ every downstream dimension count is an exact-zero decision on coordinates.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -461,23 +462,28 @@ def vertex_ordering(mesh: Mesh) -> list[int]:
     """
     order = sorted(mesh.boundary_vertices)
     placed = set(order)
-    remaining = set(mesh.interior_vertices)
+
+    def ready(v: int) -> bool:
+        return len(_slopes(mesh, v, predecessors(mesh, v, placed))) > 1
+
     # A stalled greedy pass proves that no admissible order exists: the
     # predecessors grow with the placed set, and in any admissible order the
     # first vertex the greedy pass left unplaced has only greedy-placed or
     # boundary vertices before it, so it would already be ready for the
-    # greedy pass.
-    while remaining:
-        ready = (
-            v for v in sorted(remaining) if len(_slopes(mesh, v, predecessors(mesh, v, placed))) > 1
-        )
-        pick = next(ready, None)
-        if pick is None:
-            break
+    # greedy pass.  Readiness never goes away, and placing v can make only
+    # v's neighbours ready, so a heap of the ready vertices gives the
+    # smallest ready index at each step without rescanning.
+    heap = [v for v in sorted(mesh.interior_vertices) if ready(v)]
+    queued = set(heap)
+    while heap:
+        pick = heapq.heappop(heap)
         order.append(pick)
         placed.add(pick)
-        remaining.remove(pick)
-    if remaining or verify_vertex_ordering(mesh, order) is not None:
+        for w in mesh.vertex_neighbors[pick]:
+            if w in mesh.interior_vertices and w not in queued and ready(w):
+                heapq.heappush(heap, w)
+                queued.add(w)
+    if len(order) < mesh.num_vertices or verify_vertex_ordering(mesh, order) is not None:
         raise OrderingNotFoundError(
             "no vertex ordering with two distinct-slope predecessors per interior vertex"
         )

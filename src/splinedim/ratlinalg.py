@@ -12,10 +12,12 @@ engines work fraction-free: every update replaces a row by the integer
 combination that cancels the pivot column and divides it by the gcd of its
 entries (`_eliminate`), which keeps intermediate growth tame on the
 structured matrices this package produces.  The rank engine pivots
-Markowitz-style; the reduced echelon form behind `rref` and `kernel_basis`
-is one Gauss-Jordan elimination per matrix, kept on it.
+Markowitz-style and keeps its pivot columns (`pivot_columns`), a set of
+rank-many independent columns; the reduced echelon form behind `rref` and
+`kernel_basis` is one Gauss-Jordan elimination per matrix, kept on it.
+Every rank elimination runs inside `RatMatrix.rank`.
 
-All values are immutable after construction (the memoized rank and echelon
+All values are immutable after construction (the memoized pivots and echelon
 form are idempotent writes) and safe to share across threads; individual
 computations are sequential, but callers may run many of them in parallel.
 """
@@ -143,14 +145,16 @@ def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, 
     return [pivots[k] for k in order], [reduced[k] for k in order]
 
 
-def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of a sparse integer matrix by fraction-free elimination.
+def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
+    """Pivot columns of a sparse integer matrix's fraction-free elimination.
 
     Pivot selection approximates the Markowitz criterion: among a handful of
     least-populated columns, pick the entry minimizing predicted fill, with
     strong preference for unit pivots (their updates never need a division).
     Updated rows are renormalized by their gcd so entries stay in lowest
-    terms after each pivot.
+    terms after each pivot.  Returns the pivot columns in pivot order; there
+    are rank-many, and the pivot entries pick out a nonsingular square
+    submatrix, so these columns are linearly independent.
     """
     live: dict[int, dict[int, int]] = {i: r for i, r in enumerate(rows) if r}
     colmap: dict[int, set[int]] = {}
@@ -158,7 +162,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
         for c in row:
             colmap.setdefault(c, set()).add(rid)
 
-    rank = 0
+    pivots: list[int] = []
     while live:
         # candidate columns: a few with the fewest live rows
         cand_cols = heapq.nsmallest(6, colmap, key=lambda c: len(colmap[c]))
@@ -181,7 +185,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
             s.discard(prid)
             if not s:
                 del colmap[c]
-        rank += 1
+        pivots.append(pc)
 
         touched = list(colmap.pop(pc, ()))
         for rid in touched:
@@ -201,7 +205,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
                 live[rid] = new_row
             else:
                 del live[rid]
-    return rank
+    return pivots
 
 
 class RatMatrix:
@@ -212,7 +216,7 @@ class RatMatrix:
     `TypeError`.  Arithmetic never rounds.
     """
 
-    __slots__ = ("_rows", "_ncols", "_rank", "_echelon")
+    __slots__ = ("_rows", "_ncols", "_pivots", "_echelon")
 
     def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         cleaned = []
@@ -228,7 +232,7 @@ class RatMatrix:
             cleaned.append(r)
         self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
-        self._rank: int | None = None
+        self._pivots: list[int] | None = None
         self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
 
     @property
@@ -244,9 +248,16 @@ class RatMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        if self._rank is None:
-            self._rank = _sparse_int_rank(_primitive_rows(self._rows))
-        return self._rank
+        if self._pivots is None:
+            self._pivots = _sparse_int_rank(_primitive_rows(self._rows))
+        return len(self._pivots)
+
+    def pivot_columns(self) -> list[int]:
+        """rank()-many linearly independent columns: the rank elimination's
+        pivot columns, in pivot order.  Kept on the matrix and shared:
+        callers must not modify it."""
+        self.rank()
+        return self._pivots
 
     def rref(self) -> tuple[list[int], list[dict[int, int]]]:
         """Reduced row echelon form, as primitive integer rows.

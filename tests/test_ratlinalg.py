@@ -155,6 +155,46 @@ def test_rank_matches_dense_elimination_oracle(seed):
     assert _matrix(rows).rank() == _rank_by_fraction_elimination(rows)
 
 
+def _check_pivot_columns(rows):
+    """pivot_columns() names rank()-many distinct columns whose submatrix
+    has rank rank() by the dense oracle."""
+    m = _matrix(rows)
+    pivots = m.pivot_columns()
+    assert len(set(pivots)) == len(pivots) == m.rank()
+    assert all(0 <= c < m.ncols for c in pivots)
+    assert _rank_by_fraction_elimination([[row[c] for c in pivots] for row in rows]) == m.rank()
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_pivot_columns_are_independent_and_rank_many(seed):
+    rng = random.Random(300 + seed)
+    _check_pivot_columns(_random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)))
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=8
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_pivot_columns_property(rows):
+    _check_pivot_columns(rows)
+
+
+def test_pivot_columns_of_zero_deficient_and_zero_column_matrices():
+    assert _matrix([[0, 0, 0], [0, 0, 0]]).pivot_columns() == []
+    assert RatMatrix([{}, {}], 0).pivot_columns() == []
+    assert RatMatrix([], 4).pivot_columns() == []
+    assert _matrix([[0, 3], [0, -6]]).pivot_columns() == [1]
+    for rows in ([[1, 2], [2, 4], [3, 6]], [[2, 4, 6], [1, 1, 1], [3, 5, 7]], [[0, 0, 0]] * 2 + [[0, 5, 1]]):
+        _check_pivot_columns(rows)
+    # rank() first or pivot_columns() first: one elimination, the same list
+    m = _matrix([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
+    assert m.rank() == 2 and m.pivot_columns() is m.pivot_columns()
+
+
 def _rref_by_fraction_loop(matrix):
     """Gauss-Jordan elimination over Fraction, the reference for rref().
 
