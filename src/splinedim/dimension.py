@@ -131,12 +131,11 @@ class _DegreeSystem:
     vertex-ideal variant is computed at most once: bar by counting, and
     full and tilde as the rank of the stacked echelon rows of their edges
     (`vertex_ideal_edges`), since the degree-d piece of a sum of ideals is
-    the sum of the pieces.  Those ranks keep their pivot columns
-    (monomials), which h0 reuses; the dims are their counts.  The bounds are C(d+2, 2) + sum of edge dims -
-    sum of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde (UB5.3)
-    vertex ideals; LB5.2 takes the counted edge dims, so it builds no
-    matrix.  The lower bounds are floored at C(d+2, 2), since global
-    polynomials are always supersplines.
+    the sum of the pieces; their pivot monomials are kept for h0.  The
+    bounds are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the
+    full (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes
+    the counted edge dims, so it builds no matrix.  The lower bounds are
+    floored at C(d+2, 2), since global polynomials are always supersplines.
     """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
@@ -147,7 +146,6 @@ class _DegreeSystem:
         self.smooth = smooth
         self.d = d
         self.ncoef = binom(d + 2, 2)
-        self._vertex_dims: dict[str, dict[int, int]] = {}
         self._pivots: dict[str, dict[int, list[int]]] = {}
 
     @cached_property
@@ -167,32 +165,28 @@ class _DegreeSystem:
         return sum(data.dim for data in self.edges.values())
 
     def vertex_pivots(self, variant: str) -> dict[int, list[int]]:
-        """Pivot monomials of each interior vertex's stacked edge rows, for
-        the ranked variants (full or tilde)."""
+        """Pivot monomials of each interior vertex's stacked edge rows (full or tilde)."""
         pivots = self._pivots.get(variant)
         if pivots is None:
-            mesh = self.mesh
-            ordering = vertex_ordering(mesh) if variant == "tilde" else None
+            ordering = vertex_ordering(self.mesh) if variant == "tilde" else None
             pivots = {}
-            for v in sorted(mesh.interior_vertices):
-                edges = vertex_ideal_edges(mesh, v, variant, ordering)
+            for v in sorted(self.mesh.interior_vertices):
+                edges = vertex_ideal_edges(self.mesh, v, variant, ordering)
                 rows = [b for e in edges for b in self.edges[e].basis]
                 pivots[v] = RatMatrix(rows, self.ncoef).pivot_columns() if rows else []
             self._pivots[variant] = pivots
         return pivots
 
+    @cached_property
+    def _bar_dims(self) -> dict[int, int]:
+        interior = sorted(self.mesh.interior_vertices)
+        return {v: dim_bar_vertex_ideal_count(self.mesh, self.smooth, v, self.d) for v in interior}
+
     def vertex_dims(self, variant: str) -> dict[int, int]:
         """Degree-d dimension of each interior vertex's ideal of `variant`."""
-        dims = self._vertex_dims.get(variant)
-        if dims is None:
-            if variant == "bar":
-                mesh, d = self.mesh, self.d
-                interior = sorted(mesh.interior_vertices)
-                dims = {v: dim_bar_vertex_ideal_count(mesh, self.smooth, v, d) for v in interior}
-            else:
-                dims = {v: len(cols) for v, cols in self.vertex_pivots(variant).items()}
-            self._vertex_dims[variant] = dims
-        return dims
+        if variant == "bar":
+            return self._bar_dims
+        return {v: len(cols) for v, cols in self.vertex_pivots(variant).items()}
 
     def sum_vertex_dims(self, variant: str) -> int:
         return sum(self.vertex_dims(variant).values())
@@ -319,16 +313,14 @@ def h0_dimension(
     Computed as the cokernel of the boundary map sending the degree-d piece
     of each interior-edge ideal to its interior endpoint vertices with the
     sign convention [far] - [near] in global index order.  The map is
-    assembled transposed (rows (interior vertex v, monomial c), one column
-    per edge basis vector), since rank is invariant under transposition and
-    the transposed layout fills in less.  Only the rows at v's full pivot
-    monomials are built: v's block is its stacked edge rows transposed,
-    with signs, so the rows at those pivot columns span its row space, and
-    the row space of the map is the sum of its blocks' row spaces.
+    assembled transposed, one column per edge basis vector, since rank is
+    invariant under transposition and the transposed layout fills in less.
+    Its rows (v, c) are built only at v's full pivot monomials c: v's block
+    is v's stacked edge rows transposed, up to signs, so they span its rows.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
-    # the row of each kept (vertex, monomial), in vertex then monomial order
+    # the row of each (vertex, pivot monomial), in vertex then monomial order
     row_at: dict[int, dict[int, int]] = {}
     nrows = 0
     for v, cols in sys.vertex_pivots("full").items():
@@ -342,12 +334,10 @@ def h0_dimension(
                 at = row_at.get(v)
                 if at is not None:
                     for c, val in bvec.items():
-                        k = at.get(c)
-                        if k is not None:
-                            rows[k][col] = sign * val
+                        if c in at:
+                            rows[at[c]][col] = sign * val
             col += 1
-    rank = RatMatrix(rows, col).rank() if row_at else 0
-    return nrows - rank
+    return nrows - (RatMatrix(rows, col).rank() if row_at else 0)
 
 
 def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:

@@ -466,13 +466,12 @@ def vertex_ordering(mesh: Mesh) -> list[int]:
     def ready(v: int) -> bool:
         return len(_slopes(mesh, v, predecessors(mesh, v, placed))) > 1
 
-    # A stalled greedy pass proves that no admissible order exists: the
-    # predecessors grow with the placed set, and in any admissible order the
-    # first vertex the greedy pass left unplaced has only greedy-placed or
-    # boundary vertices before it, so it would already be ready for the
-    # greedy pass.  Readiness never goes away, and placing v can make only
-    # v's neighbours ready, so a heap of the ready vertices gives the
-    # smallest ready index at each step without rescanning.
+    # Placing v can make only its neighbours ready, and readiness never goes
+    # away (predecessors grow with the placed set), so a heap of the ready
+    # vertices yields the smallest ready index without rescanning.  A stalled
+    # pass proves that no admissible order exists: in any admissible order
+    # the first vertex left unplaced has only placed or boundary vertices
+    # before it, so it would already be ready.
     heap = [v for v in sorted(mesh.interior_vertices) if ready(v)]
     queued = set(heap)
     while heap:

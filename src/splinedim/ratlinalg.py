@@ -12,10 +12,9 @@ engines work fraction-free: every update replaces a row by the integer
 combination that cancels the pivot column and divides it by the gcd of its
 entries (`_eliminate`), which keeps intermediate growth tame on the
 structured matrices this package produces.  The rank engine pivots
-Markowitz-style and keeps its pivot columns (`pivot_columns`), a set of
-rank-many independent columns; the reduced echelon form behind `rref` and
-`kernel_basis` is one Gauss-Jordan elimination per matrix, kept on it.
-Every rank elimination runs inside `RatMatrix.rank`.
+Markowitz-style, always inside `RatMatrix.rank`, and keeps its pivot
+columns; the reduced echelon form behind `rref` and `kernel_basis` is one
+Gauss-Jordan elimination per matrix, kept on it.
 
 All values are immutable after construction (the memoized pivots and echelon
 form are idempotent writes) and safe to share across threads; individual
@@ -152,9 +151,8 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
     least-populated columns, pick the entry minimizing predicted fill, with
     strong preference for unit pivots (their updates never need a division).
     Updated rows are renormalized by their gcd so entries stay in lowest
-    terms after each pivot.  Returns the pivot columns in pivot order; there
-    are rank-many, and the pivot entries pick out a nonsingular square
-    submatrix, so these columns are linearly independent.
+    terms after each pivot.  Returns the pivot columns in pivot order: the
+    pivot entries pick out a nonsingular submatrix, so they are independent.
     """
     live: dict[int, dict[int, int]] = {i: r for i, r in enumerate(rows) if r}
     colmap: dict[int, set[int]] = {}
@@ -253,9 +251,7 @@ class RatMatrix:
         return len(self._pivots)
 
     def pivot_columns(self) -> list[int]:
-        """rank()-many linearly independent columns: the rank elimination's
-        pivot columns, in pivot order.  Kept on the matrix and shared:
-        callers must not modify it."""
+        """rank() independent columns, the rank pivots in pivot order (shared: do not modify)."""
         self.rank()
         return self._pivots
 
