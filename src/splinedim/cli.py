@@ -33,8 +33,6 @@ from .mesh import (
     SmoothnessSpec,
     load_mesh_document,
     mesh_to_json,
-    validate_disk,
-    vertex_ordering,
 )
 from .polyring import LinearForm3
 from .refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
@@ -269,6 +267,10 @@ def run_ideal(args, out) -> int:
     degrees = parse_degrees(args)
     if sum((args.edge is not None, args.vertex is not None, args.canonical)) > 1:
         raise CliError("give only one of --edge, --vertex and --canonical")
+    if args.variant is not None and args.vertex is None:
+        raise CliError("--variant applies only to --vertex")
+    if args.s2 is not None and not args.canonical:
+        raise CliError("--s2 applies only to --canonical")
     if args.canonical:
         if args.r is None or args.s is None:
             raise CliError("--canonical needs -r and -s")
@@ -291,9 +293,9 @@ def run_ideal(args, out) -> int:
             ideal = edge_ideal_for(mesh, spec, (i, j))
             label = f"edge ideal J({(i, j)})"
         elif args.vertex is not None:
-            ordering = vertex_ordering(mesh) if args.variant == "tilde" else None
-            ideal = vertex_ideal(mesh, spec, args.vertex, args.variant, ordering)
-            label = f"vertex ideal ({args.variant}) at {args.vertex}"
+            variant = args.variant or "full"
+            ideal = vertex_ideal(mesh, spec, args.vertex, variant)
+            label = f"vertex ideal ({variant}) at {args.vertex}"
         else:
             raise CliError("select --edge I,J or --vertex V or --canonical")
     dims = {d: ideal.graded_dim(d) for d in degrees}
@@ -333,7 +335,7 @@ def run_gen(args, out) -> int:
 
 def run_validate(args, out) -> int:
     mesh, _, _ = resolve_source(args, need_spec=False)
-    report = validate_disk(mesh)
+    report = mesh.disk
     counts = mesh.face_counts()
     summary = {"ok": report.ok, "failures": list(report.failures), **dataclasses.asdict(counts)}
     if args.format == "json":
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree_args(p)
     p.add_argument("--edge", help="interior edge as I,J (vertex indices)")
     p.add_argument("--vertex", type=int, help="interior vertex index")
-    p.add_argument("--variant", default="full", choices=["full", "bar", "tilde"])
+    p.add_argument("--variant", choices=["full", "bar", "tilde"], help="with --vertex (default full)")
     p.add_argument("--canonical", action="store_true", help="canonical-frame edge ideal")
     p.add_argument("--s2", type=int, default=None, help="second endpoint order (canonical)")
     p.add_argument("--format", default="text", choices=["text", "json"])

@@ -38,8 +38,6 @@ from .mesh import (
     MeshError,
     SmoothnessSpec,
     distinct_slopes_at,
-    validate_disk,
-    vertex_ordering,
 )
 from .ratlinalg import RatMatrix, binom
 
@@ -100,9 +98,8 @@ class StarProfile:
 
 
 def _require_disk(mesh: Mesh) -> None:
-    report = validate_disk(mesh)
-    if not report.ok:
-        raise MeshError(f"mesh is not a valid disk: {', '.join(report.failures)}")
+    if not mesh.disk.ok:
+        raise MeshError(f"mesh is not a valid disk: {', '.join(mesh.disk.failures)}")
 
 
 class _EdgeData:
@@ -168,10 +165,9 @@ class _DegreeSystem:
         """Pivot monomials of each interior vertex's stacked edge rows (full or tilde)."""
         pivots = self._pivots.get(variant)
         if pivots is None:
-            ordering = vertex_ordering(self.mesh) if variant == "tilde" else None
             pivots = {}
             for v in sorted(self.mesh.interior_vertices):
-                edges = vertex_ideal_edges(self.mesh, v, variant, ordering)
+                edges = vertex_ideal_edges(self.mesh, v, variant)
                 rows = [b for e in edges for b in self.edges[e].basis]
                 pivots[v] = RatMatrix(rows, self.ncoef).pivot_columns() if rows else []
             self._pivots[variant] = pivots
@@ -212,45 +208,6 @@ def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
     return total
 
 
-def _dual_bfs_tree(mesh: Mesh) -> tuple[list[Edge], list[dict[Edge, int]]]:
-    """Breadth-first spanning tree of the dual graph, rooted at its centre.
-
-    The root is a triangle of minimum eccentricity (the smallest index on
-    ties), and each triangle's neighbours are visited in sorted edge order,
-    so the tree is deterministic.  Returns the tree edges in discovery order
-    and, per triangle t, the signed tree path D[t] with
-    f_root - f_t = sum(sign * h_e), where h_e = f_ta - f_tb for ta < tb.
-    """
-    adj: list[list[tuple[int, Edge, int]]] = [[] for _ in range(mesh.num_triangles)]
-    for e in sorted(mesh.interior_edges):
-        ta, tb = mesh.edge_triangles[e]
-        adj[ta].append((tb, e, 1))
-        adj[tb].append((ta, e, -1))
-
-    def search(root: int) -> tuple[list[int], dict[int, tuple[int, Edge, int]], int]:
-        depth = {root: 0}
-        via: dict[int, tuple[int, Edge, int]] = {}
-        order = [root]
-        for u in order:
-            for v, e, sign in adj[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    via[v] = (u, e, sign)
-                    order.append(v)
-        return order, via, depth[order[-1]]
-
-    root = min(range(mesh.num_triangles), key=lambda t: search(t)[2])
-    order, via, _ = search(root)
-    diff: list[dict[Edge, int]] = [{} for _ in range(mesh.num_triangles)]
-    tree: list[Edge] = []
-    for v in order[1:]:
-        u, e, sign = via[v]
-        # f_root - f_v = (f_root - f_u) + (f_u - f_v), and f_u - f_v = sign * h_e
-        diff[v] = {**diff[u], e: sign}
-        tree.append(e)
-    return tree, diff
-
-
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     """Kernel dimension of the edge constraint map, on a spanning tree.
 
@@ -258,13 +215,14 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     elements of the edge ideals; only the non-tree edges contribute
     constraint rows, and the root polynomial drops out entirely.  This cuts
     the elimination size by roughly the number of triangles compared with
-    stacking one block of unknowns per triangle.  The tree is breadth-first
-    from a central triangle (`_dual_bfs_tree`): its fundamental cycles stay
-    short and local, so the constraint rows overlap in a nested pattern and
+    stacking one block of unknowns per triangle.  The tree depends on the
+    mesh alone, so it is built once per mesh (`Mesh.dual_tree`); it is
+    breadth-first from a central triangle, so its fundamental cycles stay
+    short and local, the constraint rows overlap in a nested pattern and
     the elimination fills in little.
     """
     mesh, n = sys.mesh, sys.ncoef
-    tree, diff = _dual_bfs_tree(mesh)
+    tree, diff = mesh.dual_tree
     in_tree = set(tree)
 
     col_of: dict[Edge, int] = {}

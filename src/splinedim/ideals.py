@@ -227,20 +227,19 @@ def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: in
     return total
 
 
-def vertex_ideal_edges(mesh: Mesh, v: int, variant: str, ordering=None) -> list[Edge]:
+def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
     """The interior edges at v whose edge ideals sum to its full or tilde ideal.
 
     full: every interior edge at v.  tilde: the edges to v's predecessors,
-    the neighbours on the boundary or earlier in `ordering`.
+    the neighbours on the boundary or earlier in the mesh's admissible
+    ordering (`Mesh.ordering`, computed once per mesh).
     """
     edges = mesh.interior_edges_at_vertex(v)
     if variant == "full":
         return edges
     if variant != "tilde":
         raise ValueError(f"unknown variant {variant!r}")
-    if ordering is None:
-        raise ValueError("tilde variant needs a vertex ordering")
-    earlier = predecessors(mesh, v, set(ordering[: ordering.index(v)]))
+    earlier = predecessors(mesh, v, set(mesh.ordering[: mesh.ordering.index(v)]))
     kept = [e for e in edges if sum(e) - v in earlier]
     if not kept:
         raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
@@ -252,11 +251,10 @@ def vertex_ideal(
     smooth: SmoothnessSpec,
     v: int,
     variant: str = "full",
-    ordering=None,
 ) -> GradedIdeal:
     """The ideal attached to an interior vertex.
 
-    full, tilde: sum of the edge ideals over `vertex_ideal_edges`.
+    full, tilde: sum of the edge ideals over `vertex_ideal_edges` (tilde: `Mesh.ordering`).
     bar:   same sum as full but with only the center-vertex intersection
            kept, i.e. <ell_tau^(r+1)> cap m_v^(s_v+1) per edge.
     """
@@ -266,7 +264,7 @@ def vertex_ideal(
         edges = mesh.interior_edges_at_vertex(v)
         parts = (_bar_generators_for_edge(mesh, smooth, e, v) for e in edges)
     else:
-        edges = vertex_ideal_edges(mesh, v, variant, ordering)
+        edges = vertex_ideal_edges(mesh, v, variant)
         parts = (edge_ideal_for(mesh, smooth, e).generators for e in edges)
     return GradedIdeal(g for gens in parts for g in gens)
 

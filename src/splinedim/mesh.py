@@ -3,8 +3,10 @@
 A mesh is an embedded planar simplicial complex with exact rational vertex
 coordinates.  Triangles are normalized to counterclockwise orientation at
 load time; edges, adjacency, and interior/boundary classification are
-derived once and cached.  Meshes are immutable after construction and all
-queries are pure.
+derived at construction.  The data that depends on the mesh alone (disk
+report, vertex ordering, dual spanning tree) is computed on first use and
+kept; each is deterministic, so computing it is idempotent.  Meshes are
+immutable after construction and all queries are pure.
 
 Only `int` and `Fraction` coordinates are accepted, floats deliberately not:
 every downstream dimension count is an exact-zero decision on coordinates.
@@ -17,6 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -91,19 +94,6 @@ def _orient_ccw(pts: Sequence[Point], tri: tuple[int, int, int]) -> tuple[int, i
 
 class Mesh:
     """An immutable validated planar triangulation."""
-
-    __slots__ = (
-        "vertices",
-        "triangles",
-        "edges",
-        "edge_triangles",
-        "boundary_edges",
-        "interior_edges",
-        "boundary_vertices",
-        "interior_vertices",
-        "vertex_triangles",
-        "vertex_neighbors",
-    )
 
     def __init__(
         self,
@@ -182,11 +172,24 @@ class Mesh:
     def is_interior_vertex(self, v: int) -> bool:
         return v in self.interior_vertices
 
-    def edges_at_vertex(self, v: int) -> list[Edge]:
-        return [tuple(sorted((v, w))) for w in self.vertex_neighbors[v]]
-
     def interior_edges_at_vertex(self, v: int) -> list[Edge]:
-        return [e for e in self.edges_at_vertex(v) if e in self.interior_edges]
+        edges = (tuple(sorted((v, w))) for w in self.vertex_neighbors[v])
+        return [e for e in edges if e in self.interior_edges]
+
+    @cached_property
+    def disk(self) -> DiskReport:
+        """`validate_disk(self)`, computed on first use."""
+        return validate_disk(self)
+
+    @cached_property
+    def ordering(self) -> tuple[int, ...]:
+        """`vertex_ordering(self)`, the order every tilde ideal follows."""
+        return tuple(vertex_ordering(self))
+
+    @cached_property
+    def dual_tree(self) -> tuple[list[Edge], list[dict[Edge, int]]]:
+        """`_dual_bfs_tree(self)`, the kernel oracle's spanning tree."""
+        return _dual_bfs_tree(self)
 
     def __repr__(self) -> str:
         c = self.face_counts()
@@ -242,7 +245,7 @@ def parse_mesh_json(data: dict) -> Mesh:
             for x, y in data["vertices"]
         ]
         triangles = [[_require_int("triangles", i) for i in tri] for tri in data["triangles"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MeshError(f"malformed mesh document: {exc}") from exc
     return Mesh(vertices, triangles)
 
@@ -398,6 +401,45 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     if any(k != 2 for k in degree.values()) or not _connected(degree, mesh.boundary_edges):
         failures.append("boundary cycle")
     return DiskReport(ok=not failures, failures=tuple(failures))
+
+
+def _dual_bfs_tree(mesh: Mesh) -> tuple[list[Edge], list[dict[Edge, int]]]:
+    """Breadth-first spanning tree of the dual graph, rooted at its centre.
+
+    The root is a triangle of minimum eccentricity (the smallest index on
+    ties), and each triangle's neighbours are visited in sorted edge order,
+    so the tree is deterministic.  Returns the tree edges in discovery order
+    and, per triangle t, the signed tree path D[t] with
+    f_root - f_t = sum(sign * h_e), where h_e = f_ta - f_tb for ta < tb.
+    """
+    adj: list[list[tuple[int, Edge, int]]] = [[] for _ in range(mesh.num_triangles)]
+    for e in sorted(mesh.interior_edges):
+        ta, tb = mesh.edge_triangles[e]
+        adj[ta].append((tb, e, 1))
+        adj[tb].append((ta, e, -1))
+
+    def search(root: int) -> tuple[list[int], dict[int, tuple[int, Edge, int]], int]:
+        depth = {root: 0}
+        via: dict[int, tuple[int, Edge, int]] = {}
+        order = [root]
+        for u in order:
+            for v, e, sign in adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    via[v] = (u, e, sign)
+                    order.append(v)
+        return order, via, depth[order[-1]]
+
+    root = min(range(mesh.num_triangles), key=lambda t: search(t)[2])
+    order, via, _ = search(root)
+    diff: list[dict[Edge, int]] = [{} for _ in range(mesh.num_triangles)]
+    tree: list[Edge] = []
+    for v in order[1:]:
+        u, e, sign = via[v]
+        # f_root - f_v = (f_root - f_u) + (f_u - f_v), and f_u - f_v = sign * h_e
+        diff[v] = {**diff[u], e: sign}
+        tree.append(e)
+    return tree, diff
 
 
 def direction_key(p: Point, q: Point) -> tuple[int, int]:

@@ -182,6 +182,15 @@ def test_validate_bad_mesh(tmp_path):
     assert code == 1
 
 
+def test_validate_rejects_a_zero_denominator_coordinate(tmp_path, capsys):
+    doc = mesh_to_json(builtin_mesh("triangle"))
+    doc["vertices"][1] = ["1/0", "0"]
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--mesh", str(path)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: malformed mesh document: ")
+
+
 def test_exit_code_one_on_bad_args():
     assert run(["dim", "--gen", "nope", "-r", "1", "-d", "2"])[0] == 1
     assert run(["dim", "--gen", "triangle", "-d", "2"])[0] == 1  # missing -r
@@ -343,3 +352,24 @@ def test_ideal_rejects_more_than_one_selector(capsys, selectors):
     assert (code, text) == (1, "")
     err = capsys.readouterr().err.strip()
     assert err == "error: give only one of --edge, --vertex and --canonical"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--edge", "3,4", "--variant", "tilde"], "--variant applies only to --vertex"),
+        (["--canonical", "--variant", "full"], "--variant applies only to --vertex"),
+        (["--vertex", "3", "--s2", "5"], "--s2 applies only to --canonical"),
+        (["--edge", "3,4", "--s2", "5"], "--s2 applies only to --canonical"),
+    ],
+)
+def test_ideal_rejects_a_flag_that_does_not_apply_to_its_selector(capsys, flags, message):
+    # these flags used to be ignored silently
+    code, text = run(["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", *flags, "-d", "3"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_ideal_vertex_without_variant_is_the_full_ideal():
+    argv = ["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", "--vertex", "3", "-d", "5"]
+    assert run(argv) == run([*argv, "--variant", "full"])

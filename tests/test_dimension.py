@@ -1,20 +1,22 @@
 """Tests for the dimension pipeline: oracle, homology, bounds, formulas."""
 
+import gc
 import io
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import splinedim.dimension
 import splinedim.ideals
+import splinedim.mesh
 from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import (
     InternalInconsistencyError,
     OutOfRangeError,
     _DegreeSystem,
     _EdgeData,
-    _dual_bfs_tree,
     _exact_dim_reduced,
     argyris_dim,
     euler_assembly,
@@ -32,7 +34,7 @@ from splinedim.dimension import (
     vertex_star_dim,
 )
 from splinedim.ideals import edge_ideal_for, vertex_ideal
-from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, vertex_ordering
+from splinedim.mesh import Mesh, MeshError, SmoothnessSpec
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
@@ -88,7 +90,7 @@ def test_exact_methods_agree():
     for base in ("morgan-scott", "two-triangles"):
         for r, s in [(0, 1), (1, 2), (2, 3)]:
             split = powell_sabin_6split(builtin_mesh(base), r, s)
-            assert _dual_bfs_tree(split.refined)[1][0], "root is triangle 0"
+            assert split.refined.dual_tree[1][0], "root is triangle 0"
             mixed = False
             for d in range(6):
                 sys = _DegreeSystem(split.refined, split.spec, d)
@@ -281,13 +283,12 @@ def test_full_and_tilde_vertex_dims_equal_the_vertex_ideal_ranks():
     # edges through a vertex (star:cross, the ps6 edge points), stars
     cases = 0
     for mesh, spec in _lb52_configs():
-        ordering = vertex_ordering(mesh)
         for d in range(9):
             sys = _DegreeSystem(mesh, spec, d)
             for variant in ("full", "tilde"):
                 got = sys.vertex_dims(variant)
                 assert got == {
-                    v: vertex_ideal(mesh, spec, v, variant, ordering).graded_dim(d)
+                    v: vertex_ideal(mesh, spec, v, variant).graded_dim(d)
                     for v in mesh.interior_vertices
                 }, (mesh, variant, d)
                 cases += len(got)
@@ -315,6 +316,35 @@ def test_a_report_builds_each_edge_piece_once_and_no_vertex_ideal(monkeypatch):
         assert calls == {"graded_piece_matrix": len(res.refined.interior_edges), "vertex_ideal": 0}
 
 
+def test_a_run_does_the_mesh_only_work_once_for_all_its_degrees(monkeypatch):
+    # the disk check, the ordering and the kernel tree depend on the mesh
+    # alone; they used to be redone for every degree of the table
+    calls = dict.fromkeys(("validate_disk", "vertex_ordering", "_dual_bfs_tree"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(splinedim.mesh, name, counted(name, getattr(splinedim.mesh, name)))
+    argv = ["table", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6"]
+    assert main(argv, out=io.StringIO()) == 0
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_no_module_level_cache_keeps_a_mesh_alive():
+    mesh = morgan_scott_mesh()
+    euler_assembly(mesh, SmoothnessSpec.uniform(mesh, 1, 2), 4)
+    assert {"disk", "ordering", "dual_tree"} <= set(vars(mesh))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("variant", ["tilde", "full"])
 def test_a_non_incident_edge_stacked_at_a_vertex_is_caught(monkeypatch, capsys, variant):
     # a non-incident edge's rows lift the tilde (or full) dimension at v above
@@ -324,8 +354,8 @@ def test_a_non_incident_edge_stacked_at_a_vertex_is_caught(monkeypatch, capsys, 
     stray = min(e for e in ms.interior_edges if v0 not in e)
     real = splinedim.dimension.vertex_ideal_edges
 
-    def stacked(mesh, v, which, ordering=None):
-        edges = real(mesh, v, which, ordering)
+    def stacked(mesh, v, which):
+        edges = real(mesh, v, which)
         return [*mesh.interior_edges_at_vertex(v), stray] if (v, which) == (v0, variant) else edges
 
     monkeypatch.setattr(splinedim.dimension, "vertex_ideal_edges", stacked)

@@ -32,8 +32,8 @@ from splinedim.ideals import (
 from splinedim.mesh import (
     SmoothnessSpec,
     distinct_slopes_at,
+    predecessors,
     verify_vertex_ordering,
-    vertex_ordering,
 )
 from splinedim.polyring import HomogeneousPolynomial, LinearForm3
 from splinedim.ratlinalg import RatMatrix, binom
@@ -425,10 +425,9 @@ def test_vertex_ideal_full_collapse_at_uniform_r():
 def test_vertex_ideal_tilde_contained_in_full():
     ms = morgan_scott_mesh()
     spec = SmoothnessSpec.uniform(ms, 1, 2)
-    order = vertex_ordering(ms)
     for v in ms.interior_vertices:
         full = vertex_ideal(ms, spec, v, "full")
-        tilde = vertex_ideal(ms, spec, v, "tilde", ordering=order)
+        tilde = vertex_ideal(ms, spec, v, "tilde")
         for d in range(0, 8):
             assert tilde.graded_dim(d) <= full.graded_dim(d)
 
@@ -437,15 +436,17 @@ def test_vertex_ideal_tilde_contained_in_full():
 def test_boundary_neighbours_count_as_earlier_wherever_the_ordering_lists_them(name):
     ms = morgan_scott_mesh()
     mesh = ms if name == "morgan-scott" else powell_sabin_6split(ms, 1, 2).refined
-    greedy = vertex_ordering(mesh)
+    greedy = mesh.ordering
     interior = [v for v in greedy if v not in mesh.boundary_vertices]
     boundary_last = interior + sorted(mesh.boundary_vertices)
     assert verify_vertex_ordering(mesh, boundary_last) is None
     kept_boundary = 0
     for v in interior:
-        edges = vertex_ideal_edges(mesh, v, "tilde", boundary_last)
-        assert edges == vertex_ideal_edges(mesh, v, "tilde", greedy), v
-        kept_boundary += sum(sum(e) - v in mesh.boundary_vertices for e in edges)
+        earlier = predecessors(mesh, v, set(boundary_last[: boundary_last.index(v)]))
+        assert earlier == predecessors(mesh, v, set(greedy[: greedy.index(v)])), v
+        edges = vertex_ideal_edges(mesh, v, "tilde")
+        assert [sum(e) - v for e in edges] == earlier, v
+        kept_boundary += sum(w in mesh.boundary_vertices for w in earlier)
     assert kept_boundary
 
 

@@ -324,6 +324,14 @@ def test_load_mesh_parse_failure():
         load_mesh_document("{not json")
 
 
+def test_a_zero_denominator_coordinate_is_a_malformed_document():
+    # this used to escape as a ZeroDivisionError
+    doc = mesh_to_json(TRIANGLE)
+    doc["vertices"][1] = ["1/0", "0"]
+    with pytest.raises(MeshError, match="malformed mesh document"):
+        load_mesh_document(json.dumps(doc))
+
+
 def test_smoothness_spec_validation():
     with pytest.raises(MeshError):
         SmoothnessSpec(TWO_TRIANGLES, {}, {v: 1 for v in range(4)})
