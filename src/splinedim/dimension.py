@@ -209,41 +209,33 @@ def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
 
 
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
-    """Kernel dimension of the edge constraint map, on a spanning tree.
+    """Kernel dimension of the edge constraint map, on a tree-cotree split.
 
-    On a spanning tree of the dual graph the cross-edge differences are free
-    elements of the edge ideals; only the non-tree edges contribute
-    constraint rows, and the root polynomial drops out entirely.  This cuts
-    the elimination size by roughly the number of triangles compared with
-    stacking one block of unknowns per triangle.  The tree depends on the
-    mesh alone, so it is built once per mesh (`Mesh.dual_tree`); it is
-    breadth-first from a central triangle, so its fundamental cycles stay
-    short and local, the constraint rows overlap in a nested pattern and
-    the elimination fills in little.
+    The cross-edge differences h_e = f_ta - f_tb, for (ta, tb) =
+    `edge_triangles[e]`, determine the triangle polynomials up to one
+    global polynomial, and they do so exactly when they sum to zero around
+    every interior vertex.  On the cotree (`Mesh.cotree`, built once per
+    mesh) the h_e are free elements of the edge ideals; the vertex
+    conditions then fix each forest edge's h_e as the signed sum over its
+    cut, which must lie in that edge's ideal.  So the unknowns are the
+    cotree edges' ideal coordinates, and each forest edge functional q
+    gives one row, q applied to its cut.  Cuts are local, so the rows are
+    short and the elimination fills in little.
     """
     mesh, n = sys.mesh, sys.ncoef
-    tree, diff = mesh.dual_tree
-    in_tree = set(tree)
+    cotree, cuts = mesh.cotree
 
     col_of: dict[Edge, int] = {}
     ncols = 0
-    for e in tree:
+    for e in cotree:
         col_of[e] = ncols
         ncols += sys.edges[e].dim
 
     rows = []
-    for e, data in sys.edges.items():
-        if e in in_tree:
-            continue
-        ta, tb = mesh.edge_triangles[e]
-        # f_ta - f_tb = D[tb] - D[ta]
-        combo: dict[Edge, int] = dict(diff[tb])
-        for k, s in diff[ta].items():
-            combo[k] = combo.get(k, 0) - s
-        combo = {k: s for k, s in combo.items() if s}
-        for q in data.functionals:
+    for e, cut in cuts.items():
+        for q in sys.edges[e].functionals:
             row: dict[int, int] = {}
-            for te, sign in combo.items():
+            for te, sign in cut.items():
                 base = col_of[te]
                 for k, bvec in enumerate(sys.edges[te].basis):
                     val = _sparse_dot(q, bvec)
@@ -257,8 +249,9 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
 def exact_dimension(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Dimension of the degree-d superspline space, by the kernel oracle.
 
-    The kernel of the edge constraint map is evaluated through the
-    spanning-tree reparametrization of the dual graph.
+    The kernel of the edge constraint map is evaluated on the mesh's
+    tree-cotree split: the cotree edges' ideal coordinates are the
+    unknowns, and each forest edge's cut gives its rows.
     """
     return _exact_dim_reduced(_DegreeSystem(mesh, smooth, d))
 

@@ -4,9 +4,10 @@ A mesh is an embedded planar simplicial complex with exact rational vertex
 coordinates.  Triangles are normalized to counterclockwise orientation at
 load time; edges, adjacency, and interior/boundary classification are
 derived at construction.  The data that depends on the mesh alone (disk
-report, vertex ordering, dual spanning tree) is computed on first use and
-kept; each is deterministic, so computing it is idempotent.  Meshes are
-immutable after construction and all queries are pure.
+report, vertex ordering, the kernel oracle's tree-cotree split) is computed
+on first use and kept; each is deterministic, so computing it is
+idempotent.  Meshes are immutable after construction and all queries are
+pure.
 
 Only `int` and `Fraction` coordinates are accepted, floats deliberately not:
 every downstream dimension count is an exact-zero decision on coordinates.
@@ -106,6 +107,8 @@ class Mesh:
         tris = []
         for tri in triangles:
             tri = tuple(_require_int("triangles", i, "integers") for i in tri)
+            if len(tri) != 3:
+                raise MeshError(f"triangle {tri} needs 3 vertex indices, got {len(tri)}")
             if len(set(tri)) != 3:
                 raise MeshError(f"triangle {tri} repeats a vertex")
             if any(not 0 <= i < len(pts) for i in tri):
@@ -187,9 +190,9 @@ class Mesh:
         return tuple(vertex_ordering(self))
 
     @cached_property
-    def dual_tree(self) -> tuple[list[Edge], list[dict[Edge, int]]]:
-        """`_dual_bfs_tree(self)`, the kernel oracle's spanning tree."""
-        return _dual_bfs_tree(self)
+    def cotree(self) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]]]:
+        """`_tree_cotree(self)`: the kernel oracle's unknowns and cuts."""
+        return _tree_cotree(self)
 
     def __repr__(self) -> str:
         c = self.face_counts()
@@ -288,18 +291,26 @@ def parse_smoothness_json(
         raise MeshError("smoothness block present but no default_r / -r given")
     default_r = _require_int("default_r", default_r)
     default_s = _require_int("default_s", default_s)
-    r = {e: default_r for e in mesh.interior_edges}
+    r: dict[Edge, int] = {}
     for i, j, k in _entries(block, "edge_r", 3, "[i, j, r]"):
         e = tuple(sorted((i, j)))
         if e not in mesh.interior_edges:
             raise MeshError(f"edge_r entry {e} is not an interior edge")
+        if e in r:
+            raise MeshError(f"edge_r entry {e} is given twice")
         r[e] = k
-    s = {v: default_s for v in range(mesh.num_vertices)}
+    s: dict[int, int] = {}
     for i, k in _entries(block, "vertex_s", 2, "[v, s]"):
         if not 0 <= i < mesh.num_vertices:
             raise MeshError(f"vertex_s entry {i} out of range")
+        if i in s:
+            raise MeshError(f"vertex_s entry {i} is given twice")
         s[i] = k
-    return SmoothnessSpec(mesh, r, s)
+    return SmoothnessSpec(
+        mesh,
+        {e: r.get(e, default_r) for e in mesh.interior_edges},
+        {v: s.get(v, default_s) for v in range(mesh.num_vertices)},
+    )
 
 
 def load_mesh_document(
@@ -403,43 +414,39 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     return DiskReport(ok=not failures, failures=tuple(failures))
 
 
-def _dual_bfs_tree(mesh: Mesh) -> tuple[list[Edge], list[dict[Edge, int]]]:
-    """Breadth-first spanning tree of the dual graph, rooted at its centre.
+def _tree_cotree(mesh: Mesh) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]]]:
+    """Tree-cotree split of the interior edges (Eppstein 2003).
 
-    The root is a triangle of minimum eccentricity (the smallest index on
-    ties), and each triangle's neighbours are visited in sorted edge order,
-    so the tree is deterministic.  Returns the tree edges in discovery order
-    and, per triangle t, the signed tree path D[t] with
-    f_root - f_t = sum(sign * h_e), where h_e = f_ta - f_tb for ta < tb.
+    A breadth-first search over interior edges from all boundary vertices at
+    once gives each interior vertex one *forest* edge; the other interior
+    edges, E_int - V_int = T - 1 of them on a disk, form a spanning tree of
+    the dual graph, the *cotree*.  Returns the cotree edges, sorted, and per
+    forest edge (in search order) its cut: the sum of the vertex fans in the
+    subtree the forest edge hangs from, in which inner edges cancel, less
+    the forest edge itself.  Edge e = (v, w) counts +1 in v's fan when
+    `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.
     """
-    adj: list[list[tuple[int, Edge, int]]] = [[] for _ in range(mesh.num_triangles)]
-    for e in sorted(mesh.interior_edges):
-        ta, tb = mesh.edge_triangles[e]
-        adj[ta].append((tb, e, 1))
-        adj[tb].append((ta, e, -1))
-
-    def search(root: int) -> tuple[list[int], dict[int, tuple[int, Edge, int]], int]:
-        depth = {root: 0}
-        via: dict[int, tuple[int, Edge, int]] = {}
-        order = [root]
-        for u in order:
-            for v, e, sign in adj[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    via[v] = (u, e, sign)
-                    order.append(v)
-        return order, via, depth[order[-1]]
-
-    root = min(range(mesh.num_triangles), key=lambda t: search(t)[2])
-    order, via, _ = search(root)
-    diff: list[dict[Edge, int]] = [{} for _ in range(mesh.num_triangles)]
-    tree: list[Edge] = []
-    for v in order[1:]:
-        u, e, sign = via[v]
-        # f_root - f_v = (f_root - f_u) + (f_u - f_v), and f_u - f_v = sign * h_e
-        diff[v] = {**diff[u], e: sign}
-        tree.append(e)
-    return tree, diff
+    up: dict[int, Edge] = {}
+    order = sorted(mesh.boundary_vertices)
+    for u in order:
+        for w in mesh.vertex_neighbors[u]:
+            if w in mesh.interior_vertices and w not in up:
+                up[w] = (u, w) if u < w else (w, u)
+                order.append(w)
+    cut: dict[int, dict[Edge, int]] = {v: {} for v in up}
+    for v in reversed(up):
+        acc = cut[v]
+        for w in mesh.vertex_neighbors[v]:
+            e = (v, w) if v < w else (w, v)
+            tri = mesh.triangles[mesh.edge_triangles[e][0]]
+            acc[e] = acc.get(e, 0) + (1 if tri[(tri.index(v) + 1) % 3] == w else -1)
+        cut[v] = acc = {e: sign for e, sign in acc.items() if sign}
+        parent = sum(up[v]) - v
+        if parent in cut:
+            for e, sign in acc.items():
+                cut[parent][e] = cut[parent].get(e, 0) + sign
+        del acc[up[v]]
+    return tuple(sorted(mesh.interior_edges - set(up.values()))), {up[v]: cut[v] for v in up}
 
 
 def direction_key(p: Point, q: Point) -> tuple[int, int]:

@@ -318,6 +318,10 @@ def test_mesh_json_rejects_non_integer_orders(tmp_path, capsys, smoothness, mess
         ({"default_r": 1, "edge_r": {}}, "edge_r must be a list of [i, j, r] entries, got {}"),
         ({"default_r": 1, "vertex_s": {"01": 1}}, "vertex_s must be a list of [v, s] entries, got {'01': 1}"),
         ({"default_r": 1, "vertex_s": ["01"]}, "vertex_s must be a list of [v, s] entries, got ['01']"),
+        # these printed a row: the last of two entries for one edge or vertex won
+        ({"default_r": 1, "edge_r": [[0, 3, 1], [3, 0, 2]]}, "edge_r entry (0, 3) is given twice"),
+        ({"default_r": 1, "edge_r": [[0, 3, 1], [0, 3, 1]]}, "edge_r entry (0, 3) is given twice"),
+        ({"default_r": 1, "vertex_s": [[3, 2], [3, 5]]}, "vertex_s entry 3 is given twice"),
     ],
 )
 def test_a_malformed_smoothness_block_is_a_mesh_error_naming_the_field(

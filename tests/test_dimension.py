@@ -4,6 +4,7 @@ import gc
 import io
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import splinedim.dimension
 import splinedim.ideals
 import splinedim.mesh
-from splinedim.cli import builtin_mesh, main
+from splinedim.cli import STAR_DIRECTIONS, builtin_mesh, main
 from splinedim.dimension import (
     InternalInconsistencyError,
     OutOfRangeError,
@@ -34,7 +35,7 @@ from splinedim.dimension import (
     vertex_star_dim,
 )
 from splinedim.ideals import edge_ideal_for, vertex_ideal
-from splinedim.mesh import Mesh, MeshError, SmoothnessSpec
+from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
@@ -45,6 +46,8 @@ TWO = Mesh([(0, 0), (3, 0), (3, 3), (0, 3)], [(0, 1, 2), (0, 2, 3)])
 CROSS = make_vertex_star([(1, 0), (0, 1), (-1, 0), (0, -1)])
 STAR3 = make_vertex_star([(1, 0), (-1, 2), (-1, -3)])
 STAR4 = make_vertex_star([(1, 0), (0, 1), (-2, 1), (-1, -3)])
+PS6 = powell_sabin_6split(morgan_scott_mesh(), 1, 2)
+PS6X2 = powell_sabin_6split(PS6.refined, 1, 2)
 
 
 def test_exact_single_triangle_is_all_polynomials():
@@ -85,18 +88,66 @@ def test_exact_methods_agree():
         d = rng.randint(0, 5)
         sys = _DegreeSystem(mesh, SmoothnessSpec.uniform(mesh, r, s), d)
         assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (r, s, d)
-    # 6-splits with their induced mixed specs: edge dimensions differ and
-    # the tree is rooted away from triangle 0
+    # 6-splits with their induced mixed specs: edge dimensions differ
     for base in ("morgan-scott", "two-triangles"):
         for r, s in [(0, 1), (1, 2), (2, 3)]:
             split = powell_sabin_6split(builtin_mesh(base), r, s)
-            assert split.refined.dual_tree[1][0], "root is triangle 0"
             mixed = False
             for d in range(6):
                 sys = _DegreeSystem(split.refined, split.spec, d)
                 mixed |= len({data.dim for data in sys.edges.values()}) > 1
                 assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (base, r, s, d)
             assert mixed
+    # the 6-split twice, whose cuts reach across many fans
+    for d in range(3):
+        sys = _DegreeSystem(PS6X2.refined, PS6X2.spec, d)
+        assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), d
+
+
+_STARS = ("star:cross", *(f"star:{t}-generic" for t in STAR_DIRECTIONS))
+_COTREE_MESHES = {
+    "triangle": TRIANGLE,
+    "two-triangles": TWO,
+    "morgan-scott": morgan_scott_mesh(),
+    "ps6-ms": PS6.refined,
+    "ps6x2": PS6X2.refined,
+    **{name: builtin_mesh(name) for name in _STARS},
+}
+
+
+def _left_sign(mesh, v, w):
+    """+1 if edge_triangles[vw][0] lies left of v -> w, by its third vertex."""
+    e = tuple(sorted((v, w)))
+    (c,) = set(mesh.triangles[mesh.edge_triangles[e][0]]) - {v, w}
+    (px, py), (qx, qy), (cx, cy) = (mesh.vertices[i] for i in (v, w, c))
+    return 1 if (qx - px) * (cy - py) - (qy - py) * (cx - px) > 0 else -1
+
+
+@pytest.mark.parametrize("name", sorted(_COTREE_MESHES))
+def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
+    mesh = _COTREE_MESHES[name]
+    cotree, cuts = mesh.cotree
+    forest = set(cuts)
+    assert len(cotree) == len(set(cotree)) == mesh.num_triangles - 1
+    assert set(cotree) | forest == mesh.interior_edges and not forest & set(cotree)
+    assert _connected(range(mesh.num_triangles), (mesh.edge_triangles[e] for e in cotree))
+    # one forest edge per interior vertex: with the boundary as one node,
+    # V_int edges connecting V_int + 1 nodes form a spanning tree
+    assert len(forest) == len(mesh.interior_vertices)
+    node = {v: -1 if v in mesh.boundary_vertices else v for v in range(mesh.num_vertices)}
+    assert _connected([-1, *mesh.interior_vertices], ((node[a], node[b]) for a, b in forest))
+    for cut in cuts.values():
+        assert set(cut) <= set(cotree) and set(cut.values()) <= {1, -1}
+    degree = Counter(v for e in forest for v in e)
+    for v in mesh.interior_vertices:
+        if degree[v] == 1:
+            (up,) = (e for e in forest if v in e)
+            fan = {tuple(sorted((v, w))): _left_sign(mesh, v, w) for w in mesh.vertex_neighbors[v]}
+            del fan[up]
+            assert cuts[up] == fan, v
+    if name.startswith("ps6"):
+        # some cut sums more than one fan: no vertex lies on all its edges
+        assert any(not set.intersection(*(set(e) for e in cut)) for cut in cuts.values())
 
 
 def _h0_boundary_rows(sys):
@@ -319,7 +370,7 @@ def test_a_report_builds_each_edge_piece_once_and_no_vertex_ideal(monkeypatch):
 def test_a_run_does_the_mesh_only_work_once_for_all_its_degrees(monkeypatch):
     # the disk check, the ordering and the kernel tree depend on the mesh
     # alone; they used to be redone for every degree of the table
-    calls = dict.fromkeys(("validate_disk", "vertex_ordering", "_dual_bfs_tree"), 0)
+    calls = dict.fromkeys(("validate_disk", "vertex_ordering", "_tree_cotree"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -338,7 +389,7 @@ def test_a_run_does_the_mesh_only_work_once_for_all_its_degrees(monkeypatch):
 def test_no_module_level_cache_keeps_a_mesh_alive():
     mesh = morgan_scott_mesh()
     euler_assembly(mesh, SmoothnessSpec.uniform(mesh, 1, 2), 4)
-    assert {"disk", "ordering", "dual_tree"} <= set(vars(mesh))
+    assert {"disk", "ordering", "cotree"} <= set(vars(mesh))
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()

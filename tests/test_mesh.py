@@ -332,6 +332,15 @@ def test_a_zero_denominator_coordinate_is_a_malformed_document():
         load_mesh_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("triangle", [[0, 1, 2, 3], [0, 1], []])
+def test_a_triangle_without_three_indices_is_named_as_such(triangle):
+    # both used to be reported as a triangle that repeats a vertex
+    doc = mesh_to_json(TWO_TRIANGLES)
+    doc["triangles"][0] = triangle
+    with pytest.raises(MeshError, match=rf"triangle .* needs 3 vertex indices, got {len(triangle)}$"):
+        load_mesh_document(json.dumps(doc))
+
+
 def test_smoothness_spec_validation():
     with pytest.raises(MeshError):
         SmoothnessSpec(TWO_TRIANGLES, {}, {v: 1 for v in range(4)})
