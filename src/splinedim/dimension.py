@@ -27,7 +27,6 @@ from .ideals import (
     dim_edge_ideal_count,
     dim_vertex_star_ideal_closed,
     edge_ideal_for,
-    edge_ideal_spec_for,
     graded_piece_matrix,
     vertex_ideal_edges,
     vertex_socle_params,
@@ -125,10 +124,10 @@ class _DegreeSystem:
 
     Validates the disk and the degree.  On first use of `edges` it builds
     and echelonizes each interior edge's degree-d piece, once.  Each
-    vertex-ideal variant is computed at most once: bar by counting, and
-    full and tilde as the rank of the stacked echelon rows of their edges
-    (`vertex_ideal_edges`), since the degree-d piece of a sum of ideals is
-    the sum of the pieces; their pivot monomials are kept for h0.  The
+    vertex-ideal variant is computed at most once: bar by counting, full
+    and tilde as the leading monomials (`rref` pivots) of their edges'
+    stacked echelon rows (`vertex_ideal_edges`), since the degree-d piece of
+    a sum of ideals is the sum of the pieces; h0 keeps the full ones.  The
     bounds are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the
     full (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes
     the counted edge dims, so it builds no matrix.  The lower bounds are
@@ -155,21 +154,21 @@ class _DegreeSystem:
     @cached_property
     def counted_edge_dims(self) -> int:
         """Sum of the interior edge ideal dimensions, as lattice-point counts."""
-        specs = (edge_ideal_spec_for(self.mesh, self.smooth, e) for e in self.mesh.interior_edges)
-        return sum(dim_edge_ideal_count(x.r, x.s_gamma, x.s_gamma_prime, self.d) for x in specs)
+        r, s, edges = self.smooth.r, self.smooth.effective_s, self.mesh.interior_edges
+        return sum(dim_edge_ideal_count(r[e], s(e[0], e), s(e[1], e), self.d) for e in edges)
 
     def sum_edge_dims(self) -> int:
         return sum(data.dim for data in self.edges.values())
 
     def vertex_pivots(self, variant: str) -> dict[int, list[int]]:
-        """Pivot monomials of each interior vertex's stacked edge rows (full or tilde)."""
+        """Leading monomials of each interior vertex's ideal piece (full or tilde), increasing."""
         pivots = self._pivots.get(variant)
         if pivots is None:
             pivots = {}
             for v in sorted(self.mesh.interior_vertices):
                 edges = vertex_ideal_edges(self.mesh, v, variant)
                 rows = [b for e in edges for b in self.edges[e].basis]
-                pivots[v] = RatMatrix(rows, self.ncoef).pivot_columns() if rows else []
+                pivots[v] = RatMatrix(rows, self.ncoef).rref()[0]
             self._pivots[variant] = pivots
         return pivots
 
@@ -266,16 +265,17 @@ def h0_dimension(
     sign convention [far] - [near] in global index order.  The map is
     assembled transposed, one column per edge basis vector, since rank is
     invariant under transposition and the transposed layout fills in less.
-    Its rows (v, c) are built only at v's full pivot monomials c: v's block
-    is v's stacked edge rows transposed, up to signs, so they span its rows.
+    Its rows (v, c) are built only at v's leading monomials c: v's block is
+    v's stacked edge rows transposed, up to signs, so the rows at their
+    pivot columns are rank-many independent rows of it and span its rows.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
-    # the row of each (vertex, pivot monomial), in vertex then monomial order
+    # the row of each (vertex, leading monomial), in vertex then monomial order
     row_at: dict[int, dict[int, int]] = {}
     nrows = 0
     for v, cols in sys.vertex_pivots("full").items():
-        row_at[v] = {c: nrows + k for k, c in enumerate(sorted(cols))}
+        row_at[v] = {c: nrows + k for k, c in enumerate(cols)}
         nrows += len(cols)
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     col = 0

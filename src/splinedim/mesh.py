@@ -19,6 +19,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -56,6 +57,12 @@ class MeshError(ValueError):
 
 class OrderingNotFoundError(RuntimeError):
     """No admissible vertex ordering was found (should not occur for disks)."""
+
+
+class _JsonDecimal(Decimal):
+    """A JSON number with a fraction or exponent, exact; repr shows it as a plain decimal."""
+
+    __repr__ = Decimal.__str__
 
 
 @dataclass(frozen=True)
@@ -328,7 +335,7 @@ def load_mesh_document(
     ):
         text = Path(source).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_JsonDecimal)
     except json.JSONDecodeError as exc:
         raise MeshError(f"mesh document is not valid JSON: {exc}") from exc
     mesh = parse_mesh_json(data)

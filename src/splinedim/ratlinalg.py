@@ -11,12 +11,11 @@ Matrices are stored sparsely (dict-of-columns per row).  Both elimination
 engines work fraction-free: every update replaces a row by the integer
 combination that cancels the pivot column and divides it by the gcd of its
 entries (`_eliminate`), which keeps intermediate growth tame on the
-structured matrices this package produces.  The rank engine pivots
-Markowitz-style, always inside `RatMatrix.rank`, and keeps its pivot
-columns; the reduced echelon form behind `rref` and `kernel_basis` is one
-Gauss-Jordan elimination per matrix, kept on it.
+structured matrices this package produces.  Local pieces get the reduced
+echelon form (`rref`, one pass per matrix, kept on it); the large systems
+get only a count, from the Markowitz rank engine inside `RatMatrix.rank`.
 
-All values are immutable after construction (the memoized pivots and echelon
+All values are immutable after construction (the memoized rank and echelon
 form are idempotent writes) and safe to share across threads; individual
 computations are sequential, but callers may run many of them in parallel.
 """
@@ -64,7 +63,10 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    """Parse the "p/q" serialization (also accepts plain integers)."""
+    """Parse "p/q", an integer or a decimal; an exponent of 5+ digits raises ValueError."""
+    exp = s.strip().lower().partition("e")[2].replace("_", "").lstrip("+-0")
+    if exp.isdigit() and len(exp) > 4:
+        raise ValueError(f"decimal exponent out of range in {s!r}")
     return Fraction(s.strip())
 
 
@@ -115,44 +117,35 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, i
 def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
     """Reduced echelon form of an integer matrix given by nonzero rows.
 
-    Gauss-Jordan elimination over the integers: the sparsest remaining row
-    supplies the next pivot (its leftmost entry, made positive), and every
-    other row, reduced or not, that meets the pivot column goes through
-    `_eliminate`.  Returns (pivot_columns, rows) in increasing pivot order;
-    each row is primitive, has a positive pivot entry and is zero in every
-    other pivot column.  Any order of pivot rows yields the same pivot
-    columns (the leading columns of the row space), so these rows are the
-    unique reduced rows scaled to primitive integers.
+    Shortest rows first, each row is cancelled at its leftmost column by the
+    row kept there (`_eliminate`) until it vanishes or is kept, made
+    positive, at a new column; then each kept column is cleared from the
+    rows kept at smaller columns, last column first.  Returns (pivot_columns,
+    rows) in increasing pivot order: the leading columns of the row space and
+    the unique reduced rows, primitive with positive pivots.
     """
-    pivots: list[int] = []
-    reduced: list[dict[int, int]] = []
-    while rows:
-        # sparsest row first keeps the reduction cheap
-        rows.sort(key=len)
-        row = rows.pop(0)
-        pc = min(row)
-        if row[pc] < 0:
-            row = {c: -v for c, v in row.items()}
-        for other_list in (reduced, rows):
-            for k, other in enumerate(other_list):
-                if pc in other:
-                    other_list[k] = _eliminate(other, row, pc)
-        rows = [r for r in rows if r]
-        pivots.append(pc)
-        reduced.append(row)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [pivots[k] for k in order], [reduced[k] for k in order]
+    kept: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row and (pc := min(row)) in kept:
+            row = _eliminate(row, kept[pc], pc)
+        if row:
+            kept[pc] = row if row[pc] > 0 else {c: -v for c, v in row.items()}
+    pivots = sorted(kept)
+    for k, pc in reversed(list(enumerate(pivots))):
+        for qc in pivots[:k]:
+            if pc in kept[qc]:
+                kept[qc] = _eliminate(kept[qc], kept[pc], pc)
+    return pivots, [kept[c] for c in pivots]
 
 
-def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
-    """Pivot columns of a sparse integer matrix's fraction-free elimination.
+def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of a sparse integer matrix, by fraction-free elimination.
 
     Pivot selection approximates the Markowitz criterion: among a handful of
     least-populated columns, pick the entry minimizing predicted fill, with
     strong preference for unit pivots (their updates never need a division).
     Updated rows are renormalized by their gcd so entries stay in lowest
-    terms after each pivot.  Returns the pivot columns in pivot order: the
-    pivot entries pick out a nonsingular submatrix, so they are independent.
+    terms after each pivot.
     """
     live: dict[int, dict[int, int]] = {i: r for i, r in enumerate(rows) if r}
     colmap: dict[int, set[int]] = {}
@@ -160,7 +153,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
         for c in row:
             colmap.setdefault(c, set()).add(rid)
 
-    pivots: list[int] = []
+    rank = 0
     while live:
         # candidate columns: a few with the fewest live rows
         cand_cols = heapq.nsmallest(6, colmap, key=lambda c: len(colmap[c]))
@@ -183,7 +176,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
             s.discard(prid)
             if not s:
                 del colmap[c]
-        pivots.append(pc)
+        rank += 1
 
         touched = list(colmap.pop(pc, ()))
         for rid in touched:
@@ -203,7 +196,7 @@ def _sparse_int_rank(rows: list[dict[int, int]]) -> list[int]:
                 live[rid] = new_row
             else:
                 del live[rid]
-    return pivots
+    return rank
 
 
 class RatMatrix:
@@ -214,7 +207,7 @@ class RatMatrix:
     `TypeError`.  Arithmetic never rounds.
     """
 
-    __slots__ = ("_rows", "_ncols", "_pivots", "_echelon")
+    __slots__ = ("_rows", "_ncols", "_rank", "_echelon")
 
     def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         cleaned = []
@@ -230,7 +223,7 @@ class RatMatrix:
             cleaned.append(r)
         self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
-        self._pivots: list[int] | None = None
+        self._rank: int | None = None
         self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
 
     @property
@@ -246,14 +239,9 @@ class RatMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        if self._pivots is None:
-            self._pivots = _sparse_int_rank(_primitive_rows(self._rows))
-        return len(self._pivots)
-
-    def pivot_columns(self) -> list[int]:
-        """rank() independent columns, the rank pivots in pivot order (shared: do not modify)."""
-        self.rank()
-        return self._pivots
+        if self._rank is None:
+            self._rank = _sparse_int_rank(_primitive_rows(self._rows))
+        return self._rank
 
     def rref(self) -> tuple[list[int], list[dict[int, int]]]:
         """Reduced row echelon form, as primitive integer rows.
@@ -262,9 +250,9 @@ class RatMatrix:
         the reduced rows scaled to primitive integers with positive pivots,
         so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  The
         elimination runs once per matrix (`_int_echelon`) and the result is
-        kept on it and shared: callers must not modify it.  Meant for the
-        small matrices (graded pieces of single ideals) where an explicit
-        basis is needed; rank of large systems should go through rank().
+        kept on it and shared: callers must not modify it.  Meant for local
+        pieces (an edge's graded piece, a vertex's stacked edge rows) that
+        need a basis or leading columns; large systems go through rank().
         """
         if self._echelon is None:
             self._echelon = _int_echelon(_primitive_rows(self._rows))

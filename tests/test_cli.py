@@ -191,6 +191,27 @@ def test_validate_rejects_a_zero_denominator_coordinate(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed mesh document: ")
 
 
+_TWO_TRIANGLES_AT = '{"vertices": [[0, 0], [1, 0], [0, 1], [%s, 1]], "triangles": [[0, 1, 2], [1, 3, 2]]}'
+
+
+def test_json_numbers_with_a_fraction_or_exponent_are_read_exactly(tmp_path, capsys):
+    # a binary float would read the first as 1 and the second as 0, a duplicate of (0, 1)
+    path = tmp_path / "m.json"
+    path.write_text(_TWO_TRIANGLES_AT % "1.00000000000000001")
+    code, text = run(["gen", "--mesh", str(path)])
+    assert code == 0
+    assert json.loads(text)["vertices"][3] == ["100000000000000001/100000000000000000", "1"]
+    path.write_text(_TWO_TRIANGLES_AT % "1e-400")
+    code, text = run(["validate", "--mesh", str(path)])
+    assert (code, text.split(" (")[0]) == (0, "valid disk")
+    assert json.loads(run(["gen", "--mesh", str(path)])[1])["vertices"][3][0] == f"1/{10**400}"
+    # an exponent too large to expand is a malformed document, not a hang
+    for number in ("1e99999", '"1E+99999"'):
+        path.write_text(_TWO_TRIANGLES_AT % number)
+        assert run(["validate", "--mesh", str(path)]) == (1, "")
+        assert "decimal exponent out of range" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_bad_args():
     assert run(["dim", "--gen", "nope", "-r", "1", "-d", "2"])[0] == 1
     assert run(["dim", "--gen", "triangle", "-d", "2"])[0] == 1  # missing -r

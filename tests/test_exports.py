@@ -138,3 +138,33 @@ def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     euler_assembly(split.refined, split.spec, 5)
     assert calls["elimination"] == calls["rank"] > 0
+
+
+def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
+    """The benchmark times echelon eliminations, the edge pieces' and the
+    vertex stacks', through its `RatMatrix.rref` span; an elimination
+    started anywhere else would hide its time.  Each matrix eliminates once."""
+    open_rrefs, matrices, outside = [], [], []
+    rref, echelon = ratlinalg.RatMatrix.rref, ratlinalg._int_echelon
+
+    def counted_rref(self):
+        matrices.append(self)  # kept alive, so ids are not reused
+        open_rrefs.append(self)
+        try:
+            return rref(self)
+        finally:
+            open_rrefs.pop()
+
+    def counted_echelon(rows):
+        outside.append(not open_rrefs)
+        return echelon(rows)
+
+    monkeypatch.setattr(ratlinalg.RatMatrix, "rref", counted_rref)
+    monkeypatch.setattr(ratlinalg, "_int_echelon", counted_echelon)
+    split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+    mesh = split.refined
+    euler_assembly(mesh, split.spec, 5)
+    assert not any(outside)
+    # one per interior edge piece, and a full and a tilde stack per interior vertex
+    stacks = len(mesh.interior_edges) + 2 * len(mesh.interior_vertices)
+    assert len(outside) == len({id(m) for m in matrices}) == stacks

@@ -14,12 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinedim.cli import builtin_mesh
+from splinedim.dimension import _DegreeSystem
+from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal_edges
 from splinedim.ratlinalg import (
     RatMatrix,
     binom,
     rational_from_str,
     rational_to_str,
 )
+from splinedim.refine import powell_sabin_6split
 
 
 def _cleared(rows):
@@ -156,10 +160,10 @@ def test_rank_matches_dense_elimination_oracle(seed):
 
 
 def _check_pivot_columns(rows):
-    """pivot_columns() names rank()-many distinct columns whose submatrix
-    has rank rank() by the dense oracle."""
+    """rref()'s pivot columns are rank()-many distinct columns whose
+    submatrix has rank rank() by the dense oracle."""
     m = _matrix(rows)
-    pivots = m.pivot_columns()
+    pivots = m.rref()[0]
     assert len(set(pivots)) == len(pivots) == m.rank()
     assert all(0 <= c < m.ncols for c in pivots)
     assert _rank_by_fraction_elimination([[row[c] for c in pivots] for row in rows]) == m.rank()
@@ -184,15 +188,15 @@ def test_pivot_columns_property(rows):
 
 
 def test_pivot_columns_of_zero_deficient_and_zero_column_matrices():
-    assert _matrix([[0, 0, 0], [0, 0, 0]]).pivot_columns() == []
-    assert RatMatrix([{}, {}], 0).pivot_columns() == []
-    assert RatMatrix([], 4).pivot_columns() == []
-    assert _matrix([[0, 3], [0, -6]]).pivot_columns() == [1]
+    assert _matrix([[0, 0, 0], [0, 0, 0]]).rref() == ([], [])
+    assert RatMatrix([{}, {}], 0).rref() == ([], [])
+    assert RatMatrix([], 4).rref() == ([], [])
+    assert _matrix([[0, 3], [0, -6]]).rref() == ([1], [{1: 1}])
     for rows in ([[1, 2], [2, 4], [3, 6]], [[2, 4, 6], [1, 1, 1], [3, 5, 7]], [[0, 0, 0]] * 2 + [[0, 5, 1]]):
         _check_pivot_columns(rows)
-    # rank() first or pivot_columns() first: one elimination, the same list
+    # one echelon form per matrix, kept on it
     m = _matrix([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
-    assert m.rank() == 2 and m.pivot_columns() is m.pivot_columns()
+    assert m.rank() == 2 and m.rref() is m.rref()
 
 
 def _rref_by_fraction_loop(matrix):
@@ -295,6 +299,27 @@ def test_rref_gives_unit_pivot_basis():
                 assert pc not in other
 
 
+@pytest.mark.parametrize("base, r, s, d", [("morgan-scott", 2, 3, 4), ("two-triangles", 1, 2, 3)])
+def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base, r, s, d):
+    """Each vertex's pivots are the leading columns of its ideal's degree-d
+    piece, whatever elimination found them: the Fraction loop's pivots on
+    the stacked generator-times-monomial rows of v's edges."""
+    split = powell_sabin_6split(builtin_mesh(base), r, s)
+    mesh, spec = split.refined, split.spec
+    sys = _DegreeSystem(mesh, spec, d)
+    for variant in ("full", "tilde"):
+        pivots = sys.vertex_pivots(variant)
+        assert sorted(pivots) == sorted(mesh.interior_vertices)
+        for v, cols in pivots.items():
+            pieces = (
+                graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d)
+                for e in vertex_ideal_edges(mesh, v, variant)
+            )
+            stacked = RatMatrix([row for m in pieces for row in m.row_dicts()], sys.ncoef)
+            assert cols == _rref_by_fraction_loop(stacked)[0], (variant, v)
+            assert len(cols) == sys.vertex_dims(variant)[v]
+
+
 def test_row_space_membership():
     # a vector lies in the row space exactly when appending it keeps the rank
     rows = [[1, 0, 1], [0, 1, 1]]
@@ -337,3 +362,13 @@ def test_rational_string_format():
     assert rational_to_str(Fraction(-7, 2)) == "-7/2"
     assert rational_from_str("-7/2") == Fraction(-7, 2)
     assert rational_from_str("5") == Fraction(5)
+    assert rational_from_str("1.00000000000000001") == Fraction(10**17 + 1, 10**17)
+    assert rational_from_str("1E-400") == Fraction(1, 10**400)
+    assert rational_from_str("-25e-0_0002") == Fraction(-1, 4)
+
+
+@pytest.mark.parametrize("text", ["1e10000", "1E+99999", "2.5e-1_0000", "1e0000012345"])
+def test_a_decimal_exponent_of_five_digits_is_refused(text):
+    # Fraction would first build 10**exponent, a hang for large exponents
+    with pytest.raises(ValueError, match="decimal exponent out of range"):
+        rational_from_str(text)
