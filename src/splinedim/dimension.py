@@ -105,16 +105,19 @@ class _EdgeData:
     """Degree-d data for one interior edge: ideal basis and functionals.
 
     Both come from the one (memoized) reduced echelon form of the edge
-    ideal's degree-d piece, as primitive integer vectors: the basis is its
-    rows, the functionals its kernel basis.  The vertex ideals stack these
-    rows, and the kernel oracle and h0 use them too.
+    ideal's degree-d piece, as primitive integer vectors: the functionals
+    are its kernel basis, and the basis is its rows in decreasing pivot
+    column, so the rows with the fewest possible entries come first.  The
+    vertex ideals stack these rows, and the kernel oracle and h0 lay out
+    their columns in this order: `RatMatrix.rank` eliminates columns in
+    index order, so sparse columns go first.
     """
 
     __slots__ = ("dim", "basis", "functionals")
 
     def __init__(self, ideal: GradedIdeal, d: int):
         span = graded_piece_matrix(ideal.generators, d)
-        self.basis = span.rref()[1]
+        self.basis = span.rref()[1][::-1]
         self.dim = len(self.basis)
         self.functionals = span.kernel_basis()
 
@@ -219,7 +222,8 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     cut, which must lie in that edge's ideal.  So the unknowns are the
     cotree edges' ideal coordinates, and each forest edge functional q
     gives one row, q applied to its cut.  Cuts are local, so the rows are
-    short and the elimination fills in little.
+    short and the elimination fills in little; the columns follow the
+    cotree's order (fewest cuts first) and each edge's basis order.
     """
     mesh, n = sys.mesh, sys.ncoef
     cotree, cuts = mesh.cotree
@@ -241,8 +245,7 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
                     if val:
                         row[base + k] = sign * val
             rows.append(row)
-    rank = RatMatrix(rows, ncols).rank() if ncols else 0
-    return n + ncols - rank
+    return n + ncols - RatMatrix(rows, ncols).rank()
 
 
 def exact_dimension(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -263,11 +266,12 @@ def h0_dimension(
     Computed as the cokernel of the boundary map sending the degree-d piece
     of each interior-edge ideal to its interior endpoint vertices with the
     sign convention [far] - [near] in global index order.  The map is
-    assembled transposed, one column per edge basis vector, since rank is
-    invariant under transposition and the transposed layout fills in less.
-    Its rows (v, c) are built only at v's leading monomials c: v's block is
-    v's stacked edge rows transposed, up to signs, so the rows at their
-    pivot columns are rank-many independent rows of it and span its rows.
+    assembled transposed, one column per edge basis vector in basis order
+    (sparse columns first), since rank is invariant under transposition and
+    the transposed layout fills in less.  Its rows (v, c) are built only at
+    v's leading monomials c: v's block is v's stacked edge rows transposed,
+    up to signs, so the rows at their pivot columns are rank-many
+    independent rows of it and span its rows.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
@@ -288,7 +292,7 @@ def h0_dimension(
                         if c in at:
                             rows[at[c]][col] = sign * val
             col += 1
-    return nrows - (RatMatrix(rows, col).rank() if row_at else 0)
+    return nrows - RatMatrix(rows, col).rank()
 
 
 def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:

@@ -198,7 +198,7 @@ class Mesh:
 
     @cached_property
     def cotree(self) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]]]:
-        """`_tree_cotree(self)`: the kernel oracle's unknowns and cuts."""
+        """`_tree_cotree(self)`: the kernel oracle's unknowns, fewest cuts first, and cuts."""
         return _tree_cotree(self)
 
     def __repr__(self) -> str:
@@ -338,6 +338,8 @@ def load_mesh_document(
         data = json.loads(text, parse_float=_JsonDecimal)
     except json.JSONDecodeError as exc:
         raise MeshError(f"mesh document is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the int-conversion digit limit
+        raise MeshError(f"malformed mesh document: {exc}") from exc
     mesh = parse_mesh_json(data)
     spec = parse_smoothness_json(mesh, data.get("smoothness"), fallback_r, fallback_s)
     return mesh, spec
@@ -427,11 +429,13 @@ def _tree_cotree(mesh: Mesh) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, in
     A breadth-first search over interior edges from all boundary vertices at
     once gives each interior vertex one *forest* edge; the other interior
     edges, E_int - V_int = T - 1 of them on a disk, form a spanning tree of
-    the dual graph, the *cotree*.  Returns the cotree edges, sorted, and per
-    forest edge (in search order) its cut: the sum of the vertex fans in the
+    the dual graph, the *cotree*.  Returns the cotree edges and per forest
+    edge (in search order) its cut: the sum of the vertex fans in the
     subtree the forest edge hangs from, in which inner edges cancel, less
     the forest edge itself.  Edge e = (v, w) counts +1 in v's fan when
-    `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.
+    `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.  The cotree
+    is sorted by (number of cuts containing the edge, edge): the kernel
+    oracle lays out its columns in this order, sparse columns first.
     """
     up: dict[int, Edge] = {}
     order = sorted(mesh.boundary_vertices)
@@ -453,7 +457,10 @@ def _tree_cotree(mesh: Mesh) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, in
             for e, sign in acc.items():
                 cut[parent][e] = cut[parent].get(e, 0) + sign
         del acc[up[v]]
-    return tuple(sorted(mesh.interior_edges - set(up.values()))), {up[v]: cut[v] for v in up}
+    cuts = {up[v]: cut[v] for v in up}
+    crossings = Counter(e for c in cuts.values() for e in c)
+    cotree = sorted(mesh.interior_edges - cuts.keys(), key=lambda e: (crossings[e], e))
+    return tuple(cotree), cuts
 
 
 def direction_key(p: Point, q: Point) -> tuple[int, int]:

@@ -7,13 +7,13 @@ Python's arbitrary-precision integers, and rank decisions are exact-zero
 decisions; ranks are ranks over Q.  No floating point is ever used; a
 single rounding error would flip a dimension count downstream.
 
-Matrices are stored sparsely (dict-of-columns per row).  Both elimination
-engines work fraction-free: every update replaces a row by the integer
-combination that cancels the pivot column and divides it by the gcd of its
-entries (`_eliminate`), which keeps intermediate growth tame on the
-structured matrices this package produces.  Local pieces get the reduced
-echelon form (`rref`, one pass per matrix, kept on it); the large systems
-get only a count, from the Markowitz rank engine inside `RatMatrix.rank`.
+Matrices are stored sparsely (dict-of-columns per row).  One elimination
+serves every matrix, fraction-free: every update replaces a row by the
+integer combination that cancels the pivot column and divides it by the
+gcd of its entries (`_eliminate`), which keeps intermediate growth tame on
+the structured matrices this package produces.  `rank` runs its forward
+pass (`_echelon_rows`) and counts the kept rows; `rref` adds the
+back-substitution, once per matrix, and keeps the result on it.
 
 All values are immutable after construction (the memoized rank and echelon
 form are idempotent writes) and safe to share across threads; individual
@@ -22,7 +22,6 @@ computations are sequential, but callers may run many of them in parallel.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -114,15 +113,14 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, i
     return _normalize_int_row(new) if new else new
 
 
-def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Reduced echelon form of an integer matrix given by nonzero rows.
+def _echelon_rows(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of an integer matrix given by nonzero rows.
 
     Shortest rows first, each row is cancelled at its leftmost column by the
     row kept there (`_eliminate`) until it vanishes or is kept, made
-    positive, at a new column; then each kept column is cleared from the
-    rows kept at smaller columns, last column first.  Returns (pivot_columns,
-    rows) in increasing pivot order: the leading columns of the row space and
-    the unique reduced rows, primitive with positive pivots.
+    positive, at a new column.  Returns the kept rows by pivot column; their
+    number is the rank.  Columns are eliminated in index order, so callers
+    with large systems list their sparsest columns first.
     """
     kept: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
@@ -130,73 +128,24 @@ def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, 
             row = _eliminate(row, kept[pc], pc)
         if row:
             kept[pc] = row if row[pc] > 0 else {c: -v for c, v in row.items()}
+    return kept
+
+
+def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Reduced echelon form of an integer matrix given by nonzero rows.
+
+    `_echelon_rows`, then each kept column is cleared from the rows kept at
+    smaller columns, last column first.  Returns (pivot_columns, rows) in
+    increasing pivot order: the leading columns of the row space and the
+    unique reduced rows, primitive with positive pivots.
+    """
+    kept = _echelon_rows(rows)
     pivots = sorted(kept)
     for k, pc in reversed(list(enumerate(pivots))):
         for qc in pivots[:k]:
             if pc in kept[qc]:
                 kept[qc] = _eliminate(kept[qc], kept[pc], pc)
     return pivots, [kept[c] for c in pivots]
-
-
-def _sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of a sparse integer matrix, by fraction-free elimination.
-
-    Pivot selection approximates the Markowitz criterion: among a handful of
-    least-populated columns, pick the entry minimizing predicted fill, with
-    strong preference for unit pivots (their updates never need a division).
-    Updated rows are renormalized by their gcd so entries stay in lowest
-    terms after each pivot.
-    """
-    live: dict[int, dict[int, int]] = {i: r for i, r in enumerate(rows) if r}
-    colmap: dict[int, set[int]] = {}
-    for rid, row in live.items():
-        for c in row:
-            colmap.setdefault(c, set()).add(rid)
-
-    rank = 0
-    while live:
-        # candidate columns: a few with the fewest live rows
-        cand_cols = heapq.nsmallest(6, colmap, key=lambda c: len(colmap[c]))
-        best = None
-        for c in cand_cols:
-            ccount = len(colmap[c])
-            for rid in colmap[c]:
-                row = live[rid]
-                v = abs(row[c])
-                score = (len(row) - 1) * (ccount - 1)
-                if v != 1:
-                    score += 10_000_000  # unit pivots first, always
-                key = (score, v, len(row))
-                if best is None or key < best[0]:
-                    best = (key, rid, c)
-        _, prid, pc = best
-        piv = live.pop(prid)
-        for c in piv:
-            s = colmap[c]
-            s.discard(prid)
-            if not s:
-                del colmap[c]
-        rank += 1
-
-        touched = list(colmap.pop(pc, ()))
-        for rid in touched:
-            row = live[rid]
-            new_row = _eliminate(row, piv, pc)
-            # update column index incrementally
-            for c in row:
-                if c != pc and c not in new_row:
-                    s = colmap[c]
-                    s.discard(rid)
-                    if not s:
-                        del colmap[c]
-            for c in new_row:
-                if c not in row:
-                    colmap.setdefault(c, set()).add(rid)
-            if new_row:
-                live[rid] = new_row
-            else:
-                del live[rid]
-    return rank
 
 
 class RatMatrix:
@@ -240,7 +189,7 @@ class RatMatrix:
     def rank(self) -> int:
         """Exact rank over the rationals."""
         if self._rank is None:
-            self._rank = _sparse_int_rank(_primitive_rows(self._rows))
+            self._rank = len(_echelon_rows(_primitive_rows(self._rows)))
         return self._rank
 
     def rref(self) -> tuple[list[int], list[dict[int, int]]]:
@@ -252,7 +201,7 @@ class RatMatrix:
         elimination runs once per matrix (`_int_echelon`) and the result is
         kept on it and shared: callers must not modify it.  Meant for local
         pieces (an edge's graded piece, a vertex's stacked edge rows) that
-        need a basis or leading columns; large systems go through rank().
+        need a basis or leading columns; rank() skips the back-substitution.
         """
         if self._echelon is None:
             self._echelon = _int_echelon(_primitive_rows(self._rows))

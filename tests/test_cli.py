@@ -191,6 +191,13 @@ def test_validate_rejects_a_zero_denominator_coordinate(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed mesh document: ")
 
 
+def test_validate_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [%s, 1]], "triangles": [[0, 1, 2]]}' % ("1" * 5000))
+    assert run(["validate", "--mesh", str(path)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: malformed mesh document: ")
+
+
 _TWO_TRIANGLES_AT = '{"vertices": [[0, 0], [1, 0], [0, 1], [%s, 1]], "triangles": [[0, 1, 2], [1, 3, 2]]}'
 
 

@@ -34,7 +34,7 @@ from splinedim.dimension import (
     upper_bound_53,
     vertex_star_dim,
 )
-from splinedim.ideals import edge_ideal_for, vertex_ideal
+from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
@@ -131,6 +131,9 @@ def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     assert len(cotree) == len(set(cotree)) == mesh.num_triangles - 1
     assert set(cotree) | forest == mesh.interior_edges and not forest & set(cotree)
     assert _connected(range(mesh.num_triangles), (mesh.edge_triangles[e] for e in cotree))
+    # sparse columns first: an edge that few cuts cross has its columns in few rows
+    crossings = Counter(e for cut in cuts.values() for e in cut)
+    assert list(cotree) == sorted(cotree, key=lambda e: (crossings[e], e))
     # one forest edge per interior vertex: with the boundary as one node,
     # V_int edges connecting V_int + 1 nodes form a spanning tree
     assert len(forest) == len(mesh.interior_vertices)
@@ -148,6 +151,18 @@ def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     if name.startswith("ps6"):
         # some cut sums more than one fan: no vertex lies on all its edges
         assert any(not set.intersection(*(set(e) for e in cut)) for cut in cuts.values())
+
+
+@pytest.mark.parametrize("name", sorted(_COTREE_MESHES))
+def test_each_edge_basis_lists_its_reduced_rows_in_decreasing_pivot_column(name):
+    """The kernel oracle and h0 lay out their columns in basis order, so the
+    rows with the fewest possible entries come first."""
+    mesh = _COTREE_MESHES[name]
+    spec = SmoothnessSpec.uniform(mesh, 1, 2)
+    for e, data in _DegreeSystem(mesh, spec, 4).edges.items():
+        pivots, rows = graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, 4).rref()
+        assert data.basis == rows[::-1]
+        assert [min(b) for b in data.basis] == pivots[::-1] == sorted(set(pivots), reverse=True)
 
 
 def _h0_boundary_rows(sys):

@@ -121,23 +121,35 @@ def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
 
 def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
     """The benchmark times rank eliminations through its `RatMatrix.rank`
-    span; an elimination started anywhere else would hide its time."""
-    calls = {"rank": 0, "elimination": 0}
+    span and echelon eliminations through `RatMatrix.rref`; an elimination
+    started anywhere else would hide its time.  Each rank() call and each
+    matrix's rref eliminates once."""
+    open_spans, ranked, echeloned, seen_in = [], [], [], []
+    forward = ratlinalg._echelon_rows
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def span(name, method, calls):
+        def wrapper(self):
+            calls.append(self)  # kept alive, so ids are not reused
+            open_spans.append(name)
+            try:
+                return method(self)
+            finally:
+                open_spans.pop()
 
         return wrapper
 
-    monkeypatch.setattr(ratlinalg.RatMatrix, "rank", counted("rank", ratlinalg.RatMatrix.rank))
-    monkeypatch.setattr(
-        ratlinalg, "_sparse_int_rank", counted("elimination", ratlinalg._sparse_int_rank)
-    )
+    def counted_forward(rows):
+        seen_in.append(open_spans[-1] if open_spans else None)
+        return forward(rows)
+
+    monkeypatch.setattr(ratlinalg.RatMatrix, "rank", span("rank", ratlinalg.RatMatrix.rank, ranked))
+    monkeypatch.setattr(ratlinalg.RatMatrix, "rref", span("rref", ratlinalg.RatMatrix.rref, echeloned))
+    monkeypatch.setattr(ratlinalg, "_echelon_rows", counted_forward)
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     euler_assembly(split.refined, split.spec, 5)
-    assert calls["elimination"] == calls["rank"] > 0
+    assert None not in seen_in
+    assert seen_in.count("rank") == len(ranked) > 0
+    assert seen_in.count("rref") == len({id(m) for m in echeloned}) > 0
 
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):

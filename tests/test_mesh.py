@@ -332,6 +332,13 @@ def test_a_zero_denominator_coordinate_is_a_malformed_document():
         load_mesh_document(json.dumps(doc))
 
 
+def test_an_integer_past_the_digit_limit_is_a_malformed_document():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    text = '{"vertices": [[0, 0], [1, 0], [%s, 1]], "triangles": [[0, 1, 2]]}' % ("1" * 5000)
+    with pytest.raises(MeshError, match="^malformed mesh document: "):
+        load_mesh_document(text)
+
+
 @pytest.mark.parametrize("triangle", [[0, 1, 2, 3], [0, 1], []])
 def test_a_triangle_without_three_indices_is_named_as_such(triangle):
     # both used to be reported as a triangle that repeats a vertex
