@@ -199,15 +199,33 @@ class _DegreeSystem:
         return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims("tilde")
 
 
-def _sparse_dot(u: dict[int, int], v: dict[int, int]) -> int:
-    if len(u) > len(v):
-        u, v = v, u
-    total = 0
+def _columns(vectors: list[dict[int, int]], start: int = 0) -> dict[int, list[tuple[int, int]]]:
+    """Each column's nonzero entries among `vectors`, as (start + index, value) pairs."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for k, vec in enumerate(vectors, start):
+        for c, val in vec.items():
+            columns.setdefault(c, []).append((k, val))
+    return columns
+
+
+def _apply(u: dict[int, int], columns: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    """The nonzero dot products of u with the vectors `columns` indexes, by index."""
+    out: dict[int, int] = {}
     for c, x in u.items():
-        y = v.get(c)
-        if y is not None:
-            total += x * y
-    return total
+        for k, y in columns.get(c, ()):
+            out[k] = out.get(k, 0) + x * y
+    return {k: val for k, val in out.items() if val}
+
+
+def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[int, int]]:
+    """Forest edge f's functionals independent on J(v)_d, v its child: the
+    dim J(v)_d - dim J(f)_d pivot columns of their values q(b) on the bases
+    of the other edges at v, which span J(v)_d."""
+    functionals = sys.edges[f].functionals
+    at_q = _columns(functionals)
+    edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
+    values = [_apply(b, at_q) for e in edges for b in sys.edges[e].basis]
+    return [functionals[j] for j in RatMatrix(values, len(functionals)).rref()[0]]
 
 
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
@@ -221,31 +239,27 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     conditions then fix each forest edge's h_e as the signed sum over its
     cut, which must lie in that edge's ideal.  So the unknowns are the
     cotree edges' ideal coordinates, and each forest edge functional q
-    gives one row, q applied to its cut.  Cuts are local, so the rows are
-    short and the elimination fills in little; the columns follow the
-    cotree's order (fewest cuts first) and each edge's basis order.
+    gives one row, q applied to its cut: its child v's cotree edges plus
+    the cuts of the forest edges g below v.  A q that kills J(v)_d kills
+    each cotree h_e at v and is a combination of each g's functionals, as
+    J(e), J(g) lie in J(v): its row is a combination of the rows below.
+    So f keeps the dim J(v)_d - dim J(f)_d functionals independent on
+    J(v)_d, found from the edge bases at v, never from the Euler path's
+    vertex pivots.  All of them would give sum_v codim J(v)_d + h0
+    dependent rows; the kept ones give h0.  The rows are short, and the
+    columns follow the cotree's order and each edge's basis order.
     """
-    mesh, n = sys.mesh, sys.ncoef
-    cotree, cuts = mesh.cotree
-
-    col_of: dict[Edge, int] = {}
-    ncols = 0
+    cotree, cuts, child = sys.mesh.cotree
+    columns, ncols = {}, 0  # each cotree edge's basis, indexed by kernel column
     for e in cotree:
-        col_of[e] = ncols
+        columns[e] = _columns(sys.edges[e].basis, ncols)
         ncols += sys.edges[e].dim
-
     rows = []
-    for e, cut in cuts.items():
-        for q in sys.edges[e].functionals:
-            row: dict[int, int] = {}
-            for te, sign in cut.items():
-                base = col_of[te]
-                for k, bvec in enumerate(sys.edges[te].basis):
-                    val = _sparse_dot(q, bvec)
-                    if val:
-                        row[base + k] = sign * val
-            rows.append(row)
-    return n + ncols - RatMatrix(rows, ncols).rank()
+    for f, cut in cuts.items():
+        for q in _independent_functionals(sys, f, child[f]):
+            values = [(sign, _apply(q, columns[te])) for te, sign in cut.items()]
+            rows.append({c: sign * val for sign, on_te in values for c, val in on_te.items()})
+    return sys.ncoef + ncols - RatMatrix(rows, ncols).rank()
 
 
 def exact_dimension(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:

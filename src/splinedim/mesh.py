@@ -29,6 +29,7 @@ from .ratlinalg import primitive_int_vector, rational_from_str, rational_to_str
 
 Point = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
+Cotree = tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]], dict[Edge, int]]
 
 __all__ = [
     "Edge",
@@ -197,8 +198,8 @@ class Mesh:
         return tuple(vertex_ordering(self))
 
     @cached_property
-    def cotree(self) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]]]:
-        """`_tree_cotree(self)`: the kernel oracle's unknowns, fewest cuts first, and cuts."""
+    def cotree(self) -> Cotree:
+        """`_tree_cotree(self)`: the oracle's unknowns (fewest cuts first), cuts and children."""
         return _tree_cotree(self)
 
     def __repr__(self) -> str:
@@ -423,19 +424,22 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     return DiskReport(ok=not failures, failures=tuple(failures))
 
 
-def _tree_cotree(mesh: Mesh) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, int]]]:
+def _tree_cotree(mesh: Mesh) -> Cotree:
     """Tree-cotree split of the interior edges (Eppstein 2003).
 
     A breadth-first search over interior edges from all boundary vertices at
     once gives each interior vertex one *forest* edge; the other interior
     edges, E_int - V_int = T - 1 of them on a disk, form a spanning tree of
-    the dual graph, the *cotree*.  Returns the cotree edges and per forest
-    edge (in search order) its cut: the sum of the vertex fans in the
-    subtree the forest edge hangs from, in which inner edges cancel, less
-    the forest edge itself.  Edge e = (v, w) counts +1 in v's fan when
-    `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.  The cotree
-    is sorted by (number of cuts containing the edge, edge): the kernel
-    oracle lays out its columns in this order, sparse columns first.
+    the dual graph, the *cotree*.  Returns the cotree edges, and per forest
+    edge (in search order) its cut and its *child*, the vertex the search
+    reached through it.  The cut sums the vertex fans of the child's
+    subtree, less the forest edge, with inner edges cancelled: the child's
+    cotree edges plus the cuts of the forest edges below it.  On this the
+    kernel oracle's row selection rests, which leaves h0 dependent rows of
+    sum_v codim J(v)_d + h0.  Edge e = (v, w) counts +1 in v's fan when
+    `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.  The cotree is
+    sorted by (number of cuts containing the edge, edge): the kernel oracle
+    lays out its columns in this order, sparse columns first.
     """
     up: dict[int, Edge] = {}
     order = sorted(mesh.boundary_vertices)
@@ -460,7 +464,7 @@ def _tree_cotree(mesh: Mesh) -> tuple[tuple[Edge, ...], dict[Edge, dict[Edge, in
     cuts = {up[v]: cut[v] for v in up}
     crossings = Counter(e for c in cuts.values() for e in c)
     cotree = sorted(mesh.interior_edges - cuts.keys(), key=lambda e: (crossings[e], e))
-    return tuple(cotree), cuts
+    return tuple(cotree), cuts, {e: v for v, e in up.items()}
 
 
 def direction_key(p: Point, q: Point) -> tuple[int, int]:

@@ -216,16 +216,17 @@ class RatMatrix:
         non-pivot column.
         """
         pivots, reduced = self.rref()
-        pivot_set = set(pivots)
+        # each column's (pivot column, pivot, entry) triples, in one pass
+        entries: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(self._ncols)}
+        for pc, row in zip(pivots, reduced):
+            for c, v in row.items():
+                entries[c].append((pc, row[pc], v))
         basis = []
-        for c in range(self._ncols):
-            if c in pivot_set:
-                continue
+        for c in sorted(entries.keys() - pivots):
             # e_c - sum(row[c] / row[pc] * e_pc), times the common denominator
-            entries = [(pc, row[pc], row[c]) for pc, row in zip(pivots, reduced) if c in row]
-            scale = lcm(*(pv // gcd(v, pv) for _, pv, v in entries))
+            scale = lcm(*(pv // gcd(v, pv) for _, pv, v in entries[c]))
             vec = {c: scale}
-            for pc, pv, v in entries:
+            for pc, pv, v in entries[c]:
                 vec[pc] = -v * scale // pv
             basis.append(vec)
         return basis

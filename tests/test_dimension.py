@@ -126,7 +126,7 @@ def _left_sign(mesh, v, w):
 @pytest.mark.parametrize("name", sorted(_COTREE_MESHES))
 def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     mesh = _COTREE_MESHES[name]
-    cotree, cuts = mesh.cotree
+    cotree, cuts, child = mesh.cotree
     forest = set(cuts)
     assert len(cotree) == len(set(cotree)) == mesh.num_triangles - 1
     assert set(cotree) | forest == mesh.interior_edges and not forest & set(cotree)
@@ -141,16 +141,123 @@ def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     assert _connected([-1, *mesh.interior_vertices], ((node[a], node[b]) for a, b in forest))
     for cut in cuts.values():
         assert set(cut) <= set(cotree) and set(cut.values()) <= {1, -1}
-    degree = Counter(v for e in forest for v in e)
-    for v in mesh.interior_vertices:
-        if degree[v] == 1:
-            (up,) = (e for e in forest if v in e)
-            fan = {tuple(sorted((v, w))): _left_sign(mesh, v, w) for w in mesh.vertex_neighbors[v]}
-            del fan[up]
-            assert cuts[up] == fan, v
+    # each interior vertex is the child of one forest edge, at one of its ends
+    assert child.keys() == forest and all(v in f for f, v in child.items())
+    assert sorted(child.values()) == sorted(mesh.interior_vertices)
+    # the kernel oracle's row selection rests on this: a cut is its child's
+    # fan of cotree edges plus the cuts of the forest edges hanging below it
+    for f, v in child.items():
+        want = {}
+        for w in mesh.vertex_neighbors[v]:
+            e = tuple(sorted((v, w)))
+            if e not in forest:
+                want[e] = _left_sign(mesh, v, w)
+        for g, w in child.items():
+            if sum(g) - w == v:
+                for e, sign in cuts[g].items():
+                    want[e] = want.get(e, 0) + sign
+        assert cuts[f] == {e: sign for e, sign in want.items() if sign}, v
     if name.startswith("ps6"):
         # some cut sums more than one fan: no vertex lies on all its edges
         assert any(not set.intersection(*(set(e) for e in cut)) for cut in cuts.values())
+
+
+def _oracle_rows_and_rank(monkeypatch, sys):
+    """The nonzero rows, all rows and the rank of the kernel oracle's one rank() call."""
+    seen = []
+    rank = RatMatrix.rank
+
+    def recorded(self):
+        seen.append((sum(1 for row in self.row_dicts() if row), self.nrows, rank(self)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(RatMatrix, "rank", recorded)
+    _exact_dim_reduced(sys)
+    monkeypatch.undo()
+    (found,) = seen
+    return found
+
+
+@pytest.mark.parametrize(
+    "base, r, s, d, h0",
+    [
+        ("ps6:morgan-scott", 2, 3, 4, 9),
+        ("ps6:morgan-scott", 2, 3, 5, 0),
+        ("ps6:morgan-scott", 2, 3, 6, 0),
+        ("ps6:morgan-scott", 3, 4, 5, 14),
+        ("ps6:morgan-scott", 3, 5, 7, 1),
+        *(("ps6x2", 1, 2, d, None) for d in range(4)),
+    ],
+)
+def test_the_kernel_oracle_builds_only_h0_dependent_rows(monkeypatch, base, r, s, d, h0):
+    """Each forest edge keeps dim J(v)_d - dim J(f)_d rows, v its child, all
+    nonzero, and only h0 of all the rows are dependent.  Every functional of
+    every forest edge would give sum_v codim J(v)_d more."""
+    if base == "ps6x2":
+        mesh, spec = PS6X2.refined, PS6X2.spec
+    else:
+        split = powell_sabin_6split(morgan_scott_mesh(), r, s)
+        mesh, spec = split.refined, split.spec
+    sys = _DegreeSystem(mesh, spec, d)
+    nonzero, nrows, rank = _oracle_rows_and_rank(monkeypatch, sys)
+    full = sys.vertex_dims("full")
+    assert nrows == nonzero == sum(full[v] - sys.edges[f].dim for f, v in mesh.cotree[2].items())
+    assert nonzero - rank == h0_dimension(mesh, spec, d, sys)
+    assert h0 in (None, nonzero - rank)
+
+
+def _ps6_ms_23():
+    split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+    return split.refined, split.spec
+
+
+def test_the_kernel_oracle_reads_no_vertex_pivots(monkeypatch):
+    """The oracle and the Euler assembly are independent paths: one lost
+    leading monomial at one vertex, at a degree where h0 = 0, must show as
+    a disagreement.  Were the oracle to read the vertex pivots too, both
+    would return exact + 1 and the check would pass on the wrong answer."""
+    mesh, spec = _ps6_ms_23()
+    report = euler_assembly(mesh, spec, 5)
+    assert report.h0_dim == 0
+    sys = _DegreeSystem(mesh, spec, 5)
+    tilde, full = sys.vertex_dims("tilde"), sys.vertex_dims("full")
+    v = next(v for v in sorted(full) if tilde[v] < full[v])
+    real = _DegreeSystem.vertex_pivots
+
+    def unread(self, variant):
+        raise AssertionError("the kernel oracle read the vertex pivots")
+
+    monkeypatch.setattr(_DegreeSystem, "vertex_pivots", unread)
+    assert _exact_dim_reduced(_DegreeSystem(mesh, spec, 5)) == report.exact
+
+    def lossy(self, variant):
+        pivots = real(self, variant)
+        return {**pivots, v: pivots[v][:-1]} if variant == "full" else pivots
+
+    monkeypatch.setattr(_DegreeSystem, "vertex_pivots", lossy)
+    message = rf"kernel oracle {report.exact} vs Euler assembly {report.exact + 1},.*: \[\]$"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        euler_assembly(mesh, spec, 5)
+
+
+def test_a_dropped_kernel_oracle_row_is_caught(monkeypatch):
+    """At h0 = 0 every row the oracle keeps is independent, so dropping one
+    functional from its selection raises the oracle's dimension by one."""
+    mesh, spec = _ps6_ms_23()
+    exact = euler_assembly(mesh, spec, 5).exact
+    select = splinedim.dimension._independent_functionals
+    calls = []
+
+    def drop_one(sys, f, v):
+        kept = select(sys, f, v)
+        calls.append(f)
+        return kept[1:] if len(calls) == 1 else kept
+
+    monkeypatch.setattr(splinedim.dimension, "_independent_functionals", drop_one)
+    message = rf"kernel oracle {exact + 1} vs Euler assembly {exact},"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        euler_assembly(mesh, spec, 5)
+    assert len(calls) == len(mesh.interior_vertices)
 
 
 @pytest.mark.parametrize("name", sorted(_COTREE_MESHES))

@@ -153,9 +153,10 @@ def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
 
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
-    """The benchmark times echelon eliminations, the edge pieces' and the
-    vertex stacks', through its `RatMatrix.rref` span; an elimination
-    started anywhere else would hide its time.  Each matrix eliminates once."""
+    """The benchmark times echelon eliminations, the edge pieces', the
+    vertex stacks' and the kernel oracle's row selections, through its
+    `RatMatrix.rref` span; an elimination started anywhere else would hide
+    its time.  Each matrix eliminates once."""
     open_rrefs, matrices, outside = [], [], []
     rref, echelon = ratlinalg.RatMatrix.rref, ratlinalg._int_echelon
 
@@ -177,6 +178,7 @@ def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
     mesh = split.refined
     euler_assembly(mesh, split.spec, 5)
     assert not any(outside)
-    # one per interior edge piece, and a full and a tilde stack per interior vertex
-    stacks = len(mesh.interior_edges) + 2 * len(mesh.interior_vertices)
+    # one per interior edge piece, a full and a tilde stack per interior
+    # vertex, and a row selection per forest edge, one per interior vertex
+    stacks = len(mesh.interior_edges) + 3 * len(mesh.interior_vertices)
     assert len(outside) == len({id(m) for m in matrices}) == stacks
