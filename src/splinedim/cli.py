@@ -84,9 +84,9 @@ def resolve_source(
     args, need_spec: bool = True
 ) -> tuple[Mesh, SmoothnessSpec | None, Mesh | None]:
     """(mesh, smoothness spec, original mesh when the source is a 6-split)."""
-    if getattr(args, "gen", None) and getattr(args, "mesh", None):
+    if args.gen and args.mesh:
         raise CliError("give either --gen or --mesh, not both")
-    if getattr(args, "gen", None):
+    if args.gen:
         name = args.gen
         if name.startswith("ps6:"):
             base = builtin_mesh(name[len("ps6:") :])
@@ -96,7 +96,7 @@ def resolve_source(
             return res.refined, res.spec, base
         mesh = builtin_mesh(name)
         return mesh, _uniform_spec(mesh, args, need_spec), None
-    if getattr(args, "mesh", None):
+    if args.mesh:
         mesh, spec = load_mesh_document(
             Path(args.mesh), fallback_r=args.r, fallback_s=args.s
         )
@@ -126,15 +126,15 @@ def _int_list(flag: str, text: str, sep: str, form: str, sizes: tuple[int, ...])
 
 
 def parse_degrees(args) -> list[int]:
-    if getattr(args, "degrees", None):
-        if getattr(args, "d", None) is not None:
+    if args.degrees:
+        if args.d is not None:
             raise CliError("give either -d or --degrees, not both")
         text = args.degrees
         bounds = _int_list("--degrees", text, ":", "A or A:B", (1, 2))
         degrees = list(range(bounds[0], bounds[-1] + 1))
         if not degrees:
             raise CliError(f"degree range {text} is empty (need A <= B)")
-    elif getattr(args, "d", None) is not None:
+    elif args.d is not None:
         degrees = [args.d]
     else:
         raise CliError("a degree is required (-d D or --degrees A:B)")
@@ -178,10 +178,6 @@ def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
     raise CliError("no closed formula applies to this configuration")
 
 
-# report field behind each bound and dimension column
-_REPORT_FIELDS = {"exact": "exact", "lb51": "lb_51", "lb52": "lb_52", "ub53": "ub_53"}
-
-
 def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
     # built per call, so a rebound module name (the benchmark tracer's) is seen
     single = dict(
@@ -190,17 +186,9 @@ def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
     rows = []
     for d in degrees:
         if args.method == "all":
-            rep = euler_assembly(mesh, spec, d)
-            rows.append(
-                {
-                    "d": d,
-                    "h0": rep.h0_dim,
-                    **{column: getattr(rep, field) for column, field in _REPORT_FIELDS.items()},
-                    "method": "exact",
-                    # the Euler terms, which only the JSON output prints
-                    **{k: v for k, v in vars(rep).items() if k.startswith("term_")},
-                }
-            )
+            # the report's fields are the columns, plus the Euler terms, which
+            # only the JSON output prints
+            rows.append({**vars(euler_assembly(mesh, spec, d)), "method": "exact"})
         elif args.method == "formula":
             value, how = _formula_value(mesh, spec, original, args, d)
             rows.append({"d": d, "exact": value, "method": how})
@@ -239,8 +227,8 @@ def check_rows(rows, mesh, spec) -> None:
                     f"bound sandwich violated at degree {row['d']}: {row}"
                 )
             continue
-        (column,) = set(row) & set(_REPORT_FIELDS)
-        expected = getattr(euler_assembly(mesh, spec, row["d"]), _REPORT_FIELDS[column])
+        (column,) = set(row) - {"d", "method"}
+        expected = getattr(euler_assembly(mesh, spec, row["d"]), column)
         if row[column] != expected:
             raise InternalInconsistencyError(
                 f"{row['method']} gives {column} = {row[column]} at degree {row['d']} "

@@ -80,10 +80,10 @@ class DimensionReport:
     term_vertices_full: int
     term_vertices_bar: int
     term_vertices_tilde: int
-    h0_dim: int
-    lb_51: int
-    lb_52: int
-    ub_53: int
+    h0: int
+    lb51: int
+    lb52: int
+    ub53: int
     exact: int
 
 
@@ -125,16 +125,17 @@ class _EdgeData:
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
-    Validates the disk and the degree.  On first use of `edges` it builds
-    and echelonizes each interior edge's degree-d piece, once.  Each
-    vertex-ideal variant is computed at most once: bar by counting, full
-    and tilde as the leading monomials (`rref` pivots) of their edges'
-    stacked echelon rows (`vertex_ideal_edges`), since the degree-d piece of
-    a sum of ideals is the sum of the pieces; h0 keeps the full ones.  The
-    bounds are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the
-    full (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes
-    the counted edge dims, so it builds no matrix.  The lower bounds are
-    floored at C(d+2, 2), since global polynomials are always supersplines.
+    Validates the disk and the degree.  Each quantity is a property computed
+    on first use, once.  `edges` builds and echelonizes each interior edge's
+    degree-d piece.  The vertex ideals' degree-d pieces are their edges'
+    stacked echelon rows (`_stack`), since the degree-d piece of a sum of
+    ideals is the sum of the pieces: `full_pivots` are the full stacks'
+    leading monomials (`rref` pivots), which h0 keeps; `tilde` only counts
+    its stacks (`rank`); `bar` is counted, with no matrix.  The bounds are
+    C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full
+    (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes the
+    counted edge dims, so it builds no matrix.  The lower bounds are floored
+    at C(d+2, 2), since global polynomials are always supersplines.
     """
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
@@ -145,7 +146,7 @@ class _DegreeSystem:
         self.smooth = smooth
         self.d = d
         self.ncoef = binom(d + 2, 2)
-        self._pivots: dict[str, dict[int, list[int]]] = {}
+        self.interior = sorted(mesh.interior_vertices)
 
     @cached_property
     def edges(self) -> dict[Edge, _EdgeData]:
@@ -155,48 +156,49 @@ class _DegreeSystem:
         }
 
     @cached_property
+    def edge_dims(self) -> int:
+        """Sum of the interior edge ideal dimensions, from the echelon bases."""
+        return sum(data.dim for data in self.edges.values())
+
+    @cached_property
     def counted_edge_dims(self) -> int:
         """Sum of the interior edge ideal dimensions, as lattice-point counts."""
         r, s, edges = self.smooth.r, self.smooth.effective_s, self.mesh.interior_edges
         return sum(dim_edge_ideal_count(r[e], s(e[0], e), s(e[1], e), self.d) for e in edges)
 
-    def sum_edge_dims(self) -> int:
-        return sum(data.dim for data in self.edges.values())
-
-    def vertex_pivots(self, variant: str) -> dict[int, list[int]]:
-        """Leading monomials of each interior vertex's ideal piece (full or tilde), increasing."""
-        pivots = self._pivots.get(variant)
-        if pivots is None:
-            pivots = {}
-            for v in sorted(self.mesh.interior_vertices):
-                edges = vertex_ideal_edges(self.mesh, v, variant)
-                rows = [b for e in edges for b in self.edges[e].basis]
-                pivots[v] = RatMatrix(rows, self.ncoef).rref()[0]
-            self._pivots[variant] = pivots
-        return pivots
+    def _stack(self, v: int, variant: str) -> RatMatrix:
+        """v's `variant` ideal piece (full or tilde), as its edges' stacked echelon rows."""
+        edges = vertex_ideal_edges(self.mesh, v, variant)
+        return RatMatrix([b for e in edges for b in self.edges[e].basis], self.ncoef)
 
     @cached_property
-    def _bar_dims(self) -> dict[int, int]:
-        interior = sorted(self.mesh.interior_vertices)
-        return {v: dim_bar_vertex_ideal_count(self.mesh, self.smooth, v, self.d) for v in interior}
+    def full_pivots(self) -> dict[int, list[int]]:
+        """Leading monomials of each interior vertex's ideal piece, increasing."""
+        return {v: self._stack(v, "full").rref()[0] for v in self.interior}
 
-    def vertex_dims(self, variant: str) -> dict[int, int]:
-        """Degree-d dimension of each interior vertex's ideal of `variant`."""
-        if variant == "bar":
-            return self._bar_dims
-        return {v: len(cols) for v, cols in self.vertex_pivots(variant).items()}
+    @cached_property
+    def full(self) -> dict[int, int]:
+        return {v: len(cols) for v, cols in self.full_pivots.items()}
 
-    def sum_vertex_dims(self, variant: str) -> int:
-        return sum(self.vertex_dims(variant).values())
+    @cached_property
+    def tilde(self) -> dict[int, int]:
+        return {v: self._stack(v, "tilde").rank() for v in self.interior}
 
+    @cached_property
+    def bar(self) -> dict[int, int]:
+        return {v: dim_bar_vertex_ideal_count(self.mesh, self.smooth, v, self.d) for v in self.interior}
+
+    @cached_property
     def lb51(self) -> int:
-        return max(self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims("full"), self.ncoef)
+        return max(self.ncoef + self.edge_dims - sum(self.full.values()), self.ncoef)
 
+    @cached_property
     def lb52(self) -> int:
-        return max(self.ncoef + self.counted_edge_dims - self.sum_vertex_dims("bar"), self.ncoef)
+        return max(self.ncoef + self.counted_edge_dims - sum(self.bar.values()), self.ncoef)
 
+    @cached_property
     def ub53(self) -> int:
-        return self.ncoef + self.sum_edge_dims() - self.sum_vertex_dims("tilde")
+        return self.ncoef + self.edge_dims - sum(self.tilde.values())
 
 
 def _columns(vectors: list[dict[int, int]], start: int = 0) -> dict[int, list[tuple[int, int]]]:
@@ -292,7 +294,7 @@ def h0_dimension(
     # the row of each (vertex, leading monomial), in vertex then monomial order
     row_at: dict[int, dict[int, int]] = {}
     nrows = 0
-    for v, cols in sys.vertex_pivots("full").items():
+    for v, cols in sys.full_pivots.items():
         row_at[v] = {c: nrows + k for k, c in enumerate(cols)}
         nrows += len(cols)
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
@@ -315,7 +317,7 @@ def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     Floored at C(d+2, 2): global polynomials are always supersplines, and
     this floor is what makes the reported bound informative at low degree.
     """
-    return _DegreeSystem(mesh, smooth, d).lb51()
+    return _DegreeSystem(mesh, smooth, d).lb51
 
 
 def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -324,12 +326,12 @@ def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     C(d+2, 2) + edge counts - bar vertex counts, floored at C(d+2, 2) like
     lower_bound_51; no rank is computed for any spec.
     """
-    return _DegreeSystem(mesh, smooth, d).lb52()
+    return _DegreeSystem(mesh, smooth, d).lb52
 
 
 def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     """Upper bound from vertex ideals restricted along an admissible order."""
-    return _DegreeSystem(mesh, smooth, d).ub53()
+    return _DegreeSystem(mesh, smooth, d).ub53
 
 
 def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionReport:
@@ -344,30 +346,28 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     """
     sys = _DegreeSystem(mesh, smooth, d)
     n = sys.ncoef
-    term_edges = sys.sum_edge_dims()
-    tilde, full, bar = (sys.vertex_dims(x) for x in ("tilde", "full", "bar"))
     h0 = h0_dimension(mesh, smooth, d, sys)
     exact = _exact_dim_reduced(sys)
-    assembled = n + term_edges - sys.sum_vertex_dims("full") + h0
-    counted = sys.counted_edge_dims
-    unordered = [v for v in full if not tilde[v] <= full[v] <= bar[v]]
-    if exact != assembled or counted != term_edges or unordered:
+    full, bar, tilde = (sum(dims.values()) for dims in (sys.full, sys.bar, sys.tilde))
+    assembled = n + sys.edge_dims - full + h0
+    unordered = [v for v in sys.interior if not sys.tilde[v] <= sys.full[v] <= sys.bar[v]]
+    if exact != assembled or sys.counted_edge_dims != sys.edge_dims or unordered:
         raise InternalInconsistencyError(
             f"at degree {d}: kernel oracle {exact} vs Euler assembly {assembled}, "
-            f"edge ideals counted {counted} vs ranked {term_edges}, "
+            f"edge ideals counted {sys.counted_edge_dims} vs ranked {sys.edge_dims}, "
             f"vertices breaking tilde <= full <= bar: {unordered}"
         )
     return DimensionReport(
         d=d,
         term_polys=mesh.num_triangles * n,
-        term_edges=term_edges,
-        term_vertices_full=sys.sum_vertex_dims("full"),
-        term_vertices_bar=sys.sum_vertex_dims("bar"),
-        term_vertices_tilde=sys.sum_vertex_dims("tilde"),
-        h0_dim=h0,
-        lb_51=sys.lb51(),
-        lb_52=sys.lb52(),
-        ub_53=sys.ub53(),
+        term_edges=sys.edge_dims,
+        term_vertices_full=full,
+        term_vertices_bar=bar,
+        term_vertices_tilde=tilde,
+        h0=h0,
+        lb51=sys.lb51,
+        lb52=sys.lb52,
+        ub53=sys.ub53,
         exact=exact,
     )
 

@@ -60,16 +60,10 @@ class GradedIdeal:
             raise ValueError("zero generator")
         self.generators = gens
 
-    def min_degree(self) -> int | None:
-        return min((g.degree for g in self.generators), default=None)
-
     def graded_dim(self, d: int) -> int:
         """Dimension of the degree-d piece over the rationals."""
         if d < 0:
             raise ValueError("degree must be non-negative")
-        lo = self.min_degree()
-        if lo is None or d < lo:
-            return 0
         return graded_piece_matrix(self.generators, d).rank()
 
     def to_json(self) -> dict:

@@ -15,15 +15,15 @@ the structured matrices this package produces.  `rank` runs its forward
 pass (`_echelon_rows`) and counts the kept rows; `rref` adds the
 back-substitution, once per matrix, and keeps the result on it.
 
-All values are immutable after construction (the memoized rank and echelon
-form are idempotent writes) and safe to share across threads; individual
+All values are immutable after construction (the memoized echelon form is
+an idempotent write) and safe to share across threads; individual
 computations are sequential, but callers may run many of them in parallel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -46,12 +46,7 @@ def binom(a: int, b: int) -> int:
     """
     if b < 0:
         raise ValueError(f"binom requires b >= 0, got b={b}")
-    if a < b:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
+    return comb(a, b) if a >= b else 0
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -156,7 +151,7 @@ class RatMatrix:
     `TypeError`.  Arithmetic never rounds.
     """
 
-    __slots__ = ("_rows", "_ncols", "_rank", "_echelon")
+    __slots__ = ("_rows", "_ncols", "_echelon")
 
     def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         cleaned = []
@@ -172,7 +167,6 @@ class RatMatrix:
             cleaned.append(r)
         self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
-        self._rank: int | None = None
         self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
 
     @property
@@ -188,9 +182,7 @@ class RatMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        if self._rank is None:
-            self._rank = len(_echelon_rows(_primitive_rows(self._rows)))
-        return self._rank
+        return len(_echelon_rows(_primitive_rows(self._rows)))
 
     def rref(self) -> tuple[list[int], list[dict[int, int]]]:
         """Reduced row echelon form, as primitive integer rows.

@@ -28,15 +28,14 @@ __all__ = [
 class PSSplitResult:
     """A refined mesh with its induced smoothness spec and vertex roles.
 
-    `original_vertex[new]`, `z_point[new]`, `b_point[new]` give, for each
-    refined vertex index, the source vertex index, source triangle index,
-    or source edge respectively (each refined vertex appears in exactly one
-    of the three maps).
+    The refined mesh keeps each source vertex at its source index.
+    `z_point[new]` and `b_point[new]` give, for each added vertex index, its
+    source triangle index or source edge (each added vertex appears in
+    exactly one of the two maps).
     """
 
     refined: Mesh
     spec: SmoothnessSpec
-    original_vertex: dict[int, int]
     z_point: dict[int, int]
     b_point: dict[int, Edge]
 
@@ -83,7 +82,6 @@ def powell_sabin_6split(mesh: Mesh, r: int, s: int) -> PSSplitResult:
     if not 0 <= r <= s:
         raise MeshError(f"need 0 <= r <= s, got r={r}, s={s}")
     pts = list(mesh.vertices)
-    original_vertex = {i: i for i in range(mesh.num_vertices)}
 
     b_index: dict[Edge, int] = {}
     b_point: dict[int, Edge] = {}
@@ -132,7 +130,7 @@ def powell_sabin_6split(mesh: Mesh, r: int, s: int) -> PSSplitResult:
     for v in range(refined.num_vertices):
         s_map[v] = r if v in b_point else s
     spec = SmoothnessSpec(refined, r_map, s_map)
-    return PSSplitResult(refined, spec, original_vertex, z_point, b_point)
+    return PSSplitResult(refined, spec, z_point, b_point)
 
 
 def morgan_scott_mesh() -> Mesh:

@@ -80,7 +80,7 @@ def test_criterion_1_table2_reproduction():
     stable, low = [], []
     for (r, s, d), expected in TABLE2.items():
         rep = _table2_report(r, s, d)
-        got = (rep.h0_dim, rep.lb_52, rep.lb_51, rep.exact)
+        got = (rep.h0, rep.lb52, rep.lb51, rep.exact)
         if d >= 2 * s - r + 1:
             assert got == expected, f"stable row ({r},{s},{d}): {got} != {expected}"
             stable.append((r, s, d))
@@ -137,7 +137,7 @@ def test_criterion_4_euler_identity():
     for (r, s, d) in TABLE2:
         rep = _table2_report(r, s, d)
         n = binom(d + 2, 2)
-        assert rep.exact == n + rep.term_edges - rep.term_vertices_full + rep.h0_dim
+        assert rep.exact == n + rep.term_edges - rep.term_vertices_full + rep.h0
         checked += 1
     for t in (3, 4):
         star_mesh = make_vertex_star(STAR_DIRECTIONS[t], generic_radius_perturbation=True)
@@ -146,7 +146,7 @@ def test_criterion_4_euler_identity():
             for d in (s, s + 2):
                 rep = euler_assembly(star_mesh, spec, d)
                 n = binom(d + 2, 2)
-                assert rep.exact == n + rep.term_edges - rep.term_vertices_full + rep.h0_dim
+                assert rep.exact == n + rep.term_edges - rep.term_vertices_full + rep.h0
                 checked += 1
     print(f"\nACCEPTANCE 4: PASS - Euler identity holds on {checked} configurations (two independent paths)")
 
@@ -174,7 +174,7 @@ def test_criterion_5_sandwich_on_random_configs():
         )
         d = rng.randint(0, 10)
         rep = euler_assembly(mesh, spec, d)
-        assert rep.lb_52 <= rep.lb_51 <= rep.exact <= rep.ub_53, (r, d, rep)
+        assert rep.lb52 <= rep.lb51 <= rep.exact <= rep.ub53, (r, d, rep)
         count += 1
     print(f"\nACCEPTANCE 5: PASS - LB52 <= LB51 <= exact <= UB53 on {count} random configurations")
 
@@ -246,6 +246,6 @@ def test_criterion_9_stabilization():
         base = 2 * spec.max_s() + 2
         for d in range(base, base + 5):
             rep = euler_assembly(mesh, spec, d)
-            assert rep.h0_dim == 0, (spec.max_s(), d)
-            assert rep.lb_51 == rep.exact, (spec.max_s(), d)
+            assert rep.h0 == 0, (spec.max_s(), d)
+            assert rep.lb51 == rep.exact, (spec.max_s(), d)
     print("\nACCEPTANCE 9: PASS - H0 = 0 and LB = exact across [2s+2, 2s+6] for every suite mesh")

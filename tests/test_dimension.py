@@ -200,8 +200,7 @@ def test_the_kernel_oracle_builds_only_h0_dependent_rows(monkeypatch, base, r, s
         mesh, spec = split.refined, split.spec
     sys = _DegreeSystem(mesh, spec, d)
     nonzero, nrows, rank = _oracle_rows_and_rank(monkeypatch, sys)
-    full = sys.vertex_dims("full")
-    assert nrows == nonzero == sum(full[v] - sys.edges[f].dim for f, v in mesh.cotree[2].items())
+    assert nrows == nonzero == sum(sys.full[v] - sys.edges[f].dim for f, v in mesh.cotree[2].items())
     assert nonzero - rank == h0_dimension(mesh, spec, d, sys)
     assert h0 in (None, nonzero - rank)
 
@@ -218,23 +217,22 @@ def test_the_kernel_oracle_reads_no_vertex_pivots(monkeypatch):
     would return exact + 1 and the check would pass on the wrong answer."""
     mesh, spec = _ps6_ms_23()
     report = euler_assembly(mesh, spec, 5)
-    assert report.h0_dim == 0
+    assert report.h0 == 0
     sys = _DegreeSystem(mesh, spec, 5)
-    tilde, full = sys.vertex_dims("tilde"), sys.vertex_dims("full")
-    v = next(v for v in sorted(full) if tilde[v] < full[v])
-    real = _DegreeSystem.vertex_pivots
+    v = next(v for v in sys.interior if sys.tilde[v] < sys.full[v])
+    real = _DegreeSystem.full_pivots.func
 
-    def unread(self, variant):
+    def unread(self):
         raise AssertionError("the kernel oracle read the vertex pivots")
 
-    monkeypatch.setattr(_DegreeSystem, "vertex_pivots", unread)
+    monkeypatch.setattr(_DegreeSystem, "full_pivots", property(unread))
     assert _exact_dim_reduced(_DegreeSystem(mesh, spec, 5)) == report.exact
 
-    def lossy(self, variant):
-        pivots = real(self, variant)
-        return {**pivots, v: pivots[v][:-1]} if variant == "full" else pivots
+    def lossy(self):
+        pivots = real(self)
+        return {**pivots, v: pivots[v][:-1]}
 
-    monkeypatch.setattr(_DegreeSystem, "vertex_pivots", lossy)
+    monkeypatch.setattr(_DegreeSystem, "full_pivots", property(lossy))
     message = rf"kernel oracle {report.exact} vs Euler assembly {report.exact + 1},.*: \[\]$"
     with pytest.raises(InternalInconsistencyError, match=message):
         euler_assembly(mesh, spec, 5)
@@ -289,7 +287,7 @@ def _h0_boundary_rows(sys):
                         row[block[v] + c] = sign * val
             rows.append(row)
     rank = RatMatrix(rows, n * len(interior)).rank()
-    return sys.sum_vertex_dims("full") - rank
+    return sum(sys.full.values()) - rank
 
 
 def _random_spec(rng, mesh):
@@ -319,7 +317,7 @@ def test_h0_equals_the_untransposed_boundary_map():
         mesh, spec = split.refined, split.spec
         fresh = h0_dimension(mesh, spec, d, _DegreeSystem(mesh, spec, d))
         after_tilde = _DegreeSystem(mesh, spec, d)
-        after_tilde.vertex_dims("tilde")
+        after_tilde.tilde
         assert fresh == h0_dimension(mesh, spec, d, after_tilde) == h0
         assert _h0_boundary_rows(_DegreeSystem(mesh, spec, d)) == h0, d
     # random per-edge and per-vertex orders
@@ -371,7 +369,7 @@ def test_euler_identity_on_small_meshes():
                     binom(d + 2, 2)
                     + rep.term_edges
                     - rep.term_vertices_full
-                    + rep.h0_dim
+                    + rep.h0
                 )
 
 
@@ -428,7 +426,7 @@ def test_lower_bound_52_computes_no_rank(monkeypatch):
     ms = morgan_scott_mesh()
     jobs = [(res.refined, res.spec, d) for d in (4, 5, 6)]
     jobs += [(ms, SmoothnessSpec.uniform(ms, 1, 2), d) for d in (3, 5, 8)]
-    expected = [euler_assembly(*job).lb_52 for job in jobs]
+    expected = [euler_assembly(*job).lb52 for job in jobs]
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("lower_bound_52 built a RatMatrix")
@@ -458,8 +456,7 @@ def test_full_and_tilde_vertex_dims_equal_the_vertex_ideal_ranks():
     for mesh, spec in _lb52_configs():
         for d in range(9):
             sys = _DegreeSystem(mesh, spec, d)
-            for variant in ("full", "tilde"):
-                got = sys.vertex_dims(variant)
+            for variant, got in (("full", sys.full), ("tilde", sys.tilde)):
                 assert got == {
                     v: vertex_ideal(mesh, spec, v, variant).graded_dim(d)
                     for v in mesh.interior_vertices
@@ -742,11 +739,11 @@ def test_report_fields_are_consistent():
     spec = SmoothnessSpec.uniform(ms, 1, 2)
     rep = euler_assembly(ms, spec, 4)
     assert rep.term_polys == ms.num_triangles * binom(6, 2)
-    assert rep.lb_52 <= rep.lb_51 <= rep.exact <= rep.ub_53
+    assert rep.lb52 <= rep.lb51 <= rep.exact <= rep.ub53
     assert min(
         rep.term_edges,
         rep.term_vertices_full,
         rep.term_vertices_bar,
         rep.term_vertices_tilde,
-        rep.h0_dim,
+        rep.h0,
     ) >= 0

@@ -388,6 +388,17 @@ def test_bar_count_equals_the_bar_rank_with_collinear_edges_and_mixed_orders():
                     assert count == ideal.graded_dim(d), (mesh, r, s, v, d)
                     cases += 1
     assert above and cases == 9 * 6 * (1 + 1 + 3)
+    # the 6-split's induced spec where full < bar at 5 of 19 vertices: there
+    # a bar count one too low still passes the report's full <= bar check,
+    # so only this comparison catches it
+    split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
+    mesh, spec = split.refined, split.spec
+    gaps = 0
+    for v in sorted(mesh.interior_vertices):
+        bar = vertex_ideal(mesh, spec, v, "bar").graded_dim(5)
+        assert dim_bar_vertex_ideal_count(mesh, spec, v, 5) == bar, v
+        gaps += vertex_ideal(mesh, spec, v, "full").graded_dim(5) < bar
+    assert gaps == 5
 
 
 def test_socle_collapse_on_stars():

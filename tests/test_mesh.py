@@ -253,11 +253,12 @@ def test_vertex_ordering_equals_the_rescanning_greedy():
 def test_verify_vertex_ordering_rejects_bad_orders():
     fan = make_vertex_star([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert verify_vertex_ordering(fan, [0, 1, 2]) is not None  # not a permutation
-    # an original interior vertex of the split Morgan-Scott mesh has only
-    # interior neighbors, so listing it first among the interior is bad
-    split = powell_sabin_6split(morgan_scott_mesh(), 1, 1)
-    m = split.refined
-    v = min(set(split.original_vertex) & m.interior_vertices)
+    # an original interior vertex of the split Morgan-Scott mesh (the split
+    # keeps source indices) has only interior neighbors, so listing it first
+    # among the interior is bad
+    base = morgan_scott_mesh()
+    m = powell_sabin_6split(base, 1, 1).refined
+    v = min(set(range(base.num_vertices)) & m.interior_vertices)
     order = sorted(m.boundary_vertices) + [v] + sorted(
         m.interior_vertices - {v}
     )

@@ -301,23 +301,28 @@ def test_rref_gives_unit_pivot_basis():
 
 @pytest.mark.parametrize("base, r, s, d", [("morgan-scott", 2, 3, 4), ("two-triangles", 1, 2, 3)])
 def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base, r, s, d):
-    """Each vertex's pivots are the leading columns of its ideal's degree-d
-    piece, whatever elimination found them: the Fraction loop's pivots on
-    the stacked generator-times-monomial rows of v's edges."""
+    """Each vertex's full pivots are the leading columns of its ideal's
+    degree-d piece, whatever elimination found them: the Fraction loop's
+    pivots on the stacked generator-times-monomial rows of v's edges.  The
+    tilde stacks are only ranked, so their count is that loop's pivot
+    count."""
     split = powell_sabin_6split(builtin_mesh(base), r, s)
     mesh, spec = split.refined, split.spec
     sys = _DegreeSystem(mesh, spec, d)
-    for variant in ("full", "tilde"):
-        pivots = sys.vertex_pivots(variant)
-        assert sorted(pivots) == sorted(mesh.interior_vertices)
-        for v, cols in pivots.items():
-            pieces = (
-                graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d)
-                for e in vertex_ideal_edges(mesh, v, variant)
-            )
-            stacked = RatMatrix([row for m in pieces for row in m.row_dicts()], sys.ncoef)
-            assert cols == _rref_by_fraction_loop(stacked)[0], (variant, v)
-            assert len(cols) == sys.vertex_dims(variant)[v]
+    assert sorted(sys.full_pivots) == sorted(sys.tilde) == sorted(mesh.interior_vertices)
+
+    def reference_pivots(v, variant):
+        pieces = (
+            graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d)
+            for e in vertex_ideal_edges(mesh, v, variant)
+        )
+        stacked = RatMatrix([row for m in pieces for row in m.row_dicts()], sys.ncoef)
+        return _rref_by_fraction_loop(stacked)[0]
+
+    for v, cols in sys.full_pivots.items():
+        assert cols == reference_pivots(v, "full"), v
+        assert len(cols) == sys.full[v]
+        assert sys.tilde[v] == len(reference_pivots(v, "tilde")), v
 
 
 def test_row_space_membership():
