@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ideals import (
-    GradedIdeal,
     dim_bar_vertex_ideal_count,
     dim_edge_ideal_boundary_closed,
     dim_edge_ideal_closed,
@@ -101,32 +100,11 @@ def _require_disk(mesh: Mesh) -> None:
         raise MeshError(f"mesh is not a valid disk: {', '.join(mesh.disk.failures)}")
 
 
-class _EdgeData:
-    """Degree-d data for one interior edge: ideal basis and functionals.
-
-    Both come from the one (memoized) reduced echelon form of the edge
-    ideal's degree-d piece, as primitive integer vectors: the functionals
-    are its kernel basis, and the basis is its rows in decreasing pivot
-    column, so the rows with the fewest possible entries come first.  The
-    vertex ideals stack these rows, and the kernel oracle and h0 lay out
-    their columns in this order: `RatMatrix.rank` eliminates columns in
-    index order, so sparse columns go first.
-    """
-
-    __slots__ = ("dim", "basis", "functionals")
-
-    def __init__(self, ideal: GradedIdeal, d: int):
-        span = graded_piece_matrix(ideal.generators, d)
-        self.basis = span.rref()[1][::-1]
-        self.dim = len(self.basis)
-        self.functionals = span.kernel_basis()
-
-
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
     Validates the disk and the degree.  Each quantity is a property computed
-    on first use, once.  `edges` builds and echelonizes each interior edge's
+    on first use, once.  `bases` builds and echelonizes each interior edge's
     degree-d piece.  The vertex ideals' degree-d pieces are their edges'
     stacked echelon rows (`_stack`), since the degree-d piece of a sum of
     ideals is the sum of the pieces: `full_pivots` are the full stacks'
@@ -149,16 +127,23 @@ class _DegreeSystem:
         self.interior = sorted(mesh.interior_vertices)
 
     @cached_property
-    def edges(self) -> dict[Edge, _EdgeData]:
+    def bases(self) -> dict[Edge, list[dict[int, int]]]:
+        """Each interior edge ideal's degree-d piece, as its reduced echelon
+        rows (primitive integer vectors) in decreasing pivot column, so the
+        rows with the fewest possible entries come first.  The vertex ideals
+        stack these rows, and the kernel oracle and h0 lay out their columns
+        in this order: `RatMatrix.rank` eliminates columns in index order,
+        so sparse columns go first."""
+        mesh, smooth, d = self.mesh, self.smooth, self.d
         return {
-            e: _EdgeData(edge_ideal_for(self.mesh, self.smooth, e), self.d)
-            for e in sorted(self.mesh.interior_edges)
+            e: graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, d).rref()[1][::-1]
+            for e in sorted(mesh.interior_edges)
         }
 
     @cached_property
     def edge_dims(self) -> int:
         """Sum of the interior edge ideal dimensions, from the echelon bases."""
-        return sum(data.dim for data in self.edges.values())
+        return sum(map(len, self.bases.values()))
 
     @cached_property
     def counted_edge_dims(self) -> int:
@@ -169,7 +154,7 @@ class _DegreeSystem:
     def _stack(self, v: int, variant: str) -> RatMatrix:
         """v's `variant` ideal piece (full or tilde), as its edges' stacked echelon rows."""
         edges = vertex_ideal_edges(self.mesh, v, variant)
-        return RatMatrix([b for e in edges for b in self.edges[e].basis], self.ncoef)
+        return RatMatrix([b for e in edges for b in self.bases[e]], self.ncoef)
 
     @cached_property
     def full_pivots(self) -> dict[int, list[int]]:
@@ -222,11 +207,14 @@ def _apply(u: dict[int, int], columns: dict[int, list[tuple[int, int]]]) -> dict
 def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[int, int]]:
     """Forest edge f's functionals independent on J(v)_d, v its child: the
     dim J(v)_d - dim J(f)_d pivot columns of their values q(b) on the bases
-    of the other edges at v, which span J(v)_d."""
-    functionals = sys.edges[f].functionals
+    of the other edges at v, which span J(v)_d.  f's functionals are the
+    kernel of its basis, which is the kernel of its graded piece: the basis
+    is that piece's reduced echelon form, so echelonizing it again cancels
+    nothing."""
+    functionals = RatMatrix(sys.bases[f], sys.ncoef).kernel_basis()
     at_q = _columns(functionals)
     edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
-    values = [_apply(b, at_q) for e in edges for b in sys.edges[e].basis]
+    values = [_apply(b, at_q) for e in edges for b in sys.bases[e]]
     return [functionals[j] for j in RatMatrix(values, len(functionals)).rref()[0]]
 
 
@@ -254,8 +242,8 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     cotree, cuts, child = sys.mesh.cotree
     columns, ncols = {}, 0  # each cotree edge's basis, indexed by kernel column
     for e in cotree:
-        columns[e] = _columns(sys.edges[e].basis, ncols)
-        ncols += sys.edges[e].dim
+        columns[e] = _columns(sys.bases[e], ncols)
+        ncols += len(sys.bases[e])
     rows = []
     for f, cut in cuts.items():
         for q in _independent_functionals(sys, f, child[f]):
@@ -299,8 +287,8 @@ def h0_dimension(
         nrows += len(cols)
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     col = 0
-    for (lo, hi), data in sys.edges.items():
-        for bvec in data.basis:
+    for (lo, hi), basis in sys.bases.items():
+        for bvec in basis:
             for v, sign in ((hi, 1), (lo, -1)):
                 at = row_at.get(v)
                 if at is not None:

@@ -13,11 +13,12 @@ integer combination that cancels the pivot column and divides it by the
 gcd of its entries (`_eliminate`), which keeps intermediate growth tame on
 the structured matrices this package produces.  `rank` runs its forward
 pass (`_echelon_rows`) and counts the kept rows; `rref` adds the
-back-substitution, once per matrix, and keeps the result on it.
+back-substitution.  Nothing is kept on the matrix: each call eliminates
+afresh and returns new lists, which belong to the caller.
 
-All values are immutable after construction (the memoized echelon form is
-an idempotent write) and safe to share across threads; individual
-computations are sequential, but callers may run many of them in parallel.
+Matrices are immutable after construction and safe to share across
+threads; individual computations are sequential, but callers may run many
+of them in parallel.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class RatMatrix:
     `TypeError`.  Arithmetic never rounds.
     """
 
-    __slots__ = ("_rows", "_ncols", "_echelon")
+    __slots__ = ("_rows", "_ncols")
 
     def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         cleaned = []
@@ -167,7 +168,6 @@ class RatMatrix:
             cleaned.append(r)
         self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
-        self._echelon: tuple[list[int], list[dict[int, int]]] | None = None
 
     @property
     def nrows(self) -> int:
@@ -189,15 +189,13 @@ class RatMatrix:
 
         Returns (pivot_columns, rows): pivot columns in increasing order and
         the reduced rows scaled to primitive integers with positive pivots,
-        so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  The
-        elimination runs once per matrix (`_int_echelon`) and the result is
-        kept on it and shared: callers must not modify it.  Meant for local
-        pieces (an edge's graded piece, a vertex's stacked edge rows) that
-        need a basis or leading columns; rank() skips the back-substitution.
+        so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  Each
+        call eliminates (`_int_echelon`) on copies of the rows, so the result
+        is the caller's to modify.  Meant for local pieces (an edge's graded
+        piece, a vertex's stacked edge rows) that need a basis or leading
+        columns; rank() skips the back-substitution.
         """
-        if self._echelon is None:
-            self._echelon = _int_echelon(_primitive_rows(self._rows))
-        return self._echelon
+        return _int_echelon(_primitive_rows(map(dict, self._rows)))
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """A basis of the null space {w : M w = 0}, as sparse vectors.

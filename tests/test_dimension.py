@@ -17,7 +17,6 @@ from splinedim.dimension import (
     InternalInconsistencyError,
     OutOfRangeError,
     _DegreeSystem,
-    _EdgeData,
     _exact_dim_reduced,
     argyris_dim,
     euler_assembly,
@@ -63,12 +62,15 @@ def test_exact_two_triangle_argyris_value():
 
 def _exact_dim_stacked(sys):
     """Reference kernel: the full stacked constraint system, one block of
-    unknowns per triangle and one row per edge functional."""
+    unknowns per triangle and one row per edge functional.  Each edge's
+    functionals are its own graded piece's kernel, so the reference shares
+    no computed data with the oracle."""
     mesh, n = sys.mesh, sys.ncoef
     rows = []
-    for e, data in sys.edges.items():
+    for e in sorted(mesh.interior_edges):
         ta, tb = mesh.edge_triangles[e]
-        for q in data.functionals:
+        piece = graded_piece_matrix(edge_ideal_for(mesh, sys.smooth, e).generators, sys.d)
+        for q in piece.kernel_basis():
             row = {}
             for c, v in q.items():
                 row[ta * n + c] = v
@@ -95,7 +97,7 @@ def test_exact_methods_agree():
             mixed = False
             for d in range(6):
                 sys = _DegreeSystem(split.refined, split.spec, d)
-                mixed |= len({data.dim for data in sys.edges.values()}) > 1
+                mixed |= len({len(basis) for basis in sys.bases.values()}) > 1
                 assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (base, r, s, d)
             assert mixed
     # the 6-split twice, whose cuts reach across many fans
@@ -200,7 +202,7 @@ def test_the_kernel_oracle_builds_only_h0_dependent_rows(monkeypatch, base, r, s
         mesh, spec = split.refined, split.spec
     sys = _DegreeSystem(mesh, spec, d)
     nonzero, nrows, rank = _oracle_rows_and_rank(monkeypatch, sys)
-    assert nrows == nonzero == sum(sys.full[v] - sys.edges[f].dim for f, v in mesh.cotree[2].items())
+    assert nrows == nonzero == sum(sys.full[v] - len(sys.bases[f]) for f, v in mesh.cotree[2].items())
     assert nonzero - rank == h0_dimension(mesh, spec, d, sys)
     assert h0 in (None, nonzero - rank)
 
@@ -264,10 +266,64 @@ def test_each_edge_basis_lists_its_reduced_rows_in_decreasing_pivot_column(name)
     rows with the fewest possible entries come first."""
     mesh = _COTREE_MESHES[name]
     spec = SmoothnessSpec.uniform(mesh, 1, 2)
-    for e, data in _DegreeSystem(mesh, spec, 4).edges.items():
+    for e, basis in _DegreeSystem(mesh, spec, 4).bases.items():
         pivots, rows = graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, 4).rref()
-        assert data.basis == rows[::-1]
-        assert [min(b) for b in data.basis] == pivots[::-1] == sorted(set(pivots), reverse=True)
+        assert basis == rows[::-1]
+        assert [min(b) for b in basis] == pivots[::-1] == sorted(set(pivots), reverse=True)
+
+
+@pytest.mark.parametrize(
+    "name, r, s, d",
+    [
+        *(("ps6:morgan-scott", 2, 3, d) for d in (4, 5, 6)),
+        ("star:8-generic", 3, 6, 12),
+        ("star:8-generic", 3, 6, 20),
+    ],
+)
+def test_a_forest_edges_functionals_are_the_kernel_of_its_graded_piece(monkeypatch, name, r, s, d):
+    """The oracle builds a forest edge's functionals from its basis alone.
+    The basis is the reduced echelon form of the edge's graded piece, and a
+    space has one such form, so the basis's kernel is the piece's kernel,
+    vector for vector, and echelonizing the basis again cancels nothing."""
+    if name == "ps6:morgan-scott":
+        split = powell_sabin_6split(morgan_scott_mesh(), r, s)
+        mesh, spec = split.refined, split.spec
+    else:
+        mesh = builtin_mesh(name)
+        spec = star_smoothness_spec(mesh, r, s)
+    sys = _DegreeSystem(mesh, spec, d)
+    bases = sys.bases
+    eliminate, eliminations = splinedim.ratlinalg._eliminate, []
+
+    def counted(*args):
+        eliminations.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(splinedim.ratlinalg, "_eliminate", counted)
+    for f in mesh.cotree[1]:
+        before = len(eliminations)
+        basis = RatMatrix(bases[f], sys.ncoef)
+        assert basis.rref() == (sorted(map(min, bases[f])), bases[f][::-1])
+        functionals = basis.kernel_basis()
+        assert len(eliminations) == before, f
+        piece = graded_piece_matrix(edge_ideal_for(mesh, spec, f).generators, d)
+        assert functionals == piece.kernel_basis(), f
+    assert eliminations  # the graded pieces themselves do cancel entries
+
+
+def test_a_report_builds_functionals_only_at_forest_edges(monkeypatch):
+    """One kernel basis per forest edge, that is, per interior vertex, and
+    none at the cotree edges, whose functionals nothing reads."""
+    mesh, spec = _ps6_ms_23()
+    kernel_basis, owners = RatMatrix.kernel_basis, []
+
+    def counted(self):
+        owners.append(self)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(RatMatrix, "kernel_basis", counted)
+    euler_assembly(mesh, spec, 5)
+    assert len(owners) == len(mesh.cotree[1]) == len(mesh.interior_vertices) == 19
 
 
 def _h0_boundary_rows(sys):
@@ -278,8 +334,8 @@ def _h0_boundary_rows(sys):
     interior = sorted(sys.mesh.interior_vertices)
     block = {v: i * n for i, v in enumerate(interior)}
     rows = []
-    for (lo, hi), data in sys.edges.items():
-        for bvec in data.basis:
+    for (lo, hi), basis in sys.bases.items():
+        for bvec in basis:
             row = {}
             for v, sign in ((hi, 1), (lo, -1)):
                 if v in block:
@@ -391,9 +447,10 @@ def test_bounds_single_triangle():
 
 
 def _lb52_by_ranks(mesh, spec, d):
-    """LB5.2 from echelon edge dims and bar vertex ideal ranks."""
+    """LB5.2 from edge and bar vertex ideal ranks."""
     n = binom(d + 2, 2)
-    edges = sum(_EdgeData(edge_ideal_for(mesh, spec, e), d).dim for e in mesh.interior_edges)
+    pieces = (graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d) for e in mesh.interior_edges)
+    edges = sum(piece.rank() for piece in pieces)
     bar = sum(vertex_ideal(mesh, spec, v, "bar").graded_dim(d) for v in mesh.interior_vertices)
     return max(n + edges - bar, n)
 

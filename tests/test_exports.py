@@ -18,6 +18,7 @@ from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
 MODULES = ["dimension", "ideals", "mesh", "polyring", "ratlinalg", "refine"]
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splinedim"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,6 +36,22 @@ def test_package_reexports_only_names_in_the_module_all():
         module = importlib.import_module(f"splinedim.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
+
+
+@pytest.mark.parametrize("name", sorted({p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}))
+def test_every_imported_name_is_read_in_its_module(name):
+    """An import nothing reads is dead code; `__init__.py` is exempt, since
+    its imports are the package's re-exports."""
+    tree = ast.parse((PACKAGE / name).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    names = (node for node in ast.walk(tree) if isinstance(node, ast.Name))
+    read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_or_reads_exists():
@@ -155,9 +172,9 @@ def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
     """The benchmark times echelon eliminations, the edge pieces', the
-    full vertex stacks' and the kernel oracle's row selections, through its
-    `RatMatrix.rref` span; an elimination started anywhere else would hide
-    its time.  Each matrix eliminates once."""
+    full vertex stacks', and the kernel oracle's forest-edge bases and row
+    selections, through its `RatMatrix.rref` span; an elimination started
+    anywhere else would hide its time.  Each matrix eliminates once."""
     open_rrefs, matrices, outside = [], [], []
     rref, echelon = ratlinalg.RatMatrix.rref, ratlinalg._int_echelon
 
@@ -179,8 +196,8 @@ def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
     mesh = split.refined
     euler_assembly(mesh, split.spec, 5)
     assert not any(outside)
-    # one per interior edge piece, a full stack per interior vertex, and a
-    # row selection per forest edge, one per interior vertex; the tilde
-    # stacks are only ranked
-    stacks = len(mesh.interior_edges) + 2 * len(mesh.interior_vertices)
+    # one per interior edge piece, a full stack per interior vertex, and
+    # per forest edge, one per interior vertex, its basis (for the kernel)
+    # and its row selection; the tilde stacks are only ranked
+    stacks = len(mesh.interior_edges) + 3 * len(mesh.interior_vertices)
     assert len(outside) == len({id(m) for m in matrices}) == stacks

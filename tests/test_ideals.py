@@ -399,6 +399,21 @@ def test_bar_count_equals_the_bar_rank_with_collinear_edges_and_mixed_orders():
         assert dim_bar_vertex_ideal_count(mesh, spec, v, 5) == bar, v
         gaps += vertex_ideal(mesh, spec, v, "full").graded_dim(5) < bar
     assert gaps == 5
+    # random per-edge and per-vertex orders on the same mesh, with full < bar
+    # in 53 of the 304 cases
+    cases = gaps = 0
+    for _ in range(4):
+        r = {e: rng.randint(0, 3) for e in mesh.interior_edges}
+        s = {v: rng.randint(0, 3) for v in range(mesh.num_vertices)}
+        spec = SmoothnessSpec(mesh, r, s)
+        for v in sorted(mesh.interior_vertices):
+            bar, full = (vertex_ideal(mesh, spec, v, variant) for variant in ("bar", "full"))
+            for d in range(3, 7):
+                count = dim_bar_vertex_ideal_count(mesh, spec, v, d)
+                assert count == bar.graded_dim(d), (r, s, v, d)
+                gaps += full.graded_dim(d) < count
+                cases += 1
+    assert cases == 4 * 19 * 4 and gaps == 53
 
 
 def test_socle_collapse_on_stars():

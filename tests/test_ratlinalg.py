@@ -194,9 +194,25 @@ def test_pivot_columns_of_zero_deficient_and_zero_column_matrices():
     assert _matrix([[0, 3], [0, -6]]).rref() == ([1], [{1: 1}])
     for rows in ([[1, 2], [2, 4], [3, 6]], [[2, 4, 6], [1, 1, 1], [3, 5, 7]], [[0, 0, 0]] * 2 + [[0, 5, 1]]):
         _check_pivot_columns(rows)
-    # one echelon form per matrix, kept on it
-    m = _matrix([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
-    assert m.rank() == 2 and m.rref() is m.rref()
+
+
+def test_rref_and_kernel_basis_results_belong_to_the_caller():
+    """Nothing is kept on a matrix: a caller that modifies what rref() or
+    kernel_basis() returned leaves the next call's result unchanged.  The
+    second matrix is already in reduced form, so its rows come out of the
+    elimination untouched, and only a copy keeps them apart from the
+    matrix's own."""
+    for m in (_matrix([[2, 4, 6], [1, 1, 1], [3, 5, 7]]), _matrix([[1, 0, 2], [0, 1, 3]])):
+        pivots, rows = m.rref()
+        kernel = m.kernel_basis()
+        expected = (list(pivots), [dict(row) for row in rows]), [dict(w) for w in kernel]
+        pivots.append(2)
+        rows[0][0] = 5
+        rows.append({2: 1})
+        kernel[0][2] = 9
+        kernel.append({0: 1})
+        assert (m.rref(), m.kernel_basis()) == expected
+        assert m.rank() == 2
 
 
 def _rref_by_fraction_loop(matrix):
