@@ -108,9 +108,9 @@ class _DegreeSystem:
     degree-d piece.  The vertex ideals' degree-d pieces are their edges'
     stacked echelon rows (`_stack`), since the degree-d piece of a sum of
     ideals is the sum of the pieces: `full_pivots` are the full stacks'
-    leading monomials (`rref` pivots), which h0 keeps; `tilde` only counts
-    its stacks (`rank`); `bar` is counted, with no matrix.  The bounds are
-    C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full
+    leading monomials (`leading_columns`), which h0 keeps; `tilde` only
+    counts its stacks (`rank`); `bar` is counted, with no matrix.  The bounds
+    are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full
     (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes the
     counted edge dims, so it builds no matrix.  The lower bounds are floored
     at C(d+2, 2), since global polynomials are always supersplines.
@@ -159,7 +159,7 @@ class _DegreeSystem:
     @cached_property
     def full_pivots(self) -> dict[int, list[int]]:
         """Leading monomials of each interior vertex's ideal piece, increasing."""
-        return {v: self._stack(v, "full").rref()[0] for v in self.interior}
+        return {v: self._stack(v, "full").leading_columns() for v in self.interior}
 
     @cached_property
     def full(self) -> dict[int, int]:
@@ -207,15 +207,17 @@ def _apply(u: dict[int, int], columns: dict[int, list[tuple[int, int]]]) -> dict
 def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[int, int]]:
     """Forest edge f's functionals independent on J(v)_d, v its child: the
     dim J(v)_d - dim J(f)_d pivot columns of their values q(b) on the bases
-    of the other edges at v, which span J(v)_d.  f's functionals are the
-    kernel of its basis, which is the kernel of its graded piece: the basis
-    is that piece's reduced echelon form, so echelonizing it again cancels
-    nothing."""
+    of the other edges at v, which span J(v)_d.  The forward pass stops at
+    bar_v - dim J(f)_d rows, since dim J(v)_d <= bar_v, the LB5.2 count that
+    the Euler side checks by full <= bar.  f's functionals are the kernel of
+    its basis, which is the kernel of its graded piece: the basis is that
+    piece's reduced echelon form, so echelonizing it again cancels nothing."""
     functionals = RatMatrix(sys.bases[f], sys.ncoef).kernel_basis()
     at_q = _columns(functionals)
     edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
     values = [_apply(b, at_q) for e in edges for b in sys.bases[e]]
-    return [functionals[j] for j in RatMatrix(values, len(functionals)).rref()[0]]
+    selection = RatMatrix(values, len(functionals)).leading_columns(sys.bar[v] - len(sys.bases[f]))
+    return [functionals[j] for j in selection]
 
 
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
@@ -275,7 +277,8 @@ def h0_dimension(
     the transposed layout fills in less.  Its rows (v, c) are built only at
     v's leading monomials c: v's block is v's stacked edge rows transposed,
     up to signs, so the rows at their pivot columns are rank-many
-    independent rows of it and span its rows.
+    independent rows of it and span its rows.  h0 = 0 is proved by a rank
+    mod one prime equal to the row count; otherwise the integer rank decides.
     """
     if sys is None:
         sys = _DegreeSystem(mesh, smooth, d)
@@ -296,7 +299,8 @@ def h0_dimension(
                         if c in at:
                             rows[at[c]][col] = sign * val
             col += 1
-    return nrows - RatMatrix(rows, col).rank()
+    boundary = RatMatrix(rows, col)
+    return 0 if nrows <= col and boundary.rank_mod() == nrows else nrows - boundary.rank()
 
 
 def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:

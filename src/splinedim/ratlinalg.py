@@ -11,10 +11,12 @@ Matrices are stored sparsely (dict-of-columns per row).  One elimination
 serves every matrix, fraction-free: every update replaces a row by the
 integer combination that cancels the pivot column and divides it by the
 gcd of its entries (`_eliminate`), which keeps intermediate growth tame on
-the structured matrices this package produces.  `rank` runs its forward
-pass (`_echelon_rows`) and counts the kept rows; `rref` adds the
-back-substitution.  Nothing is kept on the matrix: each call eliminates
-afresh and returns new lists, which belong to the caller.
+the structured matrices this package produces.  `leading_columns` runs the
+forward pass (`_echelon_rows`) and `rank` counts the columns it keeps;
+`rref` adds the back-substitution.  `rank_mod` runs the pass mod a prime,
+which can only understate the rank, so it serves only to prove full row
+rank.  Nothing is kept on the matrix: each call eliminates afresh and
+returns new lists, which belong to the caller.
 
 Matrices are immutable after construction and safe to share across
 threads; individual computations are sequential, but callers may run many
@@ -109,39 +111,24 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, i
     return _normalize_int_row(new) if new else new
 
 
-def _echelon_rows(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon_rows(rows: list[dict[int, int]], limit: int | None = None) -> dict[int, dict[int, int]]:
     """Forward elimination of an integer matrix given by nonzero rows.
 
     Shortest rows first, each row is cancelled at its leftmost column by the
     row kept there (`_eliminate`) until it vanishes or is kept, made
-    positive, at a new column.  Returns the kept rows by pivot column; their
-    number is the rank.  Columns are eliminated in index order, so callers
-    with large systems list their sparsest columns first.
+    positive, at a new column, stopping once `limit` rows are kept.  Returns
+    the kept rows by pivot column.  Columns are eliminated in index order, so
+    callers with large systems list their sparsest columns first.
     """
     kept: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
+        if limit is not None and len(kept) >= limit:
+            break
         while row and (pc := min(row)) in kept:
             row = _eliminate(row, kept[pc], pc)
         if row:
             kept[pc] = row if row[pc] > 0 else {c: -v for c, v in row.items()}
     return kept
-
-
-def _int_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Reduced echelon form of an integer matrix given by nonzero rows.
-
-    `_echelon_rows`, then each kept column is cleared from the rows kept at
-    smaller columns, last column first.  Returns (pivot_columns, rows) in
-    increasing pivot order: the leading columns of the row space and the
-    unique reduced rows, primitive with positive pivots.
-    """
-    kept = _echelon_rows(rows)
-    pivots = sorted(kept)
-    for k, pc in reversed(list(enumerate(pivots))):
-        for qc in pivots[:k]:
-            if pc in kept[qc]:
-                kept[qc] = _eliminate(kept[qc], kept[pc], pc)
-    return pivots, [kept[c] for c in pivots]
 
 
 class RatMatrix:
@@ -182,7 +169,31 @@ class RatMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        return len(_echelon_rows(_primitive_rows(self._rows)))
+        return len(self.leading_columns())
+
+    def leading_columns(self, limit: int | None = None) -> list[int]:
+        """The `rref` pivots, by the forward pass alone, or the first `limit` it keeps."""
+        return sorted(_echelon_rows(_primitive_rows(self._rows), limit))
+
+    def rank_mod(self, p: int = 32749) -> int:
+        """Rank mod a prime p (default: the largest below 2**15), each kept row
+        stored with its pivot's inverse.  A minor that vanishes over Q vanishes
+        mod p, so it is at most rank(): equal to nrows, it proves full row
+        rank; less, nothing."""
+        kept: dict[int, tuple[dict[int, int], int]] = {}
+        for row in sorted(self._rows, key=len):
+            row = {c: r for c, v in row.items() if (r := v % p)}
+            while row and (pc := min(row)) in kept:
+                piv, inv = kept[pc]
+                f = row[pc] * inv % p
+                for c, w in piv.items():
+                    if nv := (row.get(c, 0) - f * w) % p:
+                        row[c] = nv
+                    else:
+                        del row[c]
+            if row:
+                kept[pc] = (row, pow(row[pc], -1, p))
+        return len(kept)
 
     def rref(self) -> tuple[list[int], list[dict[int, int]]]:
         """Reduced row echelon form, as primitive integer rows.
@@ -190,12 +201,18 @@ class RatMatrix:
         Returns (pivot_columns, rows): pivot columns in increasing order and
         the reduced rows scaled to primitive integers with positive pivots,
         so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  Each
-        call eliminates (`_int_echelon`) on copies of the rows, so the result
-        is the caller's to modify.  Meant for local pieces (an edge's graded
-        piece, a vertex's stacked edge rows) that need a basis or leading
-        columns; rank() skips the back-substitution.
+        call runs the forward pass on copies of the rows, then clears each kept
+        column from the rows kept at smaller columns, last column first, so
+        the result is the caller's to modify.  Meant for local pieces that
+        need a basis (an edge's graded piece, a forest edge's kernel).
         """
-        return _int_echelon(_primitive_rows(map(dict, self._rows)))
+        kept = _echelon_rows(_primitive_rows(map(dict, self._rows)))
+        pivots = sorted(kept)
+        for k, pc in reversed(list(enumerate(pivots))):
+            for qc in pivots[:k]:
+                if pc in kept[qc]:
+                    kept[qc] = _eliminate(kept[qc], kept[pc], pc)
+        return pivots, [kept[c] for c in pivots]
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """A basis of the null space {w : M w = 0}, as sparse vectors.

@@ -437,6 +437,134 @@ def test_h0_zero_in_stable_range():
     assert lower_bound_51(ms, spec, d_star) == exact_dimension(ms, spec, d_star)
 
 
+def _ps6_ms(r, s):
+    split = powell_sabin_6split(morgan_scott_mesh(), r, s)
+    return split.refined, split.spec
+
+
+def test_an_unlucky_prime_falls_back_to_the_integer_rank(monkeypatch):
+    """A modular rank below the row count proves nothing, so h0 then comes
+    from the integer rank: the same h0 at every degree of table2."""
+    systems = [
+        _DegreeSystem(*_ps6_ms(r, s), d)
+        for r, s, degrees in ((2, 3, (4, 5, 6)), (3, 4, (5, 6, 7)), (3, 5, (7, 8, 9)))
+        for d in degrees
+    ]
+    proved = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys) for sys in systems]
+    rank, ranked = RatMatrix.rank, []
+
+    def recorded(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(RatMatrix, "rank_mod", lambda self, p=32749: self.nrows - 1)
+    monkeypatch.setattr(RatMatrix, "rank", recorded)
+    unlucky = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys) for sys in systems]
+    assert unlucky == proved == [9, 0, 0, 14, 0, 0, 1, 0, 0]
+    assert len(ranked) == len(systems)
+
+
+def test_a_modular_pass_that_overstates_the_rank_is_caught(monkeypatch):
+    """A modular pass claiming full row rank would drop h0 to 0 where it is
+    not, and the kernel oracle, which never uses the prime, disagrees with
+    the assembly.  At ps6-ms (3,5) d=7, h0 = 1 with 267 rows on 273 columns.
+    At (2,3) d=4, h0 = 9 with 86 rows on 78 columns, so no modular pass runs
+    and rank() decides alone."""
+    mesh, spec = _ps6_ms(3, 5)
+    assert euler_assembly(mesh, spec, 7).h0 == 1
+    monkeypatch.setattr(RatMatrix, "rank_mod", lambda self, p=32749: self.nrows)
+    with pytest.raises(InternalInconsistencyError, match=r"kernel oracle 43 vs Euler assembly 42,"):
+        euler_assembly(mesh, spec, 7)
+    assert euler_assembly(*_ps6_ms_23(), 4).h0 == 9
+
+
+def test_the_kernel_oracle_never_runs_the_modular_pass(monkeypatch):
+    """The prime certifies h0 on the Euler side only.  Were the oracle's rank
+    modular too, one bug overstating both ranks at a degree with h0 > 0
+    would lower both results alike, and the cross-check would pass."""
+    mesh, spec = _ps6_ms_23()
+    expected = [euler_assembly(mesh, spec, d).exact for d in (4, 5, 6)]
+
+    def unrun(self, p=32749):
+        raise AssertionError("the modular pass ran")
+
+    monkeypatch.setattr(RatMatrix, "rank_mod", unrun)
+    assert [exact_dimension(mesh, spec, d) for d in (4, 5, 6)] == expected == [16, 67, 160]
+    with pytest.raises(AssertionError, match="the modular pass ran"):
+        h0_dimension(mesh, spec, 5)
+
+
+@pytest.mark.parametrize("r, s, exact, cases", [(2, 3, {4: 16, 5: 67, 6: 160}, 57), (3, 4, {5: 22}, 14)])
+def test_a_bar_count_one_too_low_where_full_equals_bar_is_caught(monkeypatch, r, s, exact, cases):
+    """The oracle's row selection stops at the counted bar bound, bar_v -
+    dim J(f)_d rows.  A count one too low at a vertex with full = bar breaks
+    full <= bar, and drops one independent row from the selection, which at
+    h0 = 0 (d = 5, 6 here) raises the oracle's dimension by one."""
+    mesh, spec = _ps6_ms(r, s)
+    count = splinedim.dimension.dim_bar_vertex_ideal_count
+    caught = 0
+    for d, dim in exact.items():
+        sys = _DegreeSystem(mesh, spec, d)
+        oracle = dim + 1 if h0_dimension(mesh, spec, d, sys) == 0 else dim
+        for v in sys.interior:
+            if sys.full[v] == sys.bar[v]:
+                lowered = lambda m, sp, w, k, v=v: count(m, sp, w, k) - (w == v)
+                monkeypatch.setattr(splinedim.dimension, "dim_bar_vertex_ideal_count", lowered)
+                message = rf"kernel oracle {oracle} vs Euler assembly {dim},.* full <= bar: \[{v}\]$"
+                with pytest.raises(InternalInconsistencyError, match=message):
+                    euler_assembly(mesh, spec, d)
+                monkeypatch.undo()
+                caught += 1
+    assert caught == cases
+
+
+def _sweep_configs():
+    """Small specs and degrees on the builtins."""
+    mesh = builtin_mesh("two-triangles")
+    for r, s in ((1, 1), (1, 2), (2, 3)):
+        yield mesh, SmoothnessSpec.uniform(mesh, r, s), range(1, 7)
+    mesh = morgan_scott_mesh()
+    for r, s in ((1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4), (3, 5)):
+        yield mesh, SmoothnessSpec.uniform(mesh, r, s), range(s, 2 * s + 3)
+    for r, s, degrees in ((1, 2, range(1, 6)), (2, 3, range(3, 7))):
+        yield *_ps6_ms(r, s), degrees
+    for name in ("cross", *(f"{t}-generic" for t in range(3, 9))):
+        mesh = builtin_mesh(f"star:{name}")
+        for r, s in ((1, 2), (2, 4)):
+            yield mesh, star_smoothness_spec(mesh, r, s), range(2, 9)
+
+
+def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
+    """h0 is the boundary matrix's row count minus its integer rank, and the
+    integer rank runs exactly where h0 > 0; the forward-only full pivots
+    are the rref pivots; the selection stopped at the bar bound is the
+    selection run to the end."""
+    rank, rank_mod, leading = RatMatrix.rank, RatMatrix.rank_mod, RatMatrix.leading_columns
+    boundary, fell_back = [], []
+    monkeypatch.setattr(RatMatrix, "rank_mod", lambda self, p=32749: boundary.append(self) or rank_mod(self, p))
+    monkeypatch.setattr(RatMatrix, "rank", lambda self: boundary.append(self) or fell_back.append(1) or rank(self))
+    h0s = Counter()
+    for mesh, spec, degrees in _sweep_configs():
+        cotree_child = mesh.cotree[2]
+        for d in degrees:
+            sys = _DegreeSystem(mesh, spec, d)
+            boundary.clear()
+            fell_back.clear()
+            h0 = h0_dimension(mesh, spec, d, sys)
+            assert h0 == boundary[0].nrows - rank(boundary[0]), (mesh, d)
+            assert bool(fell_back) == (h0 > 0), (mesh, d)
+            h0s[h0 > 0] += 1
+            for v, cols in sys.full_pivots.items():
+                assert cols == sys._stack(v, "full").rref()[0], (mesh, d, v)
+            selected = [splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()]
+            monkeypatch.setattr(RatMatrix, "leading_columns", lambda self, limit=None: self.rref()[0])
+            assert selected == [
+                splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()
+            ], (mesh, d)
+            monkeypatch.setattr(RatMatrix, "leading_columns", leading)
+    assert h0s[True] > 10 and h0s[False] > 10
+
+
 def test_bounds_single_triangle():
     spec = SmoothnessSpec.uniform(TRIANGLE, 1, 2)
     for d in range(0, 6):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -137,46 +138,56 @@ def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
 
 
 def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
-    """The benchmark times rank eliminations through its `RatMatrix.rank`
-    span and echelon eliminations through `RatMatrix.rref`; an elimination
-    started anywhere else would hide its time.  Each rank() call and each
-    matrix's rref eliminates once.  The tilde stacks are only counted, so a
-    report ranks one per interior vertex, h0 and the kernel oracle."""
-    open_spans, ranked, echeloned, seen_in = [], [], [], []
+    """Every forward pass runs inside a named `RatMatrix` method, where the
+    benchmark can time it; one started anywhere else would hide its time.
+    Each call eliminates once.  At ps6-ms (2,3) d=5, h0 = 0, so the modular
+    pass (`rank_mod`) proves it and h0 ranks nothing: a report ranks the
+    tilde stack of each interior vertex and the kernel system, and takes
+    leading columns of those, of each full stack and of each forest edge's
+    row selection."""
+    open_spans, calls, seen_in = [], {}, []
     forward = ratlinalg._echelon_rows
 
-    def span(name, method, calls):
-        def wrapper(self):
-            calls.append(self)  # kept alive, so ids are not reused
+    def span(name):
+        method = getattr(ratlinalg.RatMatrix, name)
+
+        def wrapper(self, *args):
+            calls.setdefault(name, []).append(self)  # kept alive, so ids are not reused
             open_spans.append(name)
             try:
-                return method(self)
+                return method(self, *args)
             finally:
                 open_spans.pop()
 
         return wrapper
 
-    def counted_forward(rows):
-        seen_in.append(open_spans[-1] if open_spans else None)
-        return forward(rows)
+    def counted_forward(*args):
+        seen_in.append(tuple(open_spans))
+        return forward(*args)
 
-    monkeypatch.setattr(ratlinalg.RatMatrix, "rank", span("rank", ratlinalg.RatMatrix.rank, ranked))
-    monkeypatch.setattr(ratlinalg.RatMatrix, "rref", span("rref", ratlinalg.RatMatrix.rref, echeloned))
+    for name in ("rank", "leading_columns", "rank_mod", "rref"):
+        monkeypatch.setattr(ratlinalg.RatMatrix, name, span(name))
     monkeypatch.setattr(ratlinalg, "_echelon_rows", counted_forward)
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
-    euler_assembly(split.refined, split.spec, 5)
-    assert None not in seen_in
-    assert seen_in.count("rank") == len(ranked) == len(split.refined.interior_vertices) + 2
-    assert seen_in.count("rref") == len({id(m) for m in echeloned}) > 0
+    assert euler_assembly(split.refined, split.spec, 5).h0 == 0
+    vertices = len(split.refined.interior_vertices)
+    rrefs = len({id(m) for m in calls["rref"]})
+    assert Counter(spans[-1] if spans else None for spans in seen_in) == {
+        "leading_columns": 3 * vertices + 1, "rref": rrefs,
+    }
+    assert sum("rank" in spans for spans in seen_in) == vertices + 1
+    assert {name: len(mats) for name, mats in calls.items()} == {
+        "rank": vertices + 1, "leading_columns": 3 * vertices + 1, "rank_mod": 1, "rref": rrefs,
+    }
 
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
-    """The benchmark times echelon eliminations, the edge pieces', the
-    full vertex stacks', and the kernel oracle's forest-edge bases and row
-    selections, through its `RatMatrix.rref` span; an elimination started
-    anywhere else would hide its time.  Each matrix eliminates once."""
-    open_rrefs, matrices, outside = [], [], []
-    rref, echelon = ratlinalg.RatMatrix.rref, ratlinalg._int_echelon
+    """The benchmark times echelon eliminations, the edge pieces' and the
+    kernel oracle's forest-edge bases, through its `RatMatrix.rref` span.
+    Each matrix eliminates once, and the full stacks and the row selections,
+    read only for their leading columns, never run the back-substitution."""
+    open_rrefs, matrices, inside = [], [], []
+    rref, forward = ratlinalg.RatMatrix.rref, ratlinalg._echelon_rows
 
     def counted_rref(self):
         matrices.append(self)  # kept alive, so ids are not reused
@@ -186,18 +197,17 @@ def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
         finally:
             open_rrefs.pop()
 
-    def counted_echelon(rows):
-        outside.append(not open_rrefs)
-        return echelon(rows)
+    def counted_forward(*args):
+        if open_rrefs:
+            inside.append(open_rrefs[-1])
+        return forward(*args)
 
     monkeypatch.setattr(ratlinalg.RatMatrix, "rref", counted_rref)
-    monkeypatch.setattr(ratlinalg, "_int_echelon", counted_echelon)
+    monkeypatch.setattr(ratlinalg, "_echelon_rows", counted_forward)
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     mesh = split.refined
     euler_assembly(mesh, split.spec, 5)
-    assert not any(outside)
-    # one per interior edge piece, a full stack per interior vertex, and
-    # per forest edge, one per interior vertex, its basis (for the kernel)
-    # and its row selection; the tilde stacks are only ranked
-    stacks = len(mesh.interior_edges) + 3 * len(mesh.interior_vertices)
-    assert len(outside) == len({id(m) for m in matrices}) == stacks
+    # one per interior edge piece, and per forest edge, one per interior
+    # vertex, its basis (for the kernel)
+    stacks = len(mesh.interior_edges) + len(mesh.interior_vertices)
+    assert len(inside) == len(matrices) == len({id(m) for m in matrices}) == stacks

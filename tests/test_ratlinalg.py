@@ -161,12 +161,18 @@ def test_rank_matches_dense_elimination_oracle(seed):
 
 def _check_pivot_columns(rows):
     """rref()'s pivot columns are rank()-many distinct columns whose
-    submatrix has rank rank() by the dense oracle."""
+    submatrix has rank rank() by the dense oracle.  The forward pass alone
+    gives the same leading columns; a limit at the rank changes nothing,
+    and a lower one keeps that many of them."""
     m = _matrix(rows)
-    pivots = m.rref()[0]
-    assert len(set(pivots)) == len(pivots) == m.rank()
+    pivots, rank = m.rref()[0], m.rank()
+    assert len(set(pivots)) == len(pivots) == rank
     assert all(0 <= c < m.ncols for c in pivots)
-    assert _rank_by_fraction_elimination([[row[c] for c in pivots] for row in rows]) == m.rank()
+    assert _rank_by_fraction_elimination([[row[c] for c in pivots] for row in rows]) == rank
+    assert m.leading_columns() == m.leading_columns(rank) == m.leading_columns(rank + 1) == pivots
+    for k in range(-1, rank):
+        cols = m.leading_columns(k)
+        assert len(cols) == max(k, 0) and set(cols) <= set(pivots), k
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -315,13 +321,16 @@ def test_rref_gives_unit_pivot_basis():
                 assert pc not in other
 
 
-@pytest.mark.parametrize("base, r, s, d", [("morgan-scott", 2, 3, 4), ("two-triangles", 1, 2, 3)])
+@pytest.mark.parametrize(
+    "base, r, s, d", [("morgan-scott", 2, 3, 4), ("morgan-scott", 3, 4, 5), ("two-triangles", 1, 2, 3)]
+)
 def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base, r, s, d):
     """Each vertex's full pivots are the leading columns of its ideal's
-    degree-d piece, whatever elimination found them: the Fraction loop's
-    pivots on the stacked generator-times-monomial rows of v's edges.  The
-    tilde stacks are only ranked, so their count is that loop's pivot
-    count."""
+    degree-d piece, whatever elimination found them: the forward pass
+    alone, the stack's rref, and the Fraction loop on the stacked
+    generator-times-monomial rows of v's edges.  At ps6-ms (3,4) d=5 five
+    of the 19 vertices have full < bar.  The tilde stacks are only ranked,
+    so their count is that loop's pivot count."""
     split = powell_sabin_6split(builtin_mesh(base), r, s)
     mesh, spec = split.refined, split.spec
     sys = _DegreeSystem(mesh, spec, d)
@@ -336,9 +345,74 @@ def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base
         return _rref_by_fraction_loop(stacked)[0]
 
     for v, cols in sys.full_pivots.items():
-        assert cols == reference_pivots(v, "full"), v
+        assert cols == reference_pivots(v, "full") == sys._stack(v, "full").rref()[0], v
         assert len(cols) == sys.full[v]
         assert sys.tilde[v] == len(reference_pivots(v, "tilde")), v
+
+
+def _rank_mod_by_dense_elimination(rows, p):
+    """Reference rank mod p: dense Gaussian elimination over the integers mod p."""
+    mat = [[v % p for v in row] for row in _cleared(rows)]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv
+            mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+PRIMES = (3, 5, 7, 32749)
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols), max_size=8
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_p_is_the_dense_mod_p_rank_and_at_most_the_rank(rows):
+    """The modular pass can only understate the rank over Q, so a modular
+    rank equal to the row count proves full row rank."""
+    m = _matrix(rows)
+    for p in PRIMES:
+        low = m.rank_mod(p)
+        assert low == _rank_mod_by_dense_elimination(rows, p) <= m.rank() <= m.nrows, p
+        assert low < m.nrows or m.rank() == m.nrows
+    assert m.rank_mod() == m.rank_mod(32749)
+
+
+@given(st.integers(1, 6), st.integers(0, 4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_rank_mod_p_is_full_on_full_row_rank_matrices_with_unit_minors(nrows, extra, rng):
+    """[I | A], mixed by unimodular row operations and a column shuffle, has
+    an invertible minor of determinant 1, so it has full row rank mod every
+    prime; entries stay large, so the modular reduction does real work."""
+    ncols = nrows + extra
+    rows = [[int(i == j) for j in range(nrows)] + [rng.randint(-9, 9) for _ in range(extra)] for i in range(nrows)]
+    for _ in range(3 * nrows):
+        i, j = rng.sample(range(nrows), 2) if nrows > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-40000, 40000)
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    order = rng.sample(range(ncols), ncols)
+    m = RatMatrix([{c: row[order[c]] for c in range(ncols) if row[order[c]]} for row in rows], ncols)
+    for p in PRIMES:
+        assert m.rank_mod(p) == m.rank() == nrows, p
+
+
+def test_rank_mod_p_understates_a_rank_only_the_prime_divides():
+    m = _matrix([[3, 6], [1, 5]])  # determinant 9
+    assert m.rank() == 2
+    assert [m.rank_mod(p) for p in PRIMES] == [1, 2, 2, 2]
+    assert _matrix([[0, 0], [0, 0]]).rank_mod(3) == RatMatrix([], 3).rank_mod() == 0
 
 
 def test_row_space_membership():
