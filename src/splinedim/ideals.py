@@ -162,16 +162,18 @@ def edge_ideal(spec: EdgeIdealSpec) -> GradedIdeal:
 def edge_ideal_spec_for(mesh: Mesh, smooth: SmoothnessSpec, edge: Edge) -> EdgeIdealSpec:
     """Adapted frame for a mesh edge, with effective endpoint orders.
 
-    Endpoint supersmoothness below the edge order is absorbed by the edge
-    factor, so the effective order max(s_vertex, r_edge) generates the same
-    ideal; clamping here keeps the generator recipe valid for specs like
-    the Powell-Sabin one where an edge order exceeds an endpoint order.
+    The forms are `int` arithmetic on the endpoints' homogeneous points
+    (`Mesh.points`).  Endpoint supersmoothness below the edge order is
+    absorbed by the edge factor, so the effective order max(s_vertex,
+    r_edge) generates the same ideal; clamping here keeps the generator
+    recipe valid for specs like the Powell-Sabin one where an edge order
+    exceeds an endpoint order.
     """
     e = tuple(sorted(edge))
     if e not in mesh.interior_edges:
         raise ValueError(f"{edge} is not an interior edge")
     v1, v2 = e
-    p1, p2 = mesh.vertices[v1], mesh.vertices[v2]
+    p1, p2 = mesh.points[v1], mesh.points[v2]
     ell_tau = edge_linear_form(p1, p2)
     return EdgeIdealSpec(
         ell_tau=ell_tau,
@@ -208,15 +210,17 @@ def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: in
     Powers of distinct binary forms have the expected Hilbert function
     min(k+1, sum of (k - a_c + 1)_+): apolarity for fat points on P^1.
     """
-    p = mesh.vertices[v]
-    edges = mesh.interior_edges_at_vertex(v)
-    keys = [direction_key(p, mesh.vertices[sum(e) - v]) for e in edges]
+    p = mesh.points[v]
+    per_edge = [
+        (direction_key(p, mesh.points[sum(e) - v]), smooth.effective_s(v, e), smooth.r[e] + 1)
+        for e in mesh.interior_edges_at_vertex(v)
+    ]
     total = 0
     for k in range(d + 1):
         a: dict[tuple[int, int], int] = {}
-        for key, e in zip(keys, edges):
-            if smooth.effective_s(v, e) < k:  # then r_e + 1 <= k
-                a[key] = min(a.get(key, k), smooth.r[e] + 1)
+        for key, s_e, a_e in per_edge:
+            if s_e < k:  # then a_e = r_e + 1 <= k
+                a[key] = min(a.get(key, k), a_e)
         total += min(k + 1, sum(k - ac + 1 for ac in a.values()))
     return total
 
@@ -226,7 +230,8 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
 
     full: every interior edge at v.  tilde: the edges to v's predecessors,
     the neighbours on the boundary or earlier in the mesh's admissible
-    ordering (`Mesh.ordering`, computed once per mesh).
+    ordering (`Mesh.ordering`, computed once per mesh), which gives an
+    interior vertex at least two, along distinct slopes.
     """
     edges = mesh.interior_edges_at_vertex(v)
     if variant == "full":
@@ -234,10 +239,7 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
     if variant != "tilde":
         raise ValueError(f"unknown variant {variant!r}")
     earlier = predecessors(mesh, v, set(mesh.ordering[: mesh.ordering.index(v)]))
-    kept = [e for e in edges if sum(e) - v in earlier]
-    if not kept:
-        raise ValueError(f"vertex {v} has no earlier/boundary neighbors")
-    return kept
+    return [e for e in edges if sum(e) - v in earlier]
 
 
 def vertex_ideal(

@@ -1,13 +1,15 @@
 """Planar triangulation representation, validation, combinatorics, and IO.
 
 A mesh is an embedded planar simplicial complex with exact rational vertex
-coordinates.  Triangles are normalized to counterclockwise orientation at
-load time; edges, adjacency, and interior/boundary classification are
-derived at construction.  The data that depends on the mesh alone (disk
-report, vertex ordering, the kernel oracle's tree-cotree split) is computed
-on first use and kept; each is deterministic, so computing it is
-idempotent.  Meshes are immutable after construction and all queries are
-pure.
+coordinates, kept also as primitive integer homogeneous points (X, Y, W),
+W > 0 (`Mesh.points`): orientation, slopes and linear forms are `int`
+arithmetic on these.  Triangles are normalized to counterclockwise
+orientation at load time; edges, adjacency, and interior/boundary
+classification are derived at construction.  The data that depends on the
+mesh alone (disk report, vertex ordering, the kernel oracle's tree-cotree
+split) is computed on first use and kept; each is deterministic, so
+computing it is idempotent.  Meshes are immutable after construction and
+all queries are pure.
 
 Only `int` and `Fraction` coordinates are accepted, floats deliberately not:
 every downstream dimension count is an exact-zero decision on coordinates.
@@ -22,9 +24,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
+from .polyring import IntPoint
 from .ratlinalg import primitive_int_vector, rational_from_str, rational_to_str
 
 Point = tuple[Fraction, Fraction]
@@ -89,12 +93,19 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _orient_ccw(pts: Sequence[Point], tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = (pts[i] for i in tri)
-    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if cross == 0:
+def _homogeneous(x: Fraction, y: Fraction) -> IntPoint:
+    """(X, Y, W) with (x, y) = (X/W, Y/W): W is the denominators' lcm, so gcd(X, Y, W) = 1."""
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
+def _orient_ccw(points: Sequence[IntPoint], tri: tuple[int, int, int]) -> tuple[int, int, int]:
+    (xa, ya, wa), (xb, yb, wb), (xc, yc, wc) = (points[i] for i in tri)
+    # det(Pa, Pb, Pc): wa*wb*wc > 0 times the affine cross product
+    det = xa * (yb * wc - wb * yc) - ya * (xb * wc - wb * xc) + wa * (xb * yc - yb * xc)
+    if det == 0:
         raise MeshError(f"degenerate (zero area) triangle {tri}")
-    if cross < 0:
+    if det < 0:
         tri = (tri[0], tri[2], tri[1])
     # canonical rotation: smallest index first, orientation preserved
     i = tri.index(min(tri))
@@ -112,6 +123,7 @@ class Mesh:
         pts = tuple((_rational(x), _rational(y)) for x, y in vertices)
         if len(set(pts)) != len(pts):
             raise MeshError("duplicate vertices")
+        points = tuple(_homogeneous(*p) for p in pts)
         tris = []
         for tri in triangles:
             tri = tuple(_require_int("triangles", i, "integers") for i in tri)
@@ -121,7 +133,7 @@ class Mesh:
                 raise MeshError(f"triangle {tri} repeats a vertex")
             if any(not 0 <= i < len(pts) for i in tri):
                 raise MeshError(f"triangle {tri} has a vertex index out of range")
-            tris.append(_orient_ccw(pts, tri))
+            tris.append(_orient_ccw(points, tri))
         if len({frozenset(t) for t in tris}) != len(tris):
             raise MeshError("duplicate triangles")
 
@@ -138,7 +150,7 @@ class Mesh:
         if used != set(range(len(pts))):
             raise MeshError("dangling vertex (not contained in any triangle)")
 
-        self.vertices = pts
+        self.vertices, self.points = pts, points
         self.triangles = tuple(tris)
         self.edges = tuple(sorted(edge_tris))
         self.edge_triangles = {e: tuple(ts) for e, ts in edge_tris.items()}
@@ -467,21 +479,20 @@ def _tree_cotree(mesh: Mesh) -> Cotree:
     return tuple(cotree), cuts, {e: v for v, e in up.items()}
 
 
-def direction_key(p: Point, q: Point) -> tuple[int, int]:
-    """Canonical coprime-integer direction of the segment pq.
-
-    Opposite directions are identified, making "same slope" an exact
-    equality test.
+def direction_key(p: IntPoint, q: IntPoint) -> tuple[int, int]:
+    """Canonical coprime-integer direction of the segment pq: W_p W_q (q - p),
+    primitive.  Opposite directions are identified, making "same slope" an
+    exact equality test.
     """
-    dx, dy = q[0] - p[0], q[1] - p[1]
+    (xp, yp, wp), (xq, yq, wq) = p, q
+    dx, dy = xq * wp - xp * wq, yq * wp - yp * wq
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
     return primitive_int_vector((dx, dy))
 
 
 def _slopes(mesh: Mesh, v: int, neighbours: Iterable[int]) -> set[tuple[int, int]]:
-    p = mesh.vertices[v]
-    return {direction_key(p, mesh.vertices[w]) for w in neighbours}
+    return {direction_key(mesh.points[v], mesh.points[w]) for w in neighbours}
 
 
 def distinct_slopes_at(mesh: Mesh, v: int) -> int:

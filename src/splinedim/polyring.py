@@ -4,9 +4,11 @@ Polynomials live in Z[x, y, z] and are always homogeneous of a declared
 degree.  Every polynomial the package builds is a product of powers of
 integer-normalized linear forms, so coefficients are `int` (anything else
 raises `TypeError`); the ideals they generate are ideals of Q[x, y, z], and
-their graded dimensions are ranks over Q.  The monomial order is graded lexicographic with x > y > z; within a fixed degree
-this is plain descending lexicographic order on exponent triples, and every
-coefficient-vector layout in the package uses it.
+their graded dimensions are ranks over Q.  Forms are built from the mesh's
+integer homogeneous points (`Mesh.points`) with `int` arithmetic alone.
+The monomial order is graded lexicographic with x > y > z; within a fixed
+degree this is plain descending lexicographic order on exponent triples,
+and every coefficient-vector layout in the package uses it.
 
 All values are immutable and all operations are pure functions.
 """
@@ -14,7 +16,6 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Mapping
@@ -22,9 +23,11 @@ from typing import Mapping
 from .ratlinalg import primitive_int_vector
 
 Monomial3 = tuple[int, int, int]
+IntPoint = tuple[int, int, int]  # (X, Y, W), coprime, W > 0: the point (X/W, Y/W)
 
 __all__ = [
     "HomogeneousPolynomial",
+    "IntPoint",
     "LinearForm3",
     "Monomial3",
     "edge_linear_form",
@@ -89,9 +92,6 @@ class HomogeneousPolynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.degree, tuple(sorted(self.terms.items()))))
-
     def __mul__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
@@ -152,8 +152,8 @@ class HomogeneousPolynomial:
 class LinearForm3:
     """A normalized linear form a*x + b*y + c*z.
 
-    Coefficients are cleared to coprime integers with the first nonzero one
-    positive, so generator sets are canonical and diffs stable.
+    Coefficients are coprime integers with the first nonzero one positive,
+    so generator sets are canonical and diffs stable.
     """
 
     a: int
@@ -161,7 +161,7 @@ class LinearForm3:
     c: int
 
     @classmethod
-    def make(cls, a, b, c) -> "LinearForm3":
+    def make(cls, a: int, b: int, c: int) -> "LinearForm3":
         if a == b == c == 0:
             raise ValueError("linear form must not be identically zero")
         return cls(*primitive_int_vector((a, b, c)))
@@ -189,48 +189,36 @@ class LinearForm3:
                     terms[(i, j, k - i - j)] = coef
         return HomogeneousPolynomial(k, terms)
 
-    def evaluate(self, x, y, z) -> Fraction:
-        return Fraction(x) * self.a + Fraction(y) * self.b + Fraction(z) * self.c
-
-    def vanishes_at_vertex(self, v: tuple[Fraction, Fraction]) -> bool:
-        """Whether the form vanishes on the homogenized point (v.x, v.y, 1)."""
-        return self.evaluate(v[0], v[1], 1) == 0
+    def vanishes_at_vertex(self, p: IntPoint) -> bool:
+        """Whether the form vanishes at the homogeneous point p = (X, Y, W)."""
+        return self.a * p[0] + self.b * p[1] + self.c * p[2] == 0
 
     def __repr__(self) -> str:
         return f"LinearForm3({self.a}, {self.b}, {self.c})"
 
 
-def edge_linear_form(
-    p1: tuple[Fraction, Fraction], p2: tuple[Fraction, Fraction]
-) -> LinearForm3:
-    """The normalized homogenized line through two distinct affine points.
-
-    The result vanishes at (p.x, p.y, 1) for both points, i.e. on the cone
-    over the segment.
-
-    Raises:
-        ValueError: if the points coincide (degenerate edge).
-    """
-    (x1, y1), (x2, y2) = p1, p2
-    if x1 == x2 and y1 == y2:
+def edge_linear_form(p1: IntPoint, p2: IntPoint) -> LinearForm3:
+    """The normalized line p1 x p2 through two homogeneous points (the cone
+    over the segment); ValueError if they coincide (degenerate edge)."""
+    (x1, y1, w1), (x2, y2, w2) = p1, p2
+    a, b, c = y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2
+    if a == b == c == 0:  # primitive and W > 0: proportional means equal
         raise ValueError("degenerate edge: endpoints coincide")
-    return LinearForm3.make(y1 - y2, x2 - x1, x1 * y2 - x2 * y1)
+    return LinearForm3.make(a, b, c)
 
 
-def vertex_complement_form(
-    ell_tau: LinearForm3, v: tuple[Fraction, Fraction]
-) -> LinearForm3:
-    """A canonical second generator of the vanishing ideal of a vertex.
+def vertex_complement_form(ell_tau: LinearForm3, p: IntPoint) -> LinearForm3:
+    """A canonical second generator of the vanishing ideal of the point p.
 
-    Together with `ell_tau` (which must vanish at the homogenized vertex)
-    the result generates all linear forms vanishing at (v.x, v.y, 1).  The
-    canonical pick is x - v.x*z, falling back to y - v.y*z when that is
-    proportional to `ell_tau`; graded ideal dimensions do not depend on the
-    choice, but a fixed one keeps outputs reproducible.
+    With `ell_tau`, which must vanish at p = (X, Y, W), it spans the linear
+    forms vanishing at p: W*x - X*z, or W*y - Y*z when that is proportional
+    to `ell_tau`.  Dimensions do not depend on the pick; a fixed one keeps
+    outputs reproducible.
     """
-    if not ell_tau.vanishes_at_vertex(v):
-        raise ValueError(f"form {ell_tau} does not vanish at vertex {v}")
-    candidate = LinearForm3.make(1, 0, -Fraction(v[0]))
+    if not ell_tau.vanishes_at_vertex(p):
+        raise ValueError(f"form {ell_tau} does not vanish at vertex {p}")
+    x, y, w = p
+    candidate = LinearForm3.make(w, 0, -x)
     if candidate == ell_tau:  # both are normalized, so == is proportionality
-        candidate = LinearForm3.make(0, 1, -Fraction(v[1]))
+        candidate = LinearForm3.make(0, w, -y)
     return candidate

@@ -75,15 +75,14 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def primitive_int_vector(values) -> tuple[int, ...]:
-    """Rationals, not all zero, scaled to coprime integers, first nonzero positive."""
-    fracs = [Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    g = gcd(*ints)
-    if next(v for v in ints if v) < 0:
+def primitive_int_vector(values: Sequence[int]) -> tuple[int, ...]:
+    """`int`s (else TypeError), not all zero, over their gcd, first nonzero positive."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{values!r} is not an int vector")
+    g = gcd(*values)
+    if next(v for v in values if v) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple(v // g for v in values)
 
 
 def _primitive_rows(rows) -> list[dict[int, int]]:

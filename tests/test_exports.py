@@ -55,6 +55,23 @@ def test_every_imported_name_is_read_in_its_module(name):
     assert sorted(imported - read) == []
 
 
+@pytest.mark.parametrize(
+    "name", sorted({p.name for p in PACKAGE.glob("*.py")} - {"mesh.py", "ratlinalg.py", "refine.py"})
+)
+def test_only_mesh_json_and_refinement_modules_import_fractions(name):
+    """Rationals are data only: mesh coordinates (`mesh`), JSON number IO
+    (`ratlinalg`) and the new points of a refinement (`refine`).  Every
+    other module computes with the mesh's integer homogeneous points."""
+    tree = ast.parse((PACKAGE / name).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "fractions" not in modules
+
+
 def test_every_name_the_benchmark_tracer_wraps_or_reads_exists():
     """perfbench/tracer.py wraps functions by module attribute and methods
     from the class dict, and reads RatMatrix.row_dicts, nrows and ncols; a

@@ -6,9 +6,13 @@ through the rank machinery it checks.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splinedim.cli import builtin_mesh
 from splinedim.ideals import (
@@ -30,12 +34,19 @@ from splinedim.ideals import (
     vertex_socle_params,
 )
 from splinedim.mesh import (
+    Mesh,
     SmoothnessSpec,
+    direction_key,
     distinct_slopes_at,
     predecessors,
     verify_vertex_ordering,
 )
-from splinedim.polyring import HomogeneousPolynomial, LinearForm3
+from splinedim.polyring import (
+    HomogeneousPolynomial,
+    LinearForm3,
+    edge_linear_form,
+    vertex_complement_form,
+)
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
@@ -510,3 +521,103 @@ def test_graded_ideal_json_round_trip():
         for g in data["generators"]
     )
     assert [g.terms for g in back.generators] == [g.terms for g in ideal.generators]
+
+
+# Rational reference for the integer geometry: the formulas on affine
+# Fraction coordinates that the homogeneous integer points replace.
+
+
+def reference_primitive(values):
+    """Rationals, not all zero, scaled to coprime integers, first nonzero positive."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def reference_edge_form(p1, p2):
+    (x1, y1), (x2, y2) = p1, p2
+    return LinearForm3(*reference_primitive((y1 - y2, x2 - x1, x1 * y2 - x2 * y1)))
+
+
+def reference_complement_form(ell, p):
+    """x - p.x*z, or y - p.y*z when the former is proportional to ell."""
+    candidate = LinearForm3(*reference_primitive((1, 0, -p[0])))
+    if candidate == ell:
+        candidate = LinearForm3(*reference_primitive((0, 1, -p[1])))
+    return candidate
+
+
+def reference_spec(mesh, smooth, e):
+    v1, v2 = e
+    p1, p2 = mesh.vertices[v1], mesh.vertices[v2]
+    ell = reference_edge_form(p1, p2)
+    return EdgeIdealSpec(
+        ell,
+        reference_complement_form(ell, p1),
+        reference_complement_form(ell, p2),
+        smooth.r[e],
+        smooth.effective_s(v1, e),
+        smooth.effective_s(v2, e),
+    )
+
+
+_RATIONAL = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_RATIONAL, _RATIONAL), st.tuples(_RATIONAL, _RATIONAL), st.tuples(_RATIONAL, _RATIONAL))
+def test_integer_points_lines_slopes_and_orientation_equal_the_rational_reference(a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    assume(cross != 0)
+    mesh = Mesh([a, b, c], [(0, 1, 2)])
+    for (x, y), point in zip(mesh.vertices, mesh.points):
+        assert all(type(k) is int for k in point)
+        X, Y, W = point
+        assert W > 0 and math.gcd(X, Y, W) == 1
+        assert (Fraction(X, W), Fraction(Y, W)) == (x, y)
+    assert mesh.triangles == ((0, 1, 2) if cross > 0 else (0, 2, 1),)
+    pa, pb, pc = mesh.points
+    ell = edge_linear_form(pa, pb)
+    assert ell == reference_edge_form(a, b)
+    assert vertex_complement_form(ell, pa) == reference_complement_form(ell, a)
+    assert vertex_complement_form(ell, pb) == reference_complement_form(ell, b)
+    assert direction_key(pa, pb) == reference_primitive((bx - ax, by - ay))
+    assert direction_key(pc, pa) == reference_primitive((ax - cx, ay - cy))
+    # through a and the point (a.x, c.y) the line is vertical, so the
+    # complement form at a falls back to y - a.y*z
+    if cy != ay and cx != ax:
+        up = Mesh([a, (ax, cy), c], [(0, 1, 2)]).points[1]
+        vertical = edge_linear_form(pa, up)
+        assert vertical == reference_edge_form(a, (ax, cy))
+        assert vertex_complement_form(vertical, pa) == reference_complement_form(vertical, a)
+        assert vertex_complement_form(vertical, pa) == LinearForm3(*reference_primitive((0, 1, -ay)))
+
+
+def _sheared_translate(mesh):
+    """(x, y) -> (2x - y + 123457/999983, x + 3y - 7/1000003): invertible, with
+    large-denominator offsets that make every vertex's W large."""
+    tx, ty = Fraction(123457, 999983), Fraction(-7, 1000003)
+    return Mesh([(2 * x - y + tx, x + 3 * y + ty) for x, y in mesh.vertices], mesh.triangles)
+
+
+_PS6_MS = powell_sabin_6split(morgan_scott_mesh(), 1, 2).refined
+_BUILTINS = ["two-triangles", "argyris-demo", "morgan-scott", "star:cross"] + [
+    f"star:{t}-generic" for t in range(3, 9)
+]
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [*(builtin_mesh(name) for name in _BUILTINS), _PS6_MS, _sheared_translate(_PS6_MS)],
+    ids=[*_BUILTINS, "ps6-ms", "ps6-ms-sheared-translate"],
+)
+def test_edge_ideal_specs_equal_the_rational_reference(mesh):
+    smooth = SmoothnessSpec.uniform(mesh, 1, 2)
+    assert mesh.interior_edges
+    for e in sorted(mesh.interior_edges):
+        assert edge_ideal_spec_for(mesh, smooth, e) == reference_spec(mesh, smooth, e), e

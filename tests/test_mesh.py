@@ -161,10 +161,20 @@ def test_distinct_slopes_affine_invariance():
         assert distinct_slopes_at(ms, v) == distinct_slopes_at(mapped, v)
 
 
+def hom(p):
+    """The affine rational point p as a primitive integer homogeneous point
+    (X, Y, W) with W > 0, the form `Mesh.points` keeps each vertex in."""
+    x, y = F(p[0]), F(p[1])
+    w = math.lcm(x.denominator, y.denominator)
+    xyw = (int(x * w), int(y * w), w)
+    g = math.gcd(*xyw)
+    return tuple(k // g for k in xyw)
+
+
 def test_direction_key_identifies_opposites():
-    p = (F(0), F(0))
-    assert direction_key(p, (F(2), F(4))) == direction_key(p, (F(-1), F(-2)))
-    assert direction_key(p, (F(1, 3), F(0))) == (1, 0)
+    p = hom((0, 0))
+    assert direction_key(p, hom((2, 4))) == direction_key(p, hom((-1, -2)))
+    assert direction_key(p, hom((F(1, 3), 0))) == (1, 0)
 
 
 _COORD = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -173,7 +183,7 @@ _COORD = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 @settings(max_examples=200, deadline=None)
 @given(_COORD, _COORD, _COORD, _COORD)
 def test_direction_key_is_the_primitive_integer_direction(px, py, qx, qy):
-    p, q = (px, py), (qx, qy)
+    p, q = hom((px, py)), hom((qx, qy))
     if p == q:
         with pytest.raises(ValueError, match="zero direction"):
             direction_key(p, q)
@@ -220,8 +230,8 @@ def _ordering_by_rescan(mesh):
     remaining = set(mesh.interior_vertices)
 
     def ready(v):
-        p = mesh.vertices[v]
-        slopes = {direction_key(p, mesh.vertices[w]) for w in predecessors(mesh, v, placed)}
+        p = hom(mesh.vertices[v])
+        slopes = {direction_key(p, hom(mesh.vertices[w])) for w in predecessors(mesh, v, placed)}
         return len(slopes) > 1
 
     while remaining:

@@ -44,14 +44,24 @@ def test_monomial_index_is_the_position_in_the_basis():
         assert [monomial_index(m) for m in basis] == list(range(len(basis)))
 
 
+def hom(p):
+    """The affine rational point p as a primitive integer homogeneous point
+    (X, Y, W) with W > 0, the form the mesh keeps each vertex in."""
+    x, y = F(p[0]), F(p[1])
+    w = math.lcm(x.denominator, y.denominator)
+    xyw = (int(x * w), int(y * w), w)
+    g = math.gcd(*xyw)
+    return tuple(k // g for k in xyw)
+
+
 def test_edge_linear_form_axes():
-    assert edge_linear_form((F(0), F(0)), (F(1), F(0))) == LinearForm3(0, 1, 0)
-    assert edge_linear_form((F(0), F(0)), (F(0), F(1))) == LinearForm3(1, 0, 0)
+    assert edge_linear_form(hom((0, 0)), hom((1, 0))) == LinearForm3(0, 1, 0)
+    assert edge_linear_form(hom((0, 0)), hom((0, 1))) == LinearForm3(1, 0, 0)
 
 
 def test_edge_linear_form_diagonal():
     # line x + y = 1 homogenizes to x + y - z
-    assert edge_linear_form((F(1), F(0)), (F(0), F(1))) == LinearForm3(1, 1, -1)
+    assert edge_linear_form(hom((1, 0)), hom((0, 1))) == LinearForm3(1, 1, -1)
 
 
 def test_edge_linear_form_swap_invariant():
@@ -61,30 +71,31 @@ def test_edge_linear_form_swap_invariant():
         p2 = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5), rng.randint(1, 4)))
         if p1 == p2:
             continue
-        assert edge_linear_form(p1, p2) == edge_linear_form(p2, p1)
+        assert edge_linear_form(hom(p1), hom(p2)) == edge_linear_form(hom(p2), hom(p1))
 
 
 def test_edge_linear_form_vanishes_at_endpoints():
     p1, p2 = (F(2, 3), F(-1)), (F(4), F(5, 7))
-    ell = edge_linear_form(p1, p2)
-    assert ell.evaluate(p1[0], p1[1], 1) == 0
-    assert ell.evaluate(p2[0], p2[1], 1) == 0
+    ell = edge_linear_form(hom(p1), hom(p2))
+    for x, y in (p1, p2):
+        assert ell.a * x + ell.b * y + ell.c == 0
+        assert ell.vanishes_at_vertex(hom((x, y)))
 
 
 def test_edge_linear_form_degenerate():
-    with pytest.raises(ValueError):
-        edge_linear_form((F(1), F(2)), (F(1), F(2)))
+    with pytest.raises(ValueError, match="endpoints coincide"):
+        edge_linear_form(hom((F(1), F(2))), hom((F(1), F(2))))
 
 
 def test_vertex_complement_form_canonical_picks():
-    assert vertex_complement_form(LinearForm3(0, 1, 0), (F(0), F(0))) == LinearForm3(1, 0, 0)
-    assert vertex_complement_form(LinearForm3(1, 0, 0), (F(0), F(0))) == LinearForm3(0, 1, 0)
-    assert vertex_complement_form(LinearForm3(1, 1, -1), (F(1), F(0))) == LinearForm3(1, 0, -1)
+    assert vertex_complement_form(LinearForm3(0, 1, 0), hom((0, 0))) == LinearForm3(1, 0, 0)
+    assert vertex_complement_form(LinearForm3(1, 0, 0), hom((0, 0))) == LinearForm3(0, 1, 0)
+    assert vertex_complement_form(LinearForm3(1, 1, -1), hom((1, 0))) == LinearForm3(1, 0, -1)
 
 
 def test_vertex_complement_form_requires_vanishing():
     with pytest.raises(ValueError):
-        vertex_complement_form(LinearForm3(1, 0, 0), (F(1), F(0)))
+        vertex_complement_form(LinearForm3(1, 0, 0), hom((1, 0)))
 
 
 def test_vertex_complement_form_rank_two():
@@ -92,18 +103,21 @@ def test_vertex_complement_form_rank_two():
     for _ in range(20):
         v = (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4)))
         other = (v[0] + rng.randint(1, 3), v[1] + rng.randint(-2, 2))
-        ell = edge_linear_form(v, other)
-        comp = vertex_complement_form(ell, v)
-        assert comp.vanishes_at_vertex(v)
+        ell = edge_linear_form(hom(v), hom(other))
+        comp = vertex_complement_form(ell, hom(v))
+        assert comp.vanishes_at_vertex(hom(v))
+        assert comp.a * v[0] + comp.b * v[1] + comp.c == 0
         m = RatMatrix([dict(enumerate((f.a, f.b, f.c))) for f in (ell, comp)], 3)
         assert m.rank() == 2
 
 
 def test_linear_form_normalization():
-    assert LinearForm3.make(F(-1, 2), F(-1, 3), 0) == LinearForm3(3, 2, 0)
+    assert LinearForm3.make(-3, -2, 0) == LinearForm3(3, 2, 0)
     assert LinearForm3.make(0, -4, 2) == LinearForm3(0, 2, -1)
     with pytest.raises(ValueError):
         LinearForm3.make(0, 0, 0)
+    with pytest.raises(TypeError, match="not an int"):
+        LinearForm3.make(F(-1, 2), F(-1, 3), 0)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +168,7 @@ def test_non_int_coefficients_raise_type_error(coef):
         HomogeneousPolynomial(1, {(1, 0, 0): 1, (0, 1, 0): coef})
 
 
-_COEF = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_COEF = st.one_of(st.integers(-50, 50), st.integers(-(10**40), 10**40))
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,3 +187,8 @@ def test_linear_form_make_is_the_primitive_integer_form(a, b, c):
     # proportional to the input: every 2x2 minor of (out, input) vanishes
     assert all(out[i] * given_coefs[j] == out[j] * given_coefs[i] for i in range(3) for j in range(3))
     assert LinearForm3.make(-a, -b, -c) == form
+    # the input divided by its gcd, up to sign
+    g = math.gcd(a, b, c)
+    assert out in (tuple(k // g for k in given_coefs), tuple(-k // g for k in given_coefs))
+    with pytest.raises(TypeError, match="not an int"):
+        LinearForm3.make(F(a), b, F(c, 7) + F(1, 2))
