@@ -131,21 +131,22 @@ def parse_degrees(args) -> list[int]:
             raise CliError("give either -d or --degrees, not both")
         text = args.degrees
         bounds = _int_list("--degrees", text, ":", "A or A:B", (1, 2))
-        degrees = list(range(bounds[0], bounds[-1] + 1))
-        if not degrees:
+        low, high = bounds[0], bounds[-1]
+        if low > high:
             raise CliError(f"degree range {text} is empty (need A <= B)")
     elif args.d is not None:
-        degrees = [args.d]
+        low = high = args.d
     else:
         raise CliError("a degree is required (-d D or --degrees A:B)")
-    if any(d < 0 for d in degrees):
+    if low < 0:
         raise CliError("degrees must be non-negative")
-    if max(degrees) > DEGREE_GUARD and not args.allow_large:
+    # checked on the bounds, before a huge range is built
+    if high > DEGREE_GUARD and not args.allow_large:
         raise CliError(
-            f"degree {max(degrees)} exceeds the guard ({DEGREE_GUARD}); "
+            f"degree {high} exceeds the guard ({DEGREE_GUARD}); "
             f"pass --allow-large to proceed"
         )
-    return degrees
+    return list(range(low, high + 1))
 
 
 def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int] | None:

@@ -25,6 +25,7 @@ from .mesh import Edge, Mesh, SmoothnessSpec, direction_key, predecessors
 from .polyring import (
     HomogeneousPolynomial,
     LinearForm3,
+    cross,
     edge_linear_form,
     graded_monomial_basis,
     vertex_complement_form,
@@ -107,11 +108,10 @@ class EdgeIdealSpec:
                 f"need 0 <= r <= s at both endpoints, got r={self.r}, "
                 f"s=({self.s_gamma}, {self.s_gamma_prime})"
             )
-        (a, b, c), (d, e, f), (g, h, i) = (
-            (form.a, form.b, form.c)
-            for form in (self.ell_tau, self.ell_gamma, self.ell_gamma_prime)
-        )
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
+        # tau . (gamma x gamma') = det(tau, gamma, gamma'); gamma x gamma' is
+        # where they meet, or 0 when they coincide
+        meet = cross(*((f.a, f.b, f.c) for f in (self.ell_gamma, self.ell_gamma_prime)))
+        if self.ell_tau.vanishes_at_vertex(meet):
             raise ValueError("edge frame forms are linearly dependent")
 
 

@@ -28,8 +28,8 @@ from math import lcm
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
-from .polyring import IntPoint
-from .ratlinalg import primitive_int_vector, rational_from_str, rational_to_str
+from .polyring import IntPoint, cross
+from .ratlinalg import primitive_int_vector
 
 Point = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
@@ -50,6 +50,8 @@ __all__ = [
     "mesh_to_json",
     "parse_mesh_json",
     "predecessors",
+    "rational_from_str",
+    "rational_to_str",
     "validate_disk",
     "verify_vertex_ordering",
     "vertex_ordering",
@@ -93,6 +95,21 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
+def rational_to_str(q: Fraction) -> str:
+    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def rational_from_str(s: str) -> Fraction:
+    """Parse "p/q", an integer or a decimal; an exponent of 5+ digits raises ValueError."""
+    exp = s.strip().lower().partition("e")[2].replace("_", "").lstrip("+-0")
+    if exp.isdigit() and len(exp) > 4:
+        raise ValueError(f"decimal exponent out of range in {s!r}")
+    return Fraction(s.strip())
+
+
 def _homogeneous(x: Fraction, y: Fraction) -> IntPoint:
     """(X, Y, W) with (x, y) = (X/W, Y/W): W is the denominators' lcm, so gcd(X, Y, W) = 1."""
     w = lcm(x.denominator, y.denominator)
@@ -100,9 +117,10 @@ def _homogeneous(x: Fraction, y: Fraction) -> IntPoint:
 
 
 def _orient_ccw(points: Sequence[IntPoint], tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    (xa, ya, wa), (xb, yb, wb), (xc, yc, wc) = (points[i] for i in tri)
+    a, b, c = cross(points[tri[0]], points[tri[1]])
+    x, y, w = points[tri[2]]
     # det(Pa, Pb, Pc): wa*wb*wc > 0 times the affine cross product
-    det = xa * (yb * wc - wb * yc) - ya * (xb * wc - wb * xc) + wa * (xb * yc - yb * xc)
+    det = a * x + b * y + c * w
     if det == 0:
         raise MeshError(f"degenerate (zero area) triangle {tri}")
     if det < 0:
@@ -256,9 +274,6 @@ class SmoothnessSpec:
 
     def effective_s(self, vertex: int, edge: Edge) -> int:
         return max(self.s[vertex], self.r[tuple(sorted(edge))])
-
-    def max_s(self) -> int:
-        return max(self.s.values()) if self.s else 0
 
 
 def parse_mesh_json(data: dict) -> Mesh:
@@ -481,14 +496,13 @@ def _tree_cotree(mesh: Mesh) -> Cotree:
 
 def direction_key(p: IntPoint, q: IntPoint) -> tuple[int, int]:
     """Canonical coprime-integer direction of the segment pq: W_p W_q (q - p),
-    primitive.  Opposite directions are identified, making "same slope" an
-    exact equality test.
+    which is (b, -a) for the line p x q = (a, b, c), primitive.  Opposite
+    directions are identified, making "same slope" an exact equality test.
     """
-    (xp, yp, wp), (xq, yq, wq) = p, q
-    dx, dy = xq * wp - xp * wq, yq * wp - yp * wq
-    if dx == 0 and dy == 0:
+    a, b, _ = cross(p, q)
+    if a == b == 0:
         raise ValueError("zero direction")
-    return primitive_int_vector((dx, dy))
+    return primitive_int_vector((b, -a))
 
 
 def _slopes(mesh: Mesh, v: int, neighbours: Iterable[int]) -> set[tuple[int, int]]:

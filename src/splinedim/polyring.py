@@ -30,6 +30,7 @@ __all__ = [
     "IntPoint",
     "LinearForm3",
     "Monomial3",
+    "cross",
     "edge_linear_form",
     "graded_monomial_basis",
     "monomial_index",
@@ -166,16 +167,11 @@ class LinearForm3:
             raise ValueError("linear form must not be identically zero")
         return cls(*primitive_int_vector((a, b, c)))
 
-    def poly(self) -> HomogeneousPolynomial:
-        return HomogeneousPolynomial(
-            1, {(1, 0, 0): self.a, (0, 1, 0): self.b, (0, 0, 1): self.c}
-        )
-
     def power(self, k: int) -> HomogeneousPolynomial:
         """(a*x + b*y + c*z)^k by the integer multinomial expansion.
 
         Terms are inserted in the fixed descending monomial order, as
-        repeated multiplication of `poly()` inserts them, so matrices built
+        repeated multiplication by the form inserts them, so matrices built
         from either are laid out identically.
         """
         if k < 0:
@@ -197,14 +193,24 @@ class LinearForm3:
         return f"LinearForm3({self.a}, {self.b}, {self.c})"
 
 
+def cross(p: IntPoint, q: IntPoint) -> IntPoint:
+    """The cross product p x q of two integer triples.
+
+    For homogeneous points it is the line through them, for lines the point
+    where they meet, and its dot product with a third triple r is
+    det(p, q, r).  It is zero exactly when p and q are proportional.
+    """
+    (a, b, c), (d, e, f) = p, q
+    return (b * f - c * e, c * d - a * f, a * e - b * d)
+
+
 def edge_linear_form(p1: IntPoint, p2: IntPoint) -> LinearForm3:
     """The normalized line p1 x p2 through two homogeneous points (the cone
     over the segment); ValueError if they coincide (degenerate edge)."""
-    (x1, y1, w1), (x2, y2, w2) = p1, p2
-    a, b, c = y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2
-    if a == b == c == 0:  # primitive and W > 0: proportional means equal
+    line = cross(p1, p2)
+    if line == (0, 0, 0):  # primitive and W > 0: proportional means equal
         raise ValueError("degenerate edge: endpoints coincide")
-    return LinearForm3.make(a, b, c)
+    return LinearForm3.make(*line)
 
 
 def vertex_complement_form(ell_tau: LinearForm3, p: IntPoint) -> LinearForm3:

@@ -25,7 +25,6 @@ of them in parallel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
@@ -33,8 +32,6 @@ __all__ = [
     "RatMatrix",
     "binom",
     "primitive_int_vector",
-    "rational_from_str",
-    "rational_to_str",
 ]
 
 
@@ -50,21 +47,6 @@ def binom(a: int, b: int) -> int:
     if b < 0:
         raise ValueError(f"binom requires b >= 0, got b={b}")
     return comb(a, b) if a >= b else 0
-
-
-def rational_to_str(q: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse "p/q", an integer or a decimal; an exponent of 5+ digits raises ValueError."""
-    exp = s.strip().lower().partition("e")[2].replace("_", "").lstrip("+-0")
-    if exp.isdigit() and len(exp) > 4:
-        raise ValueError(f"decimal exponent out of range in {s!r}")
-    return Fraction(s.strip())
 
 
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:

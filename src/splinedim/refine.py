@@ -2,19 +2,25 @@
 
 The 6-split places the interior point of each triangle at its barycenter
 (rational for rational input, unlike the incenter) and the edge point of
-each interior edge at the intersection of that edge with the segment
-joining the two neighboring barycenters; boundary edges get their midpoint.
-Strict interiority of every edge point is verified at construction.
+each interior edge where the edge meets the line joining the two
+neighboring barycenters; boundary edges get their midpoint.  All three are
+computed on the mesh's integer homogeneous points (`Mesh.points`): the
+edge point is the meet of two lines, the cross product of the lines
+(themselves cross products), and it is strictly interior to its edge
+exactly when the edge's endpoints lie strictly on opposite sides of the
+barycenter line, which is verified at construction.  Only the refined
+mesh's new vertices are built as rationals.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .mesh import Edge, Mesh, MeshError, Point, SmoothnessSpec
+from .polyring import IntPoint, cross
 
 __all__ = [
     "PSSplitResult",
@@ -40,30 +46,20 @@ class PSSplitResult:
     b_point: dict[int, Edge]
 
 
-def _barycenter(pts: Sequence[Point]) -> Point:
-    xs = sum((p[0] for p in pts), Fraction(0))
-    ys = sum((p[1] for p in pts), Fraction(0))
-    return (xs / 3, ys / 3)
+def _mean(points: Sequence[IntPoint]) -> IntPoint:
+    """The centroid of homogeneous points with W > 0, as one with W > 0."""
+    w = lcm(*(p[2] for p in points))
+    return (
+        sum(x * (w // pw) for x, _, pw in points),
+        sum(y * (w // pw) for _, y, pw in points),
+        w * len(points),
+    )
 
 
-def _segment_line_intersection(z1: Point, z2: Point, a: Point, b: Point) -> Point | None:
-    """Intersection of segment z1z2 with the line ab, if transversal."""
-    dzx, dzy = z2[0] - z1[0], z2[1] - z1[1]
-    dabx, daby = b[0] - a[0], b[1] - a[1]
-    denom = dzx * daby - dzy * dabx
-    if denom == 0:
-        return None
-    t = ((a[0] - z1[0]) * daby - (a[1] - z1[1]) * dabx) / denom
-    return (z1[0] + t * dzx, z1[1] + t * dzy)
-
-
-def _strictly_between(p: Point, a: Point, b: Point) -> bool:
-    dab = (b[0] - a[0], b[1] - a[1])
-    dap = (p[0] - a[0], p[1] - a[1])
-    if dab[0] * dap[1] != dab[1] * dap[0]:
-        return False
-    t = dap[0] / dab[0] if dab[0] else dap[1] / dab[1]
-    return 0 < t < 1
+def _affine(p: IntPoint) -> Point:
+    """The rational point (X/W, Y/W) of a homogeneous point with W != 0."""
+    x, y, w = p
+    return (Fraction(x, w), Fraction(y, w))
 
 
 def powell_sabin_6split(mesh: Mesh, r: int, s: int) -> PSSplitResult:
@@ -81,35 +77,36 @@ def powell_sabin_6split(mesh: Mesh, r: int, s: int) -> PSSplitResult:
     """
     if not 0 <= r <= s:
         raise MeshError(f"need 0 <= r <= s, got r={r}, s={s}")
-    pts = list(mesh.vertices)
+    points, pts = mesh.points, list(mesh.vertices)
 
     b_index: dict[Edge, int] = {}
     b_point: dict[int, Edge] = {}
-    z_of = {
-        t: _barycenter([mesh.vertices[i] for i in tri])
-        for t, tri in enumerate(mesh.triangles)
-    }
+    z_of = {t: _mean([points[i] for i in tri]) for t, tri in enumerate(mesh.triangles)}
     for e in mesh.edges:
-        a, b = (mesh.vertices[i] for i in e)
+        a, b = (points[i] for i in e)
         tris = mesh.edge_triangles[e]
         if len(tris) == 2:
-            p = _segment_line_intersection(z_of[tris[0]], z_of[tris[1]], a, b)
-            if p is None or not _strictly_between(p, a, b):
+            line = cross(z_of[tris[0]], z_of[tris[1]])
+            # the meet is strictly inside the edge exactly when a and b lie
+            # strictly on opposite sides of the barycenter line
+            side_a, side_b = (sum(u * v for u, v in zip(line, q)) for q in (a, b))
+            if side_a * side_b >= 0:
                 raise MeshError(
                     f"6-split failed: barycenter segment misses the interior of edge {e}"
                 )
+            p = cross(line, cross(a, b))
         else:
-            p = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            p = _mean([a, b])
         b_index[e] = len(pts)
         b_point[len(pts)] = e
-        pts.append(p)
+        pts.append(_affine(p))
 
     z_index: dict[int, int] = {}
     z_point: dict[int, int] = {}
     for t in range(mesh.num_triangles):
         z_index[t] = len(pts)
         z_point[len(pts)] = t
-        pts.append(z_of[t])
+        pts.append(_affine(z_of[t]))
 
     tris = []
     for t, (v0, v1, v2) in enumerate(mesh.triangles):
@@ -162,22 +159,6 @@ def morgan_scott_mesh() -> Mesh:
     return Mesh([(Fraction(x), Fraction(y)) for x, y in vertices], triangles)
 
 
-def _ccw_direction_cmp(u: tuple, v: tuple) -> int:
-    def half(p):
-        # 0 for upper half plane (incl. positive x-axis), 1 for lower
-        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
-
-
 def make_vertex_star(
     directions: Sequence[tuple], generic_radius_perturbation: bool = False
 ) -> Mesh:
@@ -199,7 +180,14 @@ def make_vertex_star(
         raise MeshError("a vertex star needs at least 3 directions")
     if any(dx == 0 and dy == 0 for dx, dy in dirs):
         raise MeshError("zero direction")
-    dirs.sort(key=functools.cmp_to_key(_ccw_direction_cmp))
+
+    def angle_order(d):
+        # the upper half plane first; each half starts on its axis ray, then
+        # dx/dy decreases as the angle grows
+        dx, dy = d
+        return (dx < 0, 0) if dy == 0 else (dy < 0, 1, -dx / dy)
+
+    dirs.sort(key=angle_order)
     pts: list[Point] = [(Fraction(0), Fraction(0))]
     for k, (dx, dy) in enumerate(dirs):
         rho = 1 + Fraction(k + 1, k + 7) if generic_radius_perturbation else Fraction(1)

@@ -234,6 +234,16 @@ def test_degree_guard():
     assert code == 0
 
 
+def test_degree_guard_rejects_a_huge_range_before_building_it(capsys):
+    """The guard reads the range's bounds: a list of 10**18 + 1 degrees would
+    fail its allocation (MemoryError) before any check on the list."""
+    code, text = run(["dim", "--gen", "morgan-scott", "-r", "1", "--degrees", f"0:{10**18}"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: degree {10**18} exceeds the guard (30); pass --allow-large to proceed\n"
+    )
+
+
 def test_methods_lb_ub():
     for method, col in [("lb51", 3), ("lb52", 2), ("ub53", 4)]:
         code, text = run(["dim", "--gen", "star:3-generic", "-r", "1", "-s", "2",

@@ -432,7 +432,7 @@ def test_euler_identity_on_small_meshes():
 def test_h0_zero_in_stable_range():
     ms = morgan_scott_mesh()
     spec = SmoothnessSpec.uniform(ms, 1, 2)
-    d_star = 2 * spec.max_s() + 2
+    d_star = 2 * max(spec.s.values()) + 2
     assert h0_dimension(ms, spec, d_star) == 0
     assert lower_bound_51(ms, spec, d_star) == exact_dimension(ms, spec, d_star)
 

@@ -56,12 +56,12 @@ def test_every_imported_name_is_read_in_its_module(name):
 
 
 @pytest.mark.parametrize(
-    "name", sorted({p.name for p in PACKAGE.glob("*.py")} - {"mesh.py", "ratlinalg.py", "refine.py"})
+    "name", sorted({p.name for p in PACKAGE.glob("*.py")} - {"mesh.py", "refine.py"})
 )
 def test_only_mesh_json_and_refinement_modules_import_fractions(name):
-    """Rationals are data only: mesh coordinates (`mesh`), JSON number IO
-    (`ratlinalg`) and the new points of a refinement (`refine`).  Every
-    other module computes with the mesh's integer homogeneous points."""
+    """Rationals are data only: mesh coordinates and JSON numbers (`mesh`)
+    and the new points of a refinement (`refine`).  Every other module
+    computes with integers, on the mesh's integer homogeneous points."""
     tree = ast.parse((PACKAGE / name).read_text())
     modules = set()
     for node in ast.walk(tree):
@@ -70,6 +70,52 @@ def test_only_mesh_json_and_refinement_modules_import_fractions(name):
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module)
     assert "fractions" not in modules
+
+
+def _read_names(tree):
+    """The variable and attribute names a module's code reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_function_and_method_in_the_package_is_used():
+    """A def nothing reads is dead surface.  Each function or method defined
+    in the package must be read by some package module, be in its module's
+    `__all__`, be a dunder, override a base-class method (argparse's
+    `error`), or be named in perfbench/tracer.py, which wraps and reads
+    package methods by name (`RatMatrix.row_dicts`)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    read = set().union(*map(_read_names, trees.values()))
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    read |= _read_names(tracer) | {
+        node.value for node in ast.walk(tracer)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    unused = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("splinedim" if stem == "__init__" else f"splinedim.{stem}")
+        owner = {
+            item: getattr(module, node.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name, cls = node.name, owner.get(node)
+            if (
+                name in read
+                or name in getattr(module, "__all__", ())
+                or name.startswith("__") and name.endswith("__")
+                or cls is not None and any(hasattr(base, name) for base in cls.__mro__[1:])
+            ):
+                continue
+            unused.append(f"{stem}.{cls.__name__ + '.' if cls else ''}{name}")
+    assert unused == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_or_reads_exists():

@@ -162,6 +162,22 @@ def test_edge_ideal_rejects_dependent_frame():
         EdgeIdealSpec(X, Y, LinearForm3(1, 1, 0), 1, 2, 2)
 
 
+_SMALL_FORM = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_FORM, _SMALL_FORM, _SMALL_FORM)
+def test_edge_ideal_rejects_exactly_the_frames_with_zero_determinant(tau, gamma, gamma_prime):
+    (a, b, c), (d, e, f), (g, h, i) = tau, gamma, gamma_prime
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    forms = [LinearForm3.make(*form) for form in (tau, gamma, gamma_prime)]
+    if det == 0:
+        with pytest.raises(ValueError, match="dependent"):
+            EdgeIdealSpec(*forms, 0, 0, 0)
+    else:
+        EdgeIdealSpec(*forms, 0, 0, 0)
+
+
 def test_edge_ideal_rejects_bad_orders():
     with pytest.raises(ValueError):
         EdgeIdealSpec(X, Y, Z, 3, 2, 2)
@@ -447,7 +463,7 @@ def test_vertex_ideal_variants_on_morgan_scott():
         # bar drops the far-vertex intersections, so it can only be bigger
         assert bar.graded_dim(d) >= full.graded_dim(d)
     # equality in the stable range d = 2*max(s)+2
-    d_star = 2 * spec.max_s() + 2
+    d_star = 2 * max(spec.s.values()) + 2
     assert bar.graded_dim(d_star) == full.graded_dim(d_star)
 
 

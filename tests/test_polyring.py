@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from splinedim.polyring import (
     HomogeneousPolynomial,
     LinearForm3,
+    cross,
     edge_linear_form,
     graded_monomial_basis,
     monomial_index,
@@ -19,6 +20,11 @@ from splinedim.polyring import (
 from splinedim.ratlinalg import RatMatrix, binom
 
 F = Fraction
+
+
+def _linear(ell):
+    """The degree-1 polynomial of a linear form, built without `power`."""
+    return HomogeneousPolynomial(1, {(1, 0, 0): ell.a, (0, 1, 0): ell.b, (0, 0, 1): ell.c})
 
 
 def test_monomial_basis_degree_zero_and_one():
@@ -132,7 +138,7 @@ def test_power_is_repeated_multiplication(form):
         assert p == expected
         assert list(p.terms) == list(expected.terms)  # same term order
         assert all(type(v) is int for v in p.terms.values())
-        expected = expected * ell.poly()
+        expected = expected * _linear(ell)
 
 
 def test_polynomial_json_round_trip_and_layout():
@@ -147,11 +153,11 @@ def test_polynomial_json_round_trip_and_layout():
 
 
 def test_polynomial_arithmetic_basics():
-    x_plus_y = LinearForm3(1, 1, 0).poly()
+    x_plus_y = _linear(LinearForm3(1, 1, 0))
     p = x_plus_y * x_plus_y
     assert p.terms == {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
-    assert p == x_plus_y * LinearForm3(1, 1, 0).poly()
-    assert (p * LinearForm3(1, -1, 0).poly()).terms == {
+    assert p == x_plus_y * _linear(LinearForm3(1, 1, 0))
+    assert (p * _linear(LinearForm3(1, -1, 0))).terms == {
         (3, 0, 0): 1, (2, 1, 0): 1, (1, 2, 0): -1, (0, 3, 0): -1
     }
     assert HomogeneousPolynomial(2, {(2, 0, 0): 0}).is_zero()
@@ -192,3 +198,23 @@ def test_linear_form_make_is_the_primitive_integer_form(a, b, c):
     assert out in (tuple(k // g for k in given_coefs), tuple(-k // g for k in given_coefs))
     with pytest.raises(TypeError, match="not an int"):
         LinearForm3.make(F(a), b, F(c, 7) + F(1, 2))
+
+
+def det3(p, q, r):
+    """The 3x3 determinant with rows p, q, r, expanded along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+_TRIPLE = st.tuples(_COEF, _COEF, _COEF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TRIPLE, _TRIPLE, _TRIPLE)
+def test_cross_dotted_with_a_third_triple_is_the_determinant(p, q, r):
+    n = cross(p, q)
+    assert sum(u * v for u, v in zip(n, r)) == det3(p, q, r)
+    assert sum(u * v for u, v in zip(n, p)) == sum(u * v for u, v in zip(n, q)) == 0
+    assert cross(q, p) == tuple(-k for k in n)
+    # zero exactly when p and q are proportional: every 2x2 minor vanishes
+    assert (n == (0, 0, 0)) == all(p[i] * q[j] == p[j] * q[i] for i in range(3) for j in range(3))

@@ -17,12 +17,8 @@ from hypothesis import strategies as st
 from splinedim.cli import builtin_mesh
 from splinedim.dimension import _DegreeSystem
 from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal_edges
-from splinedim.ratlinalg import (
-    RatMatrix,
-    binom,
-    rational_from_str,
-    rational_to_str,
-)
+from splinedim.mesh import rational_from_str, rational_to_str
+from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import powell_sabin_6split
 
 
