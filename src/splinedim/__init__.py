@@ -11,6 +11,7 @@ and cross-checked against it.
 
 from .dimension import (
     DimensionReport,
+    EdgePieces,
     InternalInconsistencyError,
     OutOfRangeError,
     StarProfile,

@@ -10,9 +10,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .dimension import (
+    EdgePieces,
     InternalInconsistencyError,
     OutOfRangeError,
     euler_assembly,
@@ -157,13 +159,13 @@ def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int] | None:
     return (r, s) if (star.r, star.s) == (spec.r, spec.s) else None
 
 
-def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
+def _formula_value(mesh, spec, original, args, d, pieces) -> tuple[int, str]:
     if original is not None:
         # 6-split source: closed form on the original mesh when in range
         try:
             return ps_dim_general(original, args.r, args.s, d), "formula"
         except OutOfRangeError:
-            return exact_dimension(mesh, spec, d), "oracle"
+            return exact_dimension(mesh, spec, d, pieces), "oracle"
     if len(mesh.interior_vertices) == 1:
         # the star closed forms assume supersmoothness at the center only
         orders = _star_orders(mesh, spec)
@@ -175,23 +177,26 @@ def _formula_value(mesh, spec, original, args, d) -> tuple[int, str]:
                 return vertex_star_dim(mesh, r, s, d), "formula"
             except OutOfRangeError:
                 pass
-        return exact_dimension(mesh, spec, d), "oracle"
+        return exact_dimension(mesh, spec, d, pieces), "oracle"
     raise CliError("no closed formula applies to this configuration")
 
 
-def compute_rows(mesh, spec, original, args, degrees) -> list[dict]:
+def compute_rows(mesh, spec, original, args, degrees, pieces) -> list[dict]:
     # built per call, so a rebound module name (the benchmark tracer's) is seen
     single = dict(
-        exact=exact_dimension, lb51=lower_bound_51, lb52=lower_bound_52, ub53=upper_bound_53
+        exact=partial(exact_dimension, pieces=pieces),
+        lb51=partial(lower_bound_51, pieces=pieces),
+        lb52=lower_bound_52,  # counted, with no edge piece
+        ub53=partial(upper_bound_53, pieces=pieces),
     )
     rows = []
     for d in degrees:
         if args.method == "all":
             # the report's fields are the columns, plus the Euler terms, which
             # only the JSON output prints
-            rows.append({**vars(euler_assembly(mesh, spec, d)), "method": "exact"})
+            rows.append({**vars(euler_assembly(mesh, spec, d, pieces)), "method": "exact"})
         elif args.method == "formula":
-            value, how = _formula_value(mesh, spec, original, args, d)
+            value, how = _formula_value(mesh, spec, original, args, d, pieces)
             rows.append({"d": d, "exact": value, "method": how})
         else:
             value = single[args.method](mesh, spec, d)
@@ -217,7 +222,7 @@ def emit_rows(rows: list[dict], fmt: str, out) -> None:
         print("  ".join(str(row.get(c, "")).rjust(widths[c]) for c in COLUMNS), file=out)
 
 
-def check_rows(rows, mesh, spec) -> None:
+def check_rows(rows, mesh, spec, pieces) -> None:
     """Check the bound sandwich on full rows, and every other row's value
     against the Euler assembly at its degree (formula and oracle rows
     against its exact dimension)."""
@@ -229,7 +234,7 @@ def check_rows(rows, mesh, spec) -> None:
                 )
             continue
         (column,) = set(row) - {"d", "method"}
-        expected = getattr(euler_assembly(mesh, spec, row["d"]), column)
+        expected = getattr(euler_assembly(mesh, spec, row["d"], pieces), column)
         if row[column] != expected:
             raise InternalInconsistencyError(
                 f"{row['method']} gives {column} = {row[column]} at degree {row['d']} "
@@ -240,9 +245,11 @@ def check_rows(rows, mesh, spec) -> None:
 def run_dim(args, out) -> int:
     mesh, spec, original = resolve_source(args)
     degrees = parse_degrees(args)
-    rows = compute_rows(mesh, spec, original, args, degrees)
+    # every edge piece echelonized once, at the top degree, on first use
+    pieces = EdgePieces(mesh, spec, degrees[-1])
+    rows = compute_rows(mesh, spec, original, args, degrees, pieces)
     if args.check:
-        check_rows(rows, mesh, spec)
+        check_rows(rows, mesh, spec, pieces)
     emit_rows(rows, args.format, out)
     return 0
 

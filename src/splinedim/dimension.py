@@ -12,6 +12,11 @@ Lower bounds drop the homology term (and optionally simplify the vertex
 ideals); the reported bounds are additionally floored at C(d+2, 2) since
 global polynomials always embed.  The upper bound restricts each vertex
 ideal to edges reaching earlier vertices in an admissible ordering.
+
+Every entry point that needs edge bases takes an optional `EdgePieces`:
+a command over several degrees passes one built at its highest degree,
+so each edge piece is echelonized once; without one, the degree-d pieces
+are echelonized for that call alone.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .ratlinalg import RatMatrix, binom
 
 __all__ = [
     "DimensionReport",
+    "EdgePieces",
     "InternalInconsistencyError",
     "OutOfRangeError",
     "StarProfile",
@@ -100,12 +106,48 @@ def _require_disk(mesh: Mesh) -> None:
         raise MeshError(f"mesh is not a valid disk: {', '.join(mesh.disk.failures)}")
 
 
+class EdgePieces:
+    """Each interior edge ideal's graded piece at a top degree D, echelonized
+    once (`RatMatrix.rref`, never stopped at the lattice count), with every
+    lower degree's reduced echelon rows read off it (`bases`; see
+    `_DegreeSystem.bases` for why this is exact).  A command builds one for
+    its highest degree and passes it to each per-degree call; the rows are
+    computed on first use and kept."""
+
+    def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, top: int):
+        self.mesh, self.smooth, self.top = mesh, smooth, top
+
+    @cached_property
+    def _rows(self) -> dict[Edge, list[dict[int, int]]]:
+        """Each edge's reduced echelon rows at the top degree, in decreasing pivot column."""
+        mesh, smooth, top = self.mesh, self.smooth, self.top
+        return {
+            e: graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, top).rref()[1][::-1]
+            for e in sorted(mesh.interior_edges)
+        }
+
+    def bases(self, d: int) -> dict[Edge, list[dict[int, int]]]:
+        """Each edge's top rows whose pivot is at least C(D+2, 2) - C(d+2, 2),
+        the position of z^(D-d) x^d, shifted down by it: the degree-d
+        reduced echelon rows, in decreasing pivot column."""
+        if not 0 <= d <= self.top:
+            raise ValueError(f"degree {d} is outside 0..{self.top}")
+        shift = binom(self.top + 2, 2) - binom(d + 2, 2)
+        if not shift:
+            return self._rows
+        return {
+            e: [{c - shift: v for c, v in row.items()} for row in rows if min(row) >= shift]
+            for e, rows in self._rows.items()
+        }
+
+
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
     Validates the disk and the degree.  Each quantity is a property computed
-    on first use, once.  `bases` builds and echelonizes each interior edge's
-    degree-d piece.  The vertex ideals' degree-d pieces are their edges'
+    on first use, once.  `bases` reads each interior edge's degree-d
+    echelon rows off `pieces` (one built at degree d when none is given).
+    The vertex ideals' degree-d pieces are their edges'
     stacked echelon rows (`_stack`), since the degree-d piece of a sum of
     ideals is the sum of the pieces: `full_pivots` are the full stacks'
     leading monomials (`leading_columns`), which h0 keeps; `tilde` only
@@ -116,13 +158,20 @@ class _DegreeSystem:
     at C(d+2, 2), since global polynomials are always supersplines.
     """
 
-    def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, d: int):
+    def __init__(
+        self, mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+    ):
         if d < 0:
             raise ValueError("degree must be non-negative")
         _require_disk(mesh)
+        if pieces is None:
+            pieces = EdgePieces(mesh, smooth, d)
+        elif pieces.mesh is not mesh or pieces.smooth is not smooth:
+            raise ValueError("the edge pieces belong to another mesh or spec")
         self.mesh = mesh
         self.smooth = smooth
         self.d = d
+        self.pieces = pieces
         self.ncoef = binom(d + 2, 2)
         self.interior = sorted(mesh.interior_vertices)
 
@@ -133,12 +182,23 @@ class _DegreeSystem:
         rows with the fewest possible entries come first.  The vertex ideals
         stack these rows, and the kernel oracle and h0 lay out their columns
         in this order: `RatMatrix.rank` eliminates columns in index order,
-        so sparse columns go first."""
-        mesh, smooth, d = self.mesh, self.smooth, self.d
-        return {
-            e: graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, d).rref()[1][::-1]
-            for e in sorted(mesh.interior_edges)
-        }
+        so sparse columns go first.
+
+        They are read off the top degree D of `pieces`.  J(e) =
+        <ell_tau^(r+1)> cap m_gamma^(s+1) cap m_gamma'^(s'+1) is an
+        intersection of ideals primary to the ideals of the edge's line and
+        of its end points, none of which contains z, as the line is affine
+        and each point has W > 0.  So z is a nonzerodivisor on R/J(e), and
+        J(e)_D meets z^(D-d) R in z^(D-d) J(e)_d.  In the layout
+        order a form is divisible by z^(D-d) exactly when its leading
+        monomial is, and those monomials are the last C(d+2, 2) positions,
+        z^(D-d) times the degree-d layout.  So the top rows with pivots
+        there are a reduced echelon basis of z^(D-d) J(e)_d, and shifted
+        down they are the primitive reduced echelon form of J(e)_d, which
+        is unique.  This is for edge ideals only: a vertex ideal, a sum of
+        edge ideals, need not be saturated, and slicing its stack would
+        overcount (the test suite keeps such a case)."""
+        return self.pieces.bases(self.d)
 
     @cached_property
     def edge_dims(self) -> int:
@@ -254,14 +314,16 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     return sys.ncoef + ncols - RatMatrix(rows, ncols).rank()
 
 
-def exact_dimension(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
+def exact_dimension(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> int:
     """Dimension of the degree-d superspline space, by the kernel oracle.
 
     The kernel of the edge constraint map is evaluated on the mesh's
     tree-cotree split: the cotree edges' ideal coordinates are the
     unknowns, and each forest edge's cut gives its rows.
     """
-    return _exact_dim_reduced(_DegreeSystem(mesh, smooth, d))
+    return _exact_dim_reduced(_DegreeSystem(mesh, smooth, d, pieces))
 
 
 def h0_dimension(
@@ -303,13 +365,15 @@ def h0_dimension(
     return 0 if nrows <= col and boundary.rank_mod() == nrows else nrows - boundary.rank()
 
 
-def lower_bound_51(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
+def lower_bound_51(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> int:
     """Lower bound from dropping the homology term, with full vertex ideals.
 
     Floored at C(d+2, 2): global polynomials are always supersplines, and
     this floor is what makes the reported bound informative at low degree.
     """
-    return _DegreeSystem(mesh, smooth, d).lb51
+    return _DegreeSystem(mesh, smooth, d, pieces).lb51
 
 
 def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -321,12 +385,16 @@ def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     return _DegreeSystem(mesh, smooth, d).lb52
 
 
-def upper_bound_53(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
+def upper_bound_53(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> int:
     """Upper bound from vertex ideals restricted along an admissible order."""
-    return _DegreeSystem(mesh, smooth, d).ub53
+    return _DegreeSystem(mesh, smooth, d, pieces).ub53
 
 
-def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionReport:
+def euler_assembly(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> DimensionReport:
     """Full per-degree report; exact and Euler-assembled values must agree.
 
     The exact dimension comes from the kernel oracle and the homology term
@@ -336,7 +404,7 @@ def euler_assembly(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> DimensionRepor
     hold, since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
     violation raises InternalInconsistencyError (exit code 2 in the CLI).
     """
-    sys = _DegreeSystem(mesh, smooth, d)
+    sys = _DegreeSystem(mesh, smooth, d, pieces)
     n = sys.ncoef
     h0 = h0_dimension(mesh, smooth, d, sys)
     exact = _exact_dim_reduced(sys)

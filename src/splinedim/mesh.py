@@ -116,11 +116,51 @@ def _homogeneous(x: Fraction, y: Fraction) -> IntPoint:
     return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
+def _det(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
+    """det(p, q, r) = cross(p, q) . r: Wp*Wq*Wr > 0 times the affine cross
+    product, so its sign is the orientation of the triangle pqr (0: collinear)."""
+    a, b, c = cross(p, q)
+    return a * r[0] + b * r[1] + c * r[2]
+
+
+def _between(r: IntPoint, p: IntPoint, q: IntPoint) -> bool:
+    """Whether r, collinear with p and q, lies on the closed segment pq:
+    (p - r) . (q - r) <= 0, each difference scaled by positive Ws."""
+    (x, y, w), (xp, yp, wp), (xq, yq, wq) = r, p, q
+    return (xp * w - x * wp) * (xq * w - x * wq) + (yp * w - y * wp) * (yq * w - y * wq) <= 0
+
+
+def _segments_meet(p: IntPoint, q: IntPoint, r: IntPoint, s: IntPoint) -> bool:
+    """Whether the closed segments pq and rs share a point."""
+    d1, d2, d3, d4 = _det(r, s, p), _det(r, s, q), _det(p, q, r), _det(p, q, s)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    ends = ((d1, p, r, s), (d2, q, r, s), (d3, r, p, q), (d4, s, p, q))
+    return any(d == 0 and _between(x, a, b) for d, x, a, b in ends)
+
+
+def _simple_cycle(mesh: Mesh) -> bool:
+    """Whether the boundary cycle is a simple polygon: no two boundary edges
+    meet, except consecutive ones at their common vertex, and those do not
+    fold back onto each other (collinear, on the same side of it)."""
+    pts = mesh.points
+    edges = sorted(mesh.boundary_edges)
+    for k, e in enumerate(edges):
+        for f in edges[:k]:
+            common = set(e) & set(f)
+            if not common:
+                if _segments_meet(*(pts[v] for v in e + f)):
+                    return False
+                continue
+            (v,) = common
+            u, w = pts[sum(e) - v], pts[sum(f) - v]
+            if _det(u, pts[v], w) == 0 and not _between(pts[v], u, w):
+                return False
+    return True
+
+
 def _orient_ccw(points: Sequence[IntPoint], tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = cross(points[tri[0]], points[tri[1]])
-    x, y, w = points[tri[2]]
-    # det(Pa, Pb, Pc): wa*wb*wc > 0 times the affine cross product
-    det = a * x + b * y + c * w
+    det = _det(*(points[i] for i in tri))
     if det == 0:
         raise MeshError(f"degenerate (zero area) triangle {tri}")
     if det < 0:
@@ -430,9 +470,17 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     Verifies: hereditary (triangle fans around every vertex are connected
     through edges at that vertex), connectedness through interior edges,
     the Euler relation f0 - f1 + f2 = 1, and that the boundary edges form a
-    single simple cycle: two at every boundary vertex, and connected.
-    Purity is automatic from the representation.  Failures are reported,
-    not raised.
+    single cycle: two at every boundary vertex, and connected.  Then that
+    the mesh is embedded, by Floater's criterion (2003): a piecewise linear
+    map of a triangulated disk is one-to-one when its triangles are
+    consistently positively oriented and its boundary cycle is a simple
+    polygon.  `Mesh` turns every triangle counterclockwise, by the sign of
+    det(p, q, r) = cross(p, q) . r on `Mesh.points`, so the two triangles
+    at each interior edge must traverse it in opposite directions, which
+    puts them on opposite sides of it ("consistent orientation").  And the
+    boundary cycle must be simple ("simple boundary"), by signs of det
+    again.  Purity is automatic from the representation.  Failures are
+    reported, not raised.
     """
     failures = []
     dual = (mesh.edge_triangles[e] for e in mesh.interior_edges)
@@ -448,6 +496,13 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     degree = Counter(v for e in mesh.boundary_edges for v in e)
     if any(k != 2 for k in degree.values()) or not _connected(degree, mesh.boundary_edges):
         failures.append("boundary cycle")
+    for e in sorted(mesh.interior_edges):
+        a, b = e
+        t1, t2 = (mesh.triangles[t] for t in mesh.edge_triangles[e])
+        if (t1[(t1.index(a) + 1) % 3] == b) == (t2[(t2.index(a) + 1) % 3] == b):
+            failures.append(f"consistent orientation (edge {e})")
+    if "boundary cycle" not in failures and not _simple_cycle(mesh):
+        failures.append("simple boundary")
     return DiskReport(ok=not failures, failures=tuple(failures))
 
 

@@ -6,9 +6,13 @@ integer-normalized linear forms, so coefficients are `int` (anything else
 raises `TypeError`); the ideals they generate are ideals of Q[x, y, z], and
 their graded dimensions are ranks over Q.  Forms are built from the mesh's
 integer homogeneous points (`Mesh.points`) with `int` arithmetic alone.
-The monomial order is graded lexicographic with x > y > z; within a fixed
-degree this is plain descending lexicographic order on exponent triples,
-and every coefficient-vector layout in the package uses it.
+Every coefficient-vector layout in the package lists the degree-d
+monomials in descending degree-reverse-lexicographic order with z last:
+by z-exponent, then y-exponent, both ascending.  So z^t times the degree
+d - t monomials are the last C(d-t+2, 2) positions of degree d, in the
+same order, and a form is divisible by z^t exactly when its leading
+monomial, the first in this order, is.  Printed polynomials list their
+terms in descending lexicographic order.
 
 All values are immutable and all operations are pure functions.
 """
@@ -40,23 +44,20 @@ __all__ = [
 
 @lru_cache(maxsize=64)  # every degree up to the CLI's guard of 30
 def graded_monomial_basis(d: int) -> tuple[Monomial3, ...]:
-    """All C(d+2, 2) degree-d monomials in the fixed (descending) order."""
+    """All C(d+2, 2) degree-d monomials in the layout order: by (z, y)-exponents."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    monos = [
-        (i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)
-    ]
-    return tuple(monos)
+    return tuple((d - j - k, j, k) for k in range(d + 1) for j in range(d - k + 1))
 
 
 def monomial_index(mono: Monomial3) -> int:
-    """Position of a monomial in the fixed order of its degree.
+    """Position of a monomial in the layout order of its degree d.
 
-    The (d-i)(d-i+1)/2 monomials with a larger x-exponent come first, and
-    among those with x-exponent i the z-exponent counts up from 0.
+    The d+1, d, ..., d-k+2 monomials with z-exponents 0, ..., k-1 come
+    first, and among those with z-exponent k the y-exponent counts up from 0.
     """
-    _, j, k = mono
-    return (j + k) * (j + k + 1) // 2 + k
+    i, j, k = mono
+    return k * (i + j + k + 1) - k * (k - 1) // 2 + j
 
 
 class HomogeneousPolynomial:
@@ -115,7 +116,7 @@ class HomogeneousPolynomial:
         )
 
     def coefficient_vector(self) -> dict[int, int]:
-        """Sparse coefficients in the fixed degree-d monomial order."""
+        """Sparse coefficients in the degree-d layout order."""
         return {monomial_index(m): v for m, v in self.terms.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial3, int]]:
@@ -170,9 +171,8 @@ class LinearForm3:
     def power(self, k: int) -> HomogeneousPolynomial:
         """(a*x + b*y + c*z)^k by the integer multinomial expansion.
 
-        Terms are inserted in the fixed descending monomial order, as
-        repeated multiplication by the form inserts them, so matrices built
-        from either are laid out identically.
+        Terms are inserted in descending lexicographic order, as repeated
+        multiplication by the form inserts them.
         """
         if k < 0:
             raise ValueError("negative power")

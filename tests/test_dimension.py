@@ -8,12 +8,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinedim.dimension
 import splinedim.ideals
 import splinedim.mesh
 from splinedim.cli import STAR_DIRECTIONS, builtin_mesh, main
 from splinedim.dimension import (
+    EdgePieces,
     InternalInconsistencyError,
     OutOfRangeError,
     _DegreeSystem,
@@ -932,3 +935,71 @@ def test_report_fields_are_consistent():
         rep.term_vertices_tilde,
         rep.h0,
     ) >= 0
+
+
+def _fresh_rref_rows(mesh, spec, d):
+    return {
+        e: graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d).rref()[1]
+        for e in sorted(mesh.interior_edges)
+    }
+
+
+_SLICE_MESHES = ("two-triangles", "morgan-scott", "star:cross", "star:3-generic", "star:8-generic")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SLICE_MESHES), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_every_lower_degree_is_read_off_the_top_edge_pieces(name, top, rng):
+    """z is a nonzerodivisor modulo each edge ideal, so the top degree's
+    reduced rows at the last C(d+2, 2) columns, shifted, are degree d's."""
+    mesh = builtin_mesh(name)
+    spec = _random_spec(rng, mesh)
+    pieces = EdgePieces(mesh, spec, top)
+    for d in range(top + 1):
+        sliced = {e: rows[::-1] for e, rows in pieces.bases(d).items()}
+        assert sliced == _fresh_rref_rows(mesh, spec, d), (spec.r, spec.s, d)
+
+
+def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
+    """The same slice of a full vertex stack overcounts: on ps6-ms (3,4),
+    J(v)_7 meets z^2 R in more than z^2 J(v)_5 at five vertices, where the
+    sliced count reaches bar."""
+    split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
+    mesh, spec = split.refined, split.spec
+    top, low = _DegreeSystem(mesh, spec, 7), _DegreeSystem(mesh, spec, 5)
+    shift = binom(9, 2) - binom(7, 2)
+    sliced = {v: sum(c >= shift for c in cols) for v, cols in top.full_pivots.items()}
+    wrong = {v for v in low.interior if sliced[v] != low.full[v]}
+    assert wrong == {18, 19, 20, 23, 24}
+    assert {(sliced[v], low.full[v], low.bar[v]) for v in wrong} == {(6, 5, 6)}
+    # the edge pieces of the same run slice exactly
+    rows = {e: rows[::-1] for e, rows in EdgePieces(mesh, spec, 7).bases(5).items()}
+    assert rows == _fresh_rref_rows(mesh, spec, 5)
+
+
+def test_edge_pieces_serve_only_their_mesh_spec_and_degrees():
+    spec = SmoothnessSpec.uniform(CROSS, 1, 2)
+    pieces = EdgePieces(CROSS, spec, 5)
+    assert euler_assembly(CROSS, spec, 3, pieces) == euler_assembly(CROSS, spec, 3)
+    with pytest.raises(ValueError, match="outside 0..5"):
+        euler_assembly(CROSS, spec, 6, pieces)
+    with pytest.raises(ValueError, match="another mesh or spec"):
+        exact_dimension(CROSS, SmoothnessSpec.uniform(CROSS, 1, 2), 3, pieces)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("name", ["morgan-scott", "star:cross", "star:5-generic", "ps6-ms"])
+def test_hong_exact_equals_lb52_at_s_equal_to_r(name, r):
+    """Hong 1991: at s = r the dimension is Schumaker's lower bound for
+    d >= 3r + 2."""
+    mesh = PS6.refined if name == "ps6-ms" else builtin_mesh(name)
+    spec = SmoothnessSpec.uniform(mesh, r, r)
+    for d in (3 * r + 2, 3 * r + 3):
+        report = euler_assembly(mesh, spec, d)
+        assert report.exact == report.lb52, d
+
+
+def test_below_hongs_range_morgan_scott_has_an_extra_spline():
+    mesh = morgan_scott_mesh()
+    report = euler_assembly(mesh, SmoothnessSpec.uniform(mesh, 1, 1), 2)
+    assert (report.exact, report.lb52, report.h0) == (7, 6, 1)

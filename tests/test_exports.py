@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 import splinedim
 from splinedim import ratlinalg
+from splinedim.cli import main
 from splinedim.dimension import euler_assembly
 from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
@@ -273,4 +275,12 @@ def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
     # one per interior edge piece, and per forest edge, one per interior
     # vertex, its basis (for the kernel)
     stacks = len(mesh.interior_edges) + len(mesh.interior_vertices)
+    assert len(inside) == len(matrices) == len({id(m) for m in matrices}) == stacks
+    # a command echelonizes each edge piece once, at its top degree, and
+    # reads the lower degrees off it; the kernel bases stay per degree
+    matrices.clear()
+    inside.clear()
+    argv = ["table", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6", "--check"]
+    assert main(argv, out=io.StringIO()) == 0
+    stacks = len(mesh.interior_edges) + 3 * len(mesh.interior_vertices)
     assert len(inside) == len(matrices) == len({id(m) for m in matrices}) == stacks

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinedim.cli import builtin_mesh
+from splinedim.dimension import euler_assembly
 from splinedim.mesh import (
     Mesh,
     MeshError,
@@ -136,6 +137,66 @@ def test_validate_disk_two_disjoint_triangles():
     report = validate_disk(m)
     assert not report.ok
     assert report.failures == ("connected", "euler characteristic", "boundary cycle")
+
+
+def test_validate_disk_rejects_a_fold():
+    # both triangles lie above edge (0, 1) once turned counterclockwise
+    m = Mesh([(0, 0), (2, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 0, 3)])
+    assert m.triangles == ((0, 1, 2), (0, 1, 3))
+    report = validate_disk(m)
+    assert report.failures == ("consistent orientation (edge (0, 1))", "simple boundary")
+
+
+def _winding_star():
+    """Six counterclockwise triangles around the origin whose rim winds twice."""
+    rays = [(1, 0), (-1, 2), (-1, -2)]
+    rim = [(k * rays[(k - 1) % 3][0], k * rays[(k - 1) % 3][1]) for k in range(1, 7)]
+    return Mesh([(0, 0), *rim], [(0, i, i % 6 + 1) for i in range(1, 7)])
+
+
+def test_validate_disk_rejects_a_star_that_winds_twice():
+    m = _winding_star()
+    assert validate_disk(m).failures == ("simple boundary",)
+    spec = SmoothnessSpec.uniform(m, 1, 1)
+    with pytest.raises(MeshError, match="simple boundary"):
+        euler_assembly(m, spec, 2)
+
+
+def test_validate_disk_rejects_a_flipped_triangle():
+    # the centre of star:cross moved past the rim edge from (1, 0) to (0, 1)
+    cross = builtin_mesh("star:cross")
+    m = Mesh([(F(4, 5), F(4, 5)), *cross.vertices[1:]], cross.triangles)
+    report = validate_disk(m)
+    assert report.failures == (
+        "consistent orientation (edge (0, 1))",
+        "consistent orientation (edge (0, 2))",
+    )
+
+
+FAN = [(0, 0), (2, 0), (0, 2), (-2, 0), (0, -2)]
+
+
+@pytest.mark.parametrize(
+    "last, ok",
+    [
+        ((1, -2), True),  # the fan spans less than a full turn
+        ((2, 1), False),  # pushed across the boundary edge from (0, 0) to (2, 0)
+        ((1, 0), False),  # onto that edge: the fan's two sides fold onto each other
+    ],
+)
+def test_validate_disk_rejects_a_boundary_vertex_pushed_across_the_boundary(last, ok):
+    m = Mesh([*FAN, last], [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    assert validate_disk(m).failures == (() if ok else ("simple boundary",))
+
+
+def test_every_builtin_and_refinement_is_embedded():
+    names = ["triangle", "two-triangles", "morgan-scott", "star:cross"]
+    meshes = [builtin_mesh(n) for n in names + [f"star:{t}-generic" for t in range(3, 9)]]
+    split = morgan_scott_mesh()
+    for _ in range(3):
+        split = powell_sabin_6split(split, 1, 2).refined
+        meshes.append(split)
+    assert all(validate_disk(m).ok for m in meshes)
 
 
 def test_distinct_slopes():

@@ -39,9 +39,23 @@ def test_monomial_basis_length():
 
 
 def test_monomial_basis_is_strictly_descending():
+    """Descending degree-reverse-lexicographic order with z last: by the
+    z-exponent, then the y-exponent, both ascending."""
     for d in range(6):
         basis = graded_monomial_basis(d)
-        assert list(basis) == sorted(basis, reverse=True)
+        assert list(basis) == sorted(basis, key=lambda m: (m[2], m[1]))
+
+
+def test_z_power_times_the_layout_is_the_tail_of_a_higher_degree():
+    """index_D(z^t m) = index_d(m) + C(D+2, 2) - C(d+2, 2) for t = D - d:
+    the edge pieces' lower degrees are read off the top degree by it."""
+    for D in range(31):
+        for d in range(D + 1):
+            shift = binom(D + 2, 2) - binom(d + 2, 2)
+            assert all(
+                monomial_index((i, j, k + D - d)) == monomial_index((i, j, k)) + shift
+                for i, j, k in graded_monomial_basis(d)
+            )
 
 
 def test_monomial_index_is_the_position_in_the_basis():
