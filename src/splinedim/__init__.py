@@ -16,6 +16,7 @@ from .dimension import (
     OutOfRangeError,
     StarProfile,
     argyris_dim,
+    check_euler_side,
     euler_assembly,
     exact_dimension,
     h0_dimension,

@@ -15,8 +15,20 @@ ideal to edges reaching earlier vertices in an admissible ordering.
 
 Every entry point that needs edge bases takes an optional `EdgePieces`:
 a command over several degrees passes one built at its highest degree,
-so each edge piece is echelonized once; without one, the degree-d pieces
-are echelonized for that call alone.
+so each edge piece is echelonized once, and each vertex stack is grown
+once per variant over the degrees up to it; without one, the degree-d
+pieces are echelonized, and the stacks grown, for that call alone.
+
+The growth rests on one identity.  In the degree-d layout z times the
+monomial at position i of degree d - 1 sits at position i + d + 1, and
+an edge's degree-d echelon rows with pivot at least d + 1 are its degree
+d - 1 rows moved there (both are cut from the same top rows).  So for any
+set of edges the stacked degree-d rows span z times the degree d - 1 span
+plus the rows whose leading monomial is z-free, and a forward pass seeded
+with an echelon basis of the first finds the whole stack's leading
+columns.  This needs no saturation of the vertex ideal J(v), only the
+edge pieces' own z-structure; reading J(v)_d off a higher degree's stack
+would need J(v)_D meet z^(D-d) R = z^(D-d) J(v)_d, which can fail.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ __all__ = [
     "OutOfRangeError",
     "StarProfile",
     "argyris_dim",
+    "check_euler_side",
     "euler_assembly",
     "exact_dimension",
     "h0_dimension",
@@ -110,12 +123,15 @@ class EdgePieces:
     """Each interior edge ideal's graded piece at a top degree D, echelonized
     once (`RatMatrix.rref`, never stopped at the lattice count), with every
     lower degree's reduced echelon rows read off it (`bases`; see
-    `_DegreeSystem.bases` for why this is exact).  A command builds one for
-    its highest degree and passes it to each per-degree call; the rows are
-    computed on first use and kept."""
+    `_DegreeSystem.bases` for why this is exact), and each interior
+    vertex's full and tilde stacks grown over the degrees 0..D in one
+    forward pass each (`vertex_pivots`).  A command builds one for its
+    highest degree and passes it to each per-degree call; the edge rows and
+    each variant's vertex pivots are computed on first use and kept."""
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, top: int):
         self.mesh, self.smooth, self.top = mesh, smooth, top
+        self._grown: dict[str, list[dict[int, list[int]]]] = {}
 
     @cached_property
     def _rows(self) -> dict[Edge, list[dict[int, int]]]:
@@ -126,19 +142,53 @@ class EdgePieces:
             for e in sorted(mesh.interior_edges)
         }
 
-    def bases(self, d: int) -> dict[Edge, list[dict[int, int]]]:
-        """Each edge's top rows whose pivot is at least C(D+2, 2) - C(d+2, 2),
-        the position of z^(D-d) x^d, shifted down by it: the degree-d
-        reduced echelon rows, in decreasing pivot column."""
+    def _shift(self, d: int) -> int:
+        """C(D+2, 2) - C(d+2, 2), the top column of z^(D-d) x^d."""
         if not 0 <= d <= self.top:
             raise ValueError(f"degree {d} is outside 0..{self.top}")
-        shift = binom(self.top + 2, 2) - binom(d + 2, 2)
+        return binom(self.top + 2, 2) - binom(d + 2, 2)
+
+    def bases(self, d: int) -> dict[Edge, list[dict[int, int]]]:
+        """Each edge's top rows whose pivot is at least `_shift(d)`, shifted
+        down by it: the degree-d reduced echelon rows, in decreasing pivot
+        column."""
+        shift = self._shift(d)
         if not shift:
             return self._rows
         return {
             e: [{c - shift: v for c, v in row.items()} for row in rows if min(row) >= shift]
             for e, rows in self._rows.items()
         }
+
+    def vertex_pivots(self, variant: str, d: int) -> dict[int, list[int]]:
+        """The leading monomials of each interior vertex's `variant` (full
+        or tilde) ideal piece at degree d, increasing, in vertex order."""
+        shift = self._shift(d)
+        if variant not in self._grown:
+            self._grown[variant] = self._grow(variant)
+        return {v: [c - shift for c in cols] for v, cols in self._grown[variant][d].items()}
+
+    def _grow(self, variant: str) -> list[dict[int, list[int]]]:
+        """Per degree d = 0..D, each interior vertex's `variant` stack's
+        leading columns in the top layout, by the module's growth identity.
+        There z times a degree d - 1 row is the same vector, so the seed of
+        degree d is the pass so far: one forward pass per vertex over its
+        edges' top rows (`RatMatrix.extend_echelon`), each fed at the degree
+        d whose top column z^(D-d) times a z-free monomial is its pivot."""
+        top, ncols = self.top, binom(self.top + 2, 2)
+        # the degree at which each top column is z^(D-d) times a z-free monomial
+        entry = [d for d in range(top, -1, -1) for _ in range(d + 1)]
+        grown: list[dict[int, list[int]]] = [{} for _ in range(top + 1)]
+        for v in sorted(self.mesh.interior_vertices):
+            entering: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
+            for e in vertex_ideal_edges(self.mesh, v, variant):
+                for row in self._rows[e]:
+                    entering[entry[min(row)]].append(row)
+            kept: dict[int, dict[int, int]] = {}
+            for d, rows in enumerate(entering):
+                kept = RatMatrix(rows, ncols).extend_echelon(kept)
+                grown[d][v] = sorted(kept)
+        return grown
 
 
 class _DegreeSystem:
@@ -147,15 +197,16 @@ class _DegreeSystem:
     Validates the disk and the degree.  Each quantity is a property computed
     on first use, once.  `bases` reads each interior edge's degree-d
     echelon rows off `pieces` (one built at degree d when none is given).
-    The vertex ideals' degree-d pieces are their edges'
-    stacked echelon rows (`_stack`), since the degree-d piece of a sum of
-    ideals is the sum of the pieces: `full_pivots` are the full stacks'
-    leading monomials (`leading_columns`), which h0 keeps; `tilde` only
-    counts its stacks (`rank`); `bar` is counted, with no matrix.  The bounds
-    are C(d+2, 2) + sum of edge dims - sum of vertex dims, with the full
-    (LB5.1), bar (LB5.2) or tilde (UB5.3) vertex ideals; LB5.2 takes the
-    counted edge dims, so it builds no matrix.  The lower bounds are floored
-    at C(d+2, 2), since global polynomials are always supersplines.
+    The vertex ideals' degree-d pieces are spanned by their edges' stacked
+    echelon rows, since the degree-d piece of a sum of ideals is the sum of
+    the pieces; `pieces` grows those stacks once over all its degrees
+    (`EdgePieces.vertex_pivots`).  `full_pivots` are the full stacks'
+    leading monomials, which h0 keeps; `full` and `tilde` count them; `bar`
+    is counted, with no matrix.  The bounds are C(d+2, 2) + sum of edge
+    dims - sum of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde
+    (UB5.3) vertex ideals; LB5.2 takes the counted edge dims, so it builds
+    no matrix.  The lower bounds are floored at C(d+2, 2), since global
+    polynomials are always supersplines.
     """
 
     def __init__(
@@ -197,7 +248,8 @@ class _DegreeSystem:
         down they are the primitive reduced echelon form of J(e)_d, which
         is unique.  This is for edge ideals only: a vertex ideal, a sum of
         edge ideals, need not be saturated, and slicing its stack would
-        overcount (the test suite keeps such a case)."""
+        overcount (the test suite keeps such a case); `EdgePieces` grows
+        the stacks degree by degree instead."""
         return self.pieces.bases(self.d)
 
     @cached_property
@@ -211,15 +263,10 @@ class _DegreeSystem:
         r, s, edges = self.smooth.r, self.smooth.effective_s, self.mesh.interior_edges
         return sum(dim_edge_ideal_count(r[e], s(e[0], e), s(e[1], e), self.d) for e in edges)
 
-    def _stack(self, v: int, variant: str) -> RatMatrix:
-        """v's `variant` ideal piece (full or tilde), as its edges' stacked echelon rows."""
-        edges = vertex_ideal_edges(self.mesh, v, variant)
-        return RatMatrix([b for e in edges for b in self.bases[e]], self.ncoef)
-
     @cached_property
     def full_pivots(self) -> dict[int, list[int]]:
         """Leading monomials of each interior vertex's ideal piece, increasing."""
-        return {v: self._stack(v, "full").leading_columns() for v in self.interior}
+        return self.pieces.vertex_pivots("full", self.d)
 
     @cached_property
     def full(self) -> dict[int, int]:
@@ -227,7 +274,7 @@ class _DegreeSystem:
 
     @cached_property
     def tilde(self) -> dict[int, int]:
-        return {v: self._stack(v, "tilde").rank() for v in self.interior}
+        return {v: len(cols) for v, cols in self.pieces.vertex_pivots("tilde", self.d).items()}
 
     @cached_property
     def bar(self) -> dict[int, int]:
@@ -392,24 +439,28 @@ def upper_bound_53(
     return _DegreeSystem(mesh, smooth, d, pieces).ub53
 
 
-def euler_assembly(
-    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
-) -> DimensionReport:
-    """Full per-degree report; exact and Euler-assembled values must agree.
+def check_euler_side(
+    mesh: Mesh,
+    smooth: SmoothnessSpec,
+    d: int,
+    exact: int,
+    pieces: EdgePieces | None = None,
+    sys: _DegreeSystem | None = None,
+) -> int:
+    """Check a kernel oracle's degree-d dimension against the Euler side
+    alone, and return h0.
 
-    The exact dimension comes from the kernel oracle and the homology term
-    from the boundary-map cokernel; the degree-d Euler identity ties them
-    to the ideal dimension sums.  The echelon edge dims must equal their
-    lattice counts, and at every interior vertex tilde <= full <= bar must
-    hold, since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
+    The homology term comes from the boundary-map cokernel, and the
+    degree-d Euler identity C(d+2, 2) + edge dims - full vertex dims + h0
+    must give `exact`.  The echelon edge dims must equal their lattice
+    counts, and at every interior vertex tilde <= full <= bar must hold,
+    since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
     violation raises InternalInconsistencyError (exit code 2 in the CLI).
     """
-    sys = _DegreeSystem(mesh, smooth, d, pieces)
-    n = sys.ncoef
+    if sys is None:
+        sys = _DegreeSystem(mesh, smooth, d, pieces)
     h0 = h0_dimension(mesh, smooth, d, sys)
-    exact = _exact_dim_reduced(sys)
-    full, bar, tilde = (sum(dims.values()) for dims in (sys.full, sys.bar, sys.tilde))
-    assembled = n + sys.edge_dims - full + h0
+    assembled = sys.ncoef + sys.edge_dims - sum(sys.full.values()) + h0
     unordered = [v for v in sys.interior if not sys.tilde[v] <= sys.full[v] <= sys.bar[v]]
     if exact != assembled or sys.counted_edge_dims != sys.edge_dims or unordered:
         raise InternalInconsistencyError(
@@ -417,13 +468,24 @@ def euler_assembly(
             f"edge ideals counted {sys.counted_edge_dims} vs ranked {sys.edge_dims}, "
             f"vertices breaking tilde <= full <= bar: {unordered}"
         )
+    return h0
+
+
+def euler_assembly(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> DimensionReport:
+    """Full per-degree report: the kernel oracle's exact dimension, checked
+    against the Euler side (`check_euler_side`), and every bound."""
+    sys = _DegreeSystem(mesh, smooth, d, pieces)
+    exact = _exact_dim_reduced(sys)
+    h0 = check_euler_side(mesh, smooth, d, exact, sys=sys)
     return DimensionReport(
         d=d,
-        term_polys=mesh.num_triangles * n,
+        term_polys=mesh.num_triangles * sys.ncoef,
         term_edges=sys.edge_dims,
-        term_vertices_full=full,
-        term_vertices_bar=bar,
-        term_vertices_tilde=tilde,
+        term_vertices_full=sum(sys.full.values()),
+        term_vertices_bar=sum(sys.bar.values()),
+        term_vertices_tilde=sum(sys.tilde.values()),
         h0=h0,
         lb51=sys.lb51,
         lb52=sys.lb52,

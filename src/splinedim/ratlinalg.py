@@ -16,7 +16,12 @@ forward pass (`_echelon_rows`) and `rank` counts the columns it keeps;
 `rref` adds the back-substitution.  `rank_mod` runs the pass mod a prime,
 which can only understate the rank, so it serves only to prove full row
 rank.  Nothing is kept on the matrix: each call eliminates afresh and
-returns new lists, which belong to the caller.
+returns new lists, which belong to the caller.  `extend_echelon` is the
+one pass that starts from earlier work: it takes a seed, a dict of kept
+rows by pivot column that the caller owns and hands over, adds the
+matrix's rows to it in place and returns it.  It never writes a row: the
+seed's rows and the rows it keeps, which may be the matrix's own, are
+read-only, and each elimination step builds a new dict.
 
 Matrices are immutable after construction and safe to share across
 threads; individual computations are sequential, but callers may run many
@@ -92,16 +97,18 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, i
     return _normalize_int_row(new) if new else new
 
 
-def _echelon_rows(rows: list[dict[int, int]], limit: int | None = None) -> dict[int, dict[int, int]]:
-    """Forward elimination of an integer matrix given by nonzero rows.
+def _echelon_rows(
+    rows: list[dict[int, int]], kept: dict[int, dict[int, int]], limit: int | None = None
+) -> dict[int, dict[int, int]]:
+    """Forward elimination of an integer matrix given by nonzero rows, onto
+    `kept`, rows by pivot column that are already in echelon form.
 
     Shortest rows first, each row is cancelled at its leftmost column by the
     row kept there (`_eliminate`) until it vanishes or is kept, made
     positive, at a new column, stopping once `limit` rows are kept.  Returns
-    the kept rows by pivot column.  Columns are eliminated in index order, so
+    `kept`, extended in place.  Columns are eliminated in index order, so
     callers with large systems list their sparsest columns first.
     """
-    kept: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
         if limit is not None and len(kept) >= limit:
             break
@@ -154,7 +161,14 @@ class RatMatrix:
 
     def leading_columns(self, limit: int | None = None) -> list[int]:
         """The `rref` pivots, by the forward pass alone, or the first `limit` it keeps."""
-        return sorted(_echelon_rows(_primitive_rows(self._rows), limit))
+        return sorted(_echelon_rows(_primitive_rows(self._rows), {}, limit))
+
+    def extend_echelon(self, seed: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+        """The forward pass over these rows started from `seed`, kept rows by
+        pivot column in echelon form: the seed, extended in place to an
+        echelon basis of its span plus the row space, and returned.  Its
+        keys are the leading columns of that sum."""
+        return _echelon_rows(_primitive_rows(self._rows), seed)
 
     def rank_mod(self, p: int = 32749) -> int:
         """Rank mod a prime p (default: the largest below 2**15), each kept row
@@ -187,7 +201,7 @@ class RatMatrix:
         the result is the caller's to modify.  Meant for local pieces that
         need a basis (an edge's graded piece, a forest edge's kernel).
         """
-        kept = _echelon_rows(_primitive_rows(map(dict, self._rows)))
+        kept = _echelon_rows(_primitive_rows(map(dict, self._rows)), {})
         pivots = sorted(kept)
         for k, pc in reversed(list(enumerate(pivots))):
             for qc in pivots[:k]:

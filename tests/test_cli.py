@@ -6,6 +6,7 @@ import json
 import pytest
 
 import splinedim.cli
+import splinedim.dimension
 from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import star_smoothness_spec
 from splinedim.mesh import mesh_to_json
@@ -324,6 +325,37 @@ def test_check_catches_a_single_method_that_disagrees_with_the_euler_assembly(
     code, text = run([*argv, "--check"])
     assert (code, text) == (2, "")
     assert "but the Euler assembly gives" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, oracle_rows", [("exact", [4, 5, 6]), ("formula", [4])])
+def test_check_runs_the_kernel_oracle_once_per_degree(monkeypatch, method, oracle_rows):
+    """An oracle row (`exact`, or a `formula` row that fell back to `oracle`)
+    is checked against the Euler side alone, not through a second oracle
+    run; the closed-form rows still run the full assembly.  ps6-ms (2,3)
+    is in the 6-split formula's range from d = 5."""
+    oracle = splinedim.dimension._exact_dim_reduced
+    runs = []
+    monkeypatch.setattr(
+        splinedim.dimension, "_exact_dim_reduced", lambda sys: runs.append(sys.d) or oracle(sys)
+    )
+    argv = ["dim", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6",
+            "--method", method, "--format", "json", "--check"]
+    code, text = run(argv)
+    assert code == 0
+    assert [row["method"] == "formula" for row in json.loads(text)["rows"]] == [
+        d not in oracle_rows for d in (4, 5, 6)
+    ]
+    assert sorted(runs) == [4, 5, 6]
+
+
+def test_check_catches_an_oracle_row_that_disagrees_with_the_euler_side(monkeypatch, capsys):
+    real = splinedim.cli.exact_dimension
+    monkeypatch.setattr(splinedim.cli, "exact_dimension", lambda *args, **kw: real(*args, **kw) + 1)
+    argv = ["dim", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6"]
+    for method in ("exact", "formula"):
+        assert run([*argv, "--method", method])[0] == 0  # without --check the wrong value is printed
+        assert run([*argv, "--method", method, "--check"]) == (2, "")
+        assert "at degree 4: kernel oracle 17 vs Euler assembly 16," in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

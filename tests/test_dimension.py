@@ -36,7 +36,7 @@ from splinedim.dimension import (
     upper_bound_53,
     vertex_star_dim,
 )
-from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal
+from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal, vertex_ideal_edges
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
 from splinedim.ratlinalg import RatMatrix, binom
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
@@ -537,6 +537,13 @@ def _sweep_configs():
             yield mesh, star_smoothness_spec(mesh, r, s), range(2, 9)
 
 
+def _stacked(sys, v, variant):
+    """v's `variant` (full or tilde) ideal piece at sys's degree, stacked
+    here: its edges' echelon rows from `sys.bases`, one matrix."""
+    edges = vertex_ideal_edges(sys.mesh, v, variant)
+    return RatMatrix([row for e in edges for row in sys.bases[e]], sys.ncoef)
+
+
 def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
     """h0 is the boundary matrix's row count minus its integer rank, and the
     integer rank runs exactly where h0 > 0; the forward-only full pivots
@@ -558,7 +565,7 @@ def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
             assert bool(fell_back) == (h0 > 0), (mesh, d)
             h0s[h0 > 0] += 1
             for v, cols in sys.full_pivots.items():
-                assert cols == sys._stack(v, "full").rref()[0], (mesh, d, v)
+                assert cols == _stacked(sys, v, "full").rref()[0], (mesh, d, v)
             selected = [splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()]
             monkeypatch.setattr(RatMatrix, "leading_columns", lambda self, limit=None: self.rref()[0])
             assert selected == [
@@ -960,10 +967,28 @@ def test_every_lower_degree_is_read_off_the_top_edge_pieces(name, top, rng):
         assert sliced == _fresh_rref_rows(mesh, spec, d), (spec.r, spec.s, d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SLICE_MESHES), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_each_grown_vertex_stack_has_the_pivots_of_its_one_shot_stack(name, top, rng):
+    """Degree d's vertex stack grows from z times degree d-1's, plus the
+    edge rows whose leading monomial is z-free: its leading monomials are
+    those of the whole stack of degree d's edge rows, at every degree of
+    the pieces and for both variants."""
+    mesh = builtin_mesh(name)
+    spec = _random_spec(rng, mesh)
+    pieces = EdgePieces(mesh, spec, top)
+    for d in range(top + 1):
+        sys = _DegreeSystem(mesh, spec, d, pieces)
+        for variant in ("full", "tilde"):
+            expected = {v: _stacked(sys, v, variant).rref()[0] for v in sys.interior}
+            assert pieces.vertex_pivots(variant, d) == expected, (spec.r, spec.s, d, variant)
+
+
 def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
     """The same slice of a full vertex stack overcounts: on ps6-ms (3,4),
     J(v)_7 meets z^2 R in more than z^2 J(v)_5 at five vertices, where the
-    sliced count reaches bar."""
+    sliced count reaches bar.  Growing the stacks needs no saturation:
+    the same top pieces give the degree-5 counts of the stacks themselves."""
     split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
     mesh, spec = split.refined, split.spec
     top, low = _DegreeSystem(mesh, spec, 7), _DegreeSystem(mesh, spec, 5)
@@ -972,6 +997,9 @@ def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
     wrong = {v for v in low.interior if sliced[v] != low.full[v]}
     assert wrong == {18, 19, 20, 23, 24}
     assert {(sliced[v], low.full[v], low.bar[v]) for v in wrong} == {(6, 5, 6)}
+    grown = _DegreeSystem(mesh, spec, 5, EdgePieces(mesh, spec, 7)).full
+    assert {grown[v] for v in wrong} == {_stacked(low, v, "full").rank() for v in wrong} == {5}
+    assert grown == low.full
     # the edge pieces of the same run slice exactly
     rows = {e: rows[::-1] for e, rows in EdgePieces(mesh, spec, 7).bases(5).items()}
     assert rows == _fresh_rref_rows(mesh, spec, 5)

@@ -15,8 +15,9 @@ import pytest
 
 import splinedim
 from splinedim import ratlinalg
-from splinedim.cli import main
-from splinedim.dimension import euler_assembly
+from splinedim.cli import builtin_mesh, main
+from splinedim.dimension import EdgePieces, euler_assembly, star_smoothness_spec
+from splinedim.mesh import SmoothnessSpec, mesh_to_json
 from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
 MODULES = ["dimension", "ideals", "mesh", "polyring", "ratlinalg", "refine"]
@@ -207,9 +208,9 @@ def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
     benchmark can time it; one started anywhere else would hide its time.
     Each call eliminates once.  At ps6-ms (2,3) d=5, h0 = 0, so the modular
     pass (`rank_mod`) proves it and h0 ranks nothing: a report ranks the
-    tilde stack of each interior vertex and the kernel system, and takes
-    leading columns of those, of each full stack and of each forest edge's
-    row selection."""
+    kernel system, and takes leading columns of it and of each forest
+    edge's row selection.  Each interior vertex's full and tilde stacks
+    grow through one seeded pass (`extend_echelon`) per degree 0..5."""
     open_spans, calls, seen_in = [], {}, []
     forward = ratlinalg._echelon_rows
 
@@ -230,20 +231,56 @@ def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
         seen_in.append(tuple(open_spans))
         return forward(*args)
 
-    for name in ("rank", "leading_columns", "rank_mod", "rref"):
+    for name in ("rank", "leading_columns", "rank_mod", "rref", "extend_echelon"):
         monkeypatch.setattr(ratlinalg.RatMatrix, name, span(name))
     monkeypatch.setattr(ratlinalg, "_echelon_rows", counted_forward)
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     assert euler_assembly(split.refined, split.spec, 5).h0 == 0
     vertices = len(split.refined.interior_vertices)
     rrefs = len({id(m) for m in calls["rref"]})
+    seeded = 2 * vertices * (5 + 1)  # full and tilde, degrees 0..5
     assert Counter(spans[-1] if spans else None for spans in seen_in) == {
-        "leading_columns": 3 * vertices + 1, "rref": rrefs,
+        "leading_columns": vertices + 1, "rref": rrefs, "extend_echelon": seeded,
     }
-    assert sum("rank" in spans for spans in seen_in) == vertices + 1
+    assert sum("rank" in spans for spans in seen_in) == 1
     assert {name: len(mats) for name, mats in calls.items()} == {
-        "rank": vertices + 1, "leading_columns": 3 * vertices + 1, "rank_mod": 1, "rref": rrefs,
+        "rank": 1, "leading_columns": vertices + 1, "rank_mod": 1, "rref": rrefs,
+        "extend_echelon": seeded,
     }
+
+
+@pytest.mark.parametrize(
+    "spec, top, stacked",
+    [(star_smoothness_spec, 1176, 6360), (SmoothnessSpec.uniform, 1128, 5928)],
+)
+def test_a_table_feeds_each_top_edge_row_once_to_each_variants_stack(
+    monkeypatch, tmp_path, spec, top, stacked
+):
+    """The star's one interior vertex grows its full and its tilde stack
+    over the degrees 0..20 of `table --degrees 12:20`, and every top edge
+    row enters each stack's seeded passes once: sum_e dim J(e)_20 rows per
+    variant.  Stacked afresh at each degree 12..20, as before the stacks
+    were grown, they took the sum over those degrees.  With s = 6 at the
+    center only (the benchmark's star8) that is 1176 against 6360; with
+    s = 6 at every vertex (`--gen star:8-generic -r 3 -s 6`), 1128
+    against 5928."""
+    fed = []
+    extend = ratlinalg.RatMatrix.extend_echelon
+
+    def counted(self, seed):
+        fed.append(self.nrows)
+        return extend(self, seed)
+
+    monkeypatch.setattr(ratlinalg.RatMatrix, "extend_echelon", counted)
+    mesh = builtin_mesh("star:8-generic")
+    smooth = spec(mesh, 3, 6)
+    path = tmp_path / "star8.json"
+    path.write_text(json.dumps(mesh_to_json(mesh, smooth)))
+    argv = ["table", "--mesh", str(path), "--degrees", "12:20"]
+    assert main(argv, out=io.StringIO()) == 0
+    pieces = EdgePieces(mesh, smooth, 20)
+    per_degree = [sum(map(len, pieces.bases(d).values())) for d in range(12, 21)]
+    assert (sum(fed), per_degree[-1], sum(per_degree)) == (2 * top, top, stacked)
 
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):

@@ -325,8 +325,8 @@ def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base
     degree-d piece, whatever elimination found them: the forward pass
     alone, the stack's rref, and the Fraction loop on the stacked
     generator-times-monomial rows of v's edges.  At ps6-ms (3,4) d=5 five
-    of the 19 vertices have full < bar.  The tilde stacks are only ranked,
-    so their count is that loop's pivot count."""
+    of the 19 vertices have full < bar.  The tilde stacks are read only as
+    counts, so their count is that loop's pivot count."""
     split = powell_sabin_6split(builtin_mesh(base), r, s)
     mesh, spec = split.refined, split.spec
     sys = _DegreeSystem(mesh, spec, d)
@@ -341,7 +341,8 @@ def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base
         return _rref_by_fraction_loop(stacked)[0]
 
     for v, cols in sys.full_pivots.items():
-        assert cols == reference_pivots(v, "full") == sys._stack(v, "full").rref()[0], v
+        stacked = RatMatrix([row for e in vertex_ideal_edges(mesh, v, "full") for row in sys.bases[e]], sys.ncoef)
+        assert cols == reference_pivots(v, "full") == stacked.rref()[0], v
         assert len(cols) == sys.full[v]
         assert sys.tilde[v] == len(reference_pivots(v, "tilde")), v
 
