@@ -8,20 +8,20 @@ decisions; ranks are ranks over Q.  No floating point is ever used; a
 single rounding error would flip a dimension count downstream.
 
 Matrices are stored sparsely (dict-of-columns per row).  One elimination
-serves every matrix, fraction-free: every update replaces a row by the
-integer combination that cancels the pivot column and divides it by the
-gcd of its entries (`_eliminate`), which keeps intermediate growth tame on
-the structured matrices this package produces.  `leading_columns` runs the
-forward pass (`_echelon_rows`) and `rank` counts the columns it keeps;
-`rref` adds the back-substitution.  `rank_mod` runs the pass mod a prime,
-which can only understate the rank, so it serves only to prove full row
-rank.  Nothing is kept on the matrix: each call eliminates afresh and
-returns new lists, which belong to the caller.  `extend_echelon` is the
-one pass that starts from earlier work: it takes a seed, a dict of kept
-rows by pivot column that the caller owns and hands over, adds the
-matrix's rows to it in place and returns it.  It never writes a row: the
-seed's rows and the rows it keeps, which may be the matrix's own, are
-read-only, and each elimination step builds a new dict.
+serves every matrix, fraction-free: each step replaces a row by the integer
+combination that cancels the pivot column (`_eliminate`), and a row is
+divided by its content, the gcd of its entries, once, when it is kept
+(`_primitive`).  `leading_columns` runs the forward pass (`_echelon_rows`)
+and `rank` counts the columns it keeps; `rref` adds the back-substitution.
+`rank_mod` runs the pass mod a prime, which can only understate the rank,
+so it serves only to prove full row rank.  Nothing is kept on the matrix:
+each call eliminates afresh and returns new lists, which belong to the
+caller.  `extend_echelon` is the one pass that starts from earlier work: it
+takes a seed, a dict of kept rows by pivot column that the caller owns and
+hands over, adds the matrix's rows to it in place and returns it.  It never
+writes a row it is given: the seed's rows and the rows it keeps, which may
+be the matrix's own, are read-only.  A row's first elimination step builds
+a new dict, and its later steps update that dict.
 
 Matrices are immutable after construction and safe to share across
 threads; individual computations are sequential, but callers may run many
@@ -31,7 +31,7 @@ of them in parallel.
 from __future__ import annotations
 
 from math import comb, gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "RatMatrix",
@@ -54,14 +54,6 @@ def binom(a: int, b: int) -> int:
     return comb(a, b) if a >= b else 0
 
 
-def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
-    """Divide a nonzero integer row by the gcd of its entries."""
-    g = gcd(*row.values())
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def primitive_int_vector(values: Sequence[int]) -> tuple[int, ...]:
     """`int`s (else TypeError), not all zero, over their gcd, first nonzero positive."""
     if any(type(v) is not int for v in values):
@@ -72,50 +64,55 @@ def primitive_int_vector(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in values)
 
 
-def _primitive_rows(rows) -> list[dict[int, int]]:
-    """The nonzero rows, each divided by the gcd of its entries."""
-    return [_normalize_int_row(r) for r in rows if r]
+def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
+    """A kept row over its content, the gcd of its entries, signed positive at
+    its pivot column `pc`: `row` itself when that changes nothing."""
+    g = gcd(*row.values())
+    if row[pc] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int) -> dict[int, int]:
-    """One fraction-free step: `row` with pivot column `pc` cancelled by `piv`.
-
-    Returns a*row - b*piv divided by the gcd of its entries, where a and b
-    are piv[pc] and row[pc] over their gcd; an empty dict when that is zero.
-    """
+def _eliminate(row: dict[int, int], piv: dict[int, int], pc: int, owned: bool) -> dict[int, int]:
+    """One fraction-free step, `row` with pivot column `pc` cancelled by `piv`:
+    a*row - b*piv, content and all, where a and b are piv[pc] and row[pc]
+    over their gcd; an empty dict when that is zero.  It is `row`, updated in
+    place, if the caller `owned` it, else a new dict."""
     pv, rv = piv[pc], row[pc]
     g = gcd(pv, rv)
-    a = pv // g
-    b = rv // g
-    new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+    a, b = pv // g, rv // g
+    if not owned:
+        row = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+    elif a != 1:
+        for c in row:
+            row[c] *= a
     for c, w in piv.items():
-        nv = new.get(c, 0) - b * w
-        if nv:
-            new[c] = nv
+        if nv := row.get(c, 0) - b * w:
+            row[c] = nv
         else:
-            del new[c]
-    return _normalize_int_row(new) if new else new
+            del row[c]
+    return row
 
 
 def _echelon_rows(
-    rows: list[dict[int, int]], kept: dict[int, dict[int, int]], limit: int | None = None
+    rows: Iterable[dict[int, int]], kept: dict[int, dict[int, int]], limit: int | None = None
 ) -> dict[int, dict[int, int]]:
-    """Forward elimination of an integer matrix given by nonzero rows, onto
-    `kept`, rows by pivot column that are already in echelon form.
-
-    Shortest rows first, each row is cancelled at its leftmost column by the
-    row kept there (`_eliminate`) until it vanishes or is kept, made
-    positive, at a new column, stopping once `limit` rows are kept.  Returns
-    `kept`, extended in place.  Columns are eliminated in index order, so
-    callers with large systems list their sparsest columns first.
+    """Forward elimination onto `kept`, primitive rows by pivot column in
+    echelon form: shortest first, each nonzero row is cancelled at its
+    leftmost column by the row kept there (`_eliminate`) until it vanishes
+    or is kept, made primitive (`_primitive`), at a new column, stopping once
+    `limit` rows are kept.  Returns `kept`, extended in place.  Columns are
+    eliminated in index order, so large systems list their sparsest first.
     """
     for row in sorted(rows, key=len):
         if limit is not None and len(kept) >= limit:
             break
+        owned = False
         while row and (pc := min(row)) in kept:
-            row = _eliminate(row, kept[pc], pc)
+            row = _eliminate(row, kept[pc], pc, owned)
+            owned = True
         if row:
-            kept[pc] = row if row[pc] > 0 else {c: -v for c, v in row.items()}
+            kept[pc] = _primitive(row, pc)
     return kept
 
 
@@ -161,14 +158,14 @@ class RatMatrix:
 
     def leading_columns(self, limit: int | None = None) -> list[int]:
         """The `rref` pivots, by the forward pass alone, or the first `limit` it keeps."""
-        return sorted(_echelon_rows(_primitive_rows(self._rows), {}, limit))
+        return sorted(_echelon_rows(self._rows, {}, limit))
 
     def extend_echelon(self, seed: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
         """The forward pass over these rows started from `seed`, kept rows by
         pivot column in echelon form: the seed, extended in place to an
         echelon basis of its span plus the row space, and returned.  Its
         keys are the leading columns of that sum."""
-        return _echelon_rows(_primitive_rows(self._rows), seed)
+        return _echelon_rows(self._rows, seed)
 
     def rank_mod(self, p: int = 32749) -> int:
         """Rank mod a prime p (default: the largest below 2**15), each kept row
@@ -196,17 +193,19 @@ class RatMatrix:
         Returns (pivot_columns, rows): pivot columns in increasing order and
         the reduced rows scaled to primitive integers with positive pivots,
         so rows[i] / rows[i][pivot_columns[i]] is the unit-pivot row.  Each
-        call runs the forward pass on copies of the rows, then clears each kept
-        column from the rows kept at smaller columns, last column first, so
-        the result is the caller's to modify.  Meant for local pieces that
-        need a basis (an edge's graded piece, a forest edge's kernel).
+        call runs the forward pass on copies of the rows, so the result is the
+        caller's, then clears each kept row at the later pivot columns it holds
+        and divides it by its content, last row first.  Meant for local pieces
+        that need a basis (an edge's graded piece, a forest edge's kernel).
         """
-        kept = _echelon_rows(_primitive_rows(map(dict, self._rows)), {})
+        kept = _echelon_rows(map(dict, self._rows), {})
         pivots = sorted(kept)
-        for k, pc in reversed(list(enumerate(pivots))):
-            for qc in pivots[:k]:
-                if pc in kept[qc]:
-                    kept[qc] = _eliminate(kept[qc], kept[pc], pc)
+        for qc in reversed(pivots):
+            # kept[pc] is zero at every other pivot column, so no step adds one
+            if later := [pc for pc in kept[qc] if pc != qc and pc in kept]:
+                for pc in later:
+                    kept[qc] = _eliminate(kept[qc], kept[pc], pc, True)
+                kept[qc] = _primitive(kept[qc], qc)
         return pivots, [kept[c] for c in pivots]
 
     def kernel_basis(self) -> list[dict[int, int]]:

@@ -3,19 +3,24 @@
 The references are plain Fraction eliminations.  Random rational matrices
 are fed to RatMatrix with each row's denominators cleared here (a row
 scaling, so rank, pivots and kernel are unchanged), and to the references
-as they are.
+as they are.  The engine that divided each working row by its content
+after every step is kept here too, as the reference for what the one
+elimination keeps and how many steps it takes.
 """
 
+import copy
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinedim import ratlinalg
 from splinedim.cli import builtin_mesh
-from splinedim.dimension import _DegreeSystem
+from splinedim.dimension import _DegreeSystem, euler_assembly
 from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal_edges
 from splinedim.mesh import rational_from_str, rational_to_str
 from splinedim.ratlinalg import RatMatrix, binom
@@ -315,6 +320,201 @@ def test_rref_gives_unit_pivot_basis():
         for other in rows:
             if other is not row:
                 assert pc not in other
+
+
+def _reference_primitive(row):
+    """`row` over the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()}
+
+
+def _reference_eliminate(row, piv, pc):
+    """The step that divided the working row by its content after every
+    elimination, the engine before kept rows were the only ones divided."""
+    pv, rv = piv[pc], row[pc]
+    g = math.gcd(pv, rv)
+    a, b = pv // g, rv // g
+    new = {c: a * v for c, v in row.items()}
+    for c, w in piv.items():
+        nv = new.get(c, 0) - b * w
+        if nv:
+            new[c] = nv
+        else:
+            del new[c]
+    return _reference_primitive(new) if new else new
+
+
+def _reference_echelon(rows, kept, limit=None):
+    """That engine's forward pass over the primitive nonzero rows, onto
+    `kept`: (kept, number of elimination steps)."""
+    steps = 0
+    for row in sorted((_reference_primitive(r) for r in rows if r), key=len):
+        if limit is not None and len(kept) >= limit:
+            break
+        while row and (pc := min(row)) in kept:
+            row = _reference_eliminate(row, kept[pc], pc)
+            steps += 1
+        if row:
+            kept[pc] = row if row[pc] > 0 else {c: -v for c, v in row.items()}
+    return kept, steps
+
+
+def _reference_rref(rows):
+    """That engine's rref: ((pivots, rows), number of elimination steps)."""
+    kept, steps = _reference_echelon(rows, {})
+    pivots = sorted(kept)
+    for k, pc in reversed(list(enumerate(pivots))):
+        for qc in pivots[:k]:
+            if pc in kept[qc]:
+                kept[qc] = _reference_eliminate(kept[qc], kept[pc], pc)
+                steps += 1
+    return (pivots, [kept[c] for c in pivots]), steps
+
+
+_SCALES = (1, 1, -1, 12, -30, 7**25, -(2**70) * 3)
+
+
+def _dependent_rows(rng, nrows, ncols):
+    """Sparse integer rows, most of them combinations of a few random ones,
+    each times a common factor that is often large."""
+    base = [
+        {c: rng.choice([-9, -4, -1, 1, 2, 5, 8]) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        for _ in range(rng.randint(1, 4))
+    ]
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for b in base if rng.random() < 0.7 else [dict(rng.choice(base))]:
+            f = rng.randint(-2, 2)
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + f * v
+        scale = rng.choice(_SCALES)
+        rows.append({c: scale * v for c, v in row.items() if v})
+    return rows
+
+
+@st.composite
+def _scaled_dependent_rows(draw, ncols):
+    """Integer combinations of at most four dense rows, each times a common
+    factor from _SCALES."""
+    base = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        scale = draw(st.sampled_from(_SCALES))
+        combined = (scale * sum(f * b[c] for f, b in zip(coeffs, base)) for c in range(ncols))
+        rows.append({c: v for c, v in enumerate(combined) if v})
+    return rows
+
+
+def _check_against_reference_engine(rows, ncols, seed_rows):
+    """The engine keeps what the one that divided after every step kept,
+    in as many `_eliminate` calls: the forward pass at every limit up to
+    the rank, the pass from an echelon seed, and rref."""
+    m = RatMatrix(rows, ncols)
+    steps = []
+    eliminate = ratlinalg._eliminate
+
+    def counted(*args):
+        steps.append(args)
+        return eliminate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratlinalg, "_eliminate", counted)
+        rank = m.rank()
+        for limit in (None, *range(rank + 1)):
+            expected, expected_steps = _reference_echelon(rows, {}, limit)
+            steps.clear()
+            assert ratlinalg._echelon_rows(m.row_dicts(), {}, limit) == expected, limit
+            assert len(steps) == expected_steps, limit
+            assert m.leading_columns(limit) == sorted(expected), limit
+        seed, _ = _reference_echelon(seed_rows, {})
+        expected, expected_steps = _reference_echelon(rows, dict(seed))
+        steps.clear()
+        assert (m.extend_echelon(dict(seed)), len(steps)) == (expected, expected_steps)
+        expected, expected_steps = _reference_rref(rows)
+        steps.clear()
+        assert (m.rref(), len(steps)) == (expected, expected_steps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_engine_keeps_what_dividing_after_every_step_kept(seed):
+    rng = random.Random(400 + seed)
+    ncols = rng.randint(1, 9)
+    _check_against_reference_engine(
+        _dependent_rows(rng, rng.randint(0, 12), ncols), ncols, _dependent_rows(rng, rng.randint(0, 5), ncols)
+    )
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.tuples(_scaled_dependent_rows(ncols), st.just(ncols), _scaled_dependent_rows(ncols))
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_the_engine_keeps_what_dividing_after_every_step_kept_property(case):
+    _check_against_reference_engine(*case)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_no_elimination_writes_a_matrix_row_or_a_seed_row(seed):
+    """A pass owns a working row only from that row's first step on, so
+    the matrix's rows and the seed's rows read the same after every call,
+    also where a row is kept untouched or cancelled with a factor of 1."""
+    rng = random.Random(500 + seed)
+    ncols = rng.randint(2, 8)
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 2}] + _dependent_rows(rng, rng.randint(2, 10), ncols)
+    m = RatMatrix(rows, ncols)
+    seed_rows, _ = _reference_echelon(_dependent_rows(rng, 4, ncols), {})
+    before = copy.deepcopy((m.row_dicts(), seed_rows))
+    m.rank()
+    for limit in (None, *range(m.rank() + 1)):
+        m.leading_columns(limit)
+    grown = m.extend_echelon(dict(seed_rows))
+    m.rref()
+    m.kernel_basis()
+    assert (m.row_dicts(), seed_rows) == before
+    assert all(grown[pc] is row for pc, row in seed_rows.items())
+
+
+def test_a_report_divides_each_kept_row_by_its_content_once(monkeypatch):
+    """At ps6-ms (2,3) d=5 the content is divided out once per row a
+    forward pass keeps, plus once per row the back-substitution changes,
+    and the elimination takes the 2625 steps it took when every step
+    divided."""
+    counts = Counter()
+    primitive, eliminate = ratlinalg._primitive, ratlinalg._eliminate
+    forward, rref = ratlinalg._echelon_rows, RatMatrix.rref
+
+    def counted_primitive(*args):
+        counts["divided"] += 1
+        return primitive(*args)
+
+    def counted_eliminate(*args):
+        counts["steps"] += 1
+        return eliminate(*args)
+
+    def counted_forward(rows, kept, *args):
+        before = len(kept)
+        kept = forward(rows, kept, *args)
+        counts["kept"] += len(kept) - before
+        return kept
+
+    def counted_rref(self):
+        pivots, rows = rref(self)
+        kept, _ = _reference_echelon(self.row_dicts(), {})
+        counts["changed"] += sum(kept[pc] != row for pc, row in zip(pivots, rows))
+        return pivots, rows
+
+    monkeypatch.setattr(ratlinalg, "_primitive", counted_primitive)
+    monkeypatch.setattr(ratlinalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(ratlinalg, "_echelon_rows", counted_forward)
+    monkeypatch.setattr(RatMatrix, "rref", counted_rref)
+    split = powell_sabin_6split(builtin_mesh("morgan-scott"), 2, 3)
+    euler_assembly(split.refined, split.spec, 5)
+    assert counts["changed"] > 0
+    assert counts["divided"] == counts["kept"] + counts["changed"]
+    assert counts["steps"] == 2625
 
 
 @pytest.mark.parametrize(
