@@ -13,22 +13,12 @@ ideals); the reported bounds are additionally floored at C(d+2, 2) since
 global polynomials always embed.  The upper bound restricts each vertex
 ideal to edges reaching earlier vertices in an admissible ordering.
 
-Every entry point that needs edge bases takes an optional `EdgePieces`:
-a command over several degrees passes one built at its highest degree,
-so each edge piece is echelonized once, and each vertex stack is grown
-once per variant over the degrees up to it; without one, the degree-d
-pieces are echelonized, and the stacks grown, for that call alone.
-
-The growth rests on one identity.  In the degree-d layout z times the
-monomial at position i of degree d - 1 sits at position i + d + 1, and
-an edge's degree-d echelon rows with pivot at least d + 1 are its degree
-d - 1 rows moved there (both are cut from the same top rows).  So for any
-set of edges the stacked degree-d rows span z times the degree d - 1 span
-plus the rows whose leading monomial is z-free, and a forward pass seeded
-with an echelon basis of the first finds the whole stack's leading
-columns.  This needs no saturation of the vertex ideal J(v), only the
-edge pieces' own z-structure; reading J(v)_d off a higher degree's stack
-would need J(v)_D meet z^(D-d) R = z^(D-d) J(v)_d, which can fail.
+Every per-degree entry point takes an optional `EdgePieces`: a command
+over several degrees passes one built at its highest degree D, so each
+edge piece is echelonized once, each vertex stack grown once, and each
+degree's data built once.  Every degree works in D's columns: degree d is
+the last C(d+2, 2) of them, z^(D-d) times its monomials, so no row is
+copied.  Without one, pieces are built at d for that call alone.
 """
 
 from __future__ import annotations
@@ -121,85 +111,118 @@ def _require_disk(mesh: Mesh) -> None:
 
 class EdgePieces:
     """Each interior edge ideal's graded piece at a top degree D, echelonized
-    once (`RatMatrix.rref`, never stopped at the lattice count), with every
-    lower degree's reduced echelon rows read off it (`bases`; see
-    `_DegreeSystem.bases` for why this is exact), and each interior
-    vertex's full and tilde stacks grown over the degrees 0..D in one
-    forward pass each (`vertex_pivots`).  A command builds one for its
-    highest degree and passes it to each per-degree call; the edge rows and
-    each variant's vertex pivots are computed on first use and kept."""
+    once (`RatMatrix.rref`, never stopped at the lattice count), every lower
+    degree read off it in place, and each interior vertex's full and tilde
+    stacks grown over the degrees 0..D in one forward pass each.
+
+    Coefficient vectors list the monomials in descending degree-reverse-lex
+    order with z last, so z^(D-d) times the degree-d monomials are the last
+    C(d+2, 2) of the C(D+2, 2) top columns, and a form is divisible by
+    z^(D-d) exactly when its leading monomial is.  Every degree works in
+    these columns, on z^(D-d) times its forms.  J(e) = <ell_tau^(r+1)> cap
+    m_gamma^(s+1) cap m_gamma'^(s'+1) is an intersection of ideals primary
+    to the ideals of the edge's line and of its end points, none of which
+    contains z, as the line is affine and each point has W > 0.  So z is a
+    nonzerodivisor on R/J(e), and J(e)_D meets z^(D-d) R in z^(D-d) J(e)_d:
+    the top rows pivoting in degree d's columns are its primitive reduced
+    echelon basis, which is unique.  Each edge keeps its top rows grouped by
+    the degree they enter, the least d whose columns hold their pivot, so
+    degree d's basis is groups 0..d (`bases`).
+
+    A vertex ideal, a sum of edge ideals, need not be saturated, and the
+    same slice of its stack would overcount (the test suite keeps such a
+    case).  The stacks are grown instead (`vertex_pivots`), which needs no
+    saturation: the stacked degree-d rows of any set of edges span z times
+    the degree d - 1 span plus the rows entering at d, whose leading
+    monomial is z-free there.  In the top columns z times a row is the
+    same vector, so each vertex's stack is one forward pass over its edges'
+    groups, fed a degree at a time.
+
+    A command builds one for its highest degree and passes it to each
+    per-degree call, which reaches its degree's data through `system`;
+    everything is computed on first use and kept."""
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, top: int):
+        if top < 0:
+            raise ValueError("degree must be non-negative")
         self.mesh, self.smooth, self.top = mesh, smooth, top
+        self.ncols = binom(top + 2, 2)
         self._grown: dict[str, list[dict[int, list[int]]]] = {}
+        self._systems: dict[int, _DegreeSystem] = {}
 
     @cached_property
-    def _rows(self) -> dict[Edge, list[dict[int, int]]]:
-        """Each edge's reduced echelon rows at the top degree, in decreasing pivot column."""
+    def _groups(self) -> dict[Edge, list[list[dict[int, int]]]]:
+        """Each edge's reduced echelon rows at the top degree, grouped by the
+        degree they enter, each group in decreasing pivot column."""
         mesh, smooth, top = self.mesh, self.smooth, self.top
-        return {
-            e: graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, top).rref()[1][::-1]
-            for e in sorted(mesh.interior_edges)
-        }
+        # the least degree whose columns hold each top column
+        entry = [d for d in range(top, -1, -1) for _ in range(d + 1)]
+        groups = {}
+        for e in sorted(mesh.interior_edges):
+            groups[e] = [[] for _ in range(top + 1)]
+            for row in graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, top).rref()[1][::-1]:
+                groups[e][entry[min(row)]].append(row)
+        return groups
 
-    def _shift(self, d: int) -> int:
-        """C(D+2, 2) - C(d+2, 2), the top column of z^(D-d) x^d."""
+    def _degree(self, d: int) -> int:
         if not 0 <= d <= self.top:
             raise ValueError(f"degree {d} is outside 0..{self.top}")
-        return binom(self.top + 2, 2) - binom(d + 2, 2)
+        return d
+
+    def system(self, d: int) -> _DegreeSystem:
+        """Degree d's `_DegreeSystem`, built on first use and kept."""
+        if self._degree(d) not in self._systems:
+            self._systems[d] = _DegreeSystem(self, d)
+        return self._systems[d]
 
     def bases(self, d: int) -> dict[Edge, list[dict[int, int]]]:
-        """Each edge's top rows whose pivot is at least `_shift(d)`, shifted
-        down by it: the degree-d reduced echelon rows, in decreasing pivot
-        column."""
-        shift = self._shift(d)
-        if not shift:
-            return self._rows
-        return {
-            e: [{c - shift: v for c, v in row.items()} for row in rows if min(row) >= shift]
-            for e, rows in self._rows.items()
-        }
+        """Each edge's degree-d reduced echelon rows, its top rows in groups
+        0..d, in decreasing pivot column."""
+        d = self._degree(d)
+        return {e: [row for group in groups[: d + 1] for row in group] for e, groups in self._groups.items()}
 
     def vertex_pivots(self, variant: str, d: int) -> dict[int, list[int]]:
-        """The leading monomials of each interior vertex's `variant` (full
-        or tilde) ideal piece at degree d, increasing, in vertex order."""
-        shift = self._shift(d)
+        """The leading columns of each interior vertex's `variant` (full or
+        tilde) ideal piece at degree d, increasing, in vertex order."""
+        d = self._degree(d)
         if variant not in self._grown:
             self._grown[variant] = self._grow(variant)
-        return {v: [c - shift for c in cols] for v, cols in self._grown[variant][d].items()}
+        return self._grown[variant][d]
 
     def _grow(self, variant: str) -> list[dict[int, list[int]]]:
         """Per degree d = 0..D, each interior vertex's `variant` stack's
-        leading columns in the top layout, by the module's growth identity.
-        There z times a degree d - 1 row is the same vector, so the seed of
-        degree d is the pass so far: one forward pass per vertex over its
-        edges' top rows (`RatMatrix.extend_echelon`), each fed at the degree
-        d whose top column z^(D-d) times a z-free monomial is its pivot."""
-        top, ncols = self.top, binom(self.top + 2, 2)
-        # the degree at which each top column is z^(D-d) times a z-free monomial
-        entry = [d for d in range(top, -1, -1) for _ in range(d + 1)]
-        grown: list[dict[int, list[int]]] = [{} for _ in range(top + 1)]
+        leading columns: one forward pass per vertex over its edges' groups
+        (`RatMatrix.extend_echelon`), seeded at each degree with the pass so
+        far."""
+        grown: list[dict[int, list[int]]] = [{} for _ in range(self.top + 1)]
         for v in sorted(self.mesh.interior_vertices):
-            entering: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
-            for e in vertex_ideal_edges(self.mesh, v, variant):
-                for row in self._rows[e]:
-                    entering[entry[min(row)]].append(row)
+            edges = vertex_ideal_edges(self.mesh, v, variant)
             kept: dict[int, dict[int, int]] = {}
-            for d, rows in enumerate(entering):
-                kept = RatMatrix(rows, ncols).extend_echelon(kept)
-                grown[d][v] = sorted(kept)
+            for d, pivots in enumerate(grown):
+                rows = [row for e in edges for row in self._groups[e][d]]
+                kept = RatMatrix(rows, self.ncols).extend_echelon(kept)
+                pivots[v] = sorted(kept)
         return grown
+
+
+def _system(mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None) -> _DegreeSystem:
+    """Degree d's system of `pieces`, which must be built on this mesh and
+    spec at a degree of at least d, or of pieces built at d."""
+    if pieces is None:
+        pieces = EdgePieces(mesh, smooth, d)
+    elif pieces.mesh is not mesh or pieces.smooth is not smooth:
+        raise ValueError("the edge pieces belong to another mesh or spec")
+    return pieces.system(d)
 
 
 class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
-    Validates the disk and the degree.  Each quantity is a property computed
-    on first use, once.  `bases` reads each interior edge's degree-d
-    echelon rows off `pieces` (one built at degree d when none is given).
-    The vertex ideals' degree-d pieces are spanned by their edges' stacked
-    echelon rows, since the degree-d piece of a sum of ideals is the sum of
-    the pieces; `pieces` grows those stacks once over all its degrees
+    Validates the disk.  Each quantity is a property computed on first use,
+    once, in the top columns of `pieces`.  `bases` are the interior edges'
+    degree-d echelon rows.  The vertex ideals' degree-d pieces are spanned
+    by their edges' stacked echelon rows, since the degree-d piece of a sum
+    of ideals is the sum of the pieces; `pieces` grows those stacks
     (`EdgePieces.vertex_pivots`).  `full_pivots` are the full stacks'
     leading monomials, which h0 keeps; `full` and `tilde` count them; `bar`
     is counted, with no matrix.  The bounds are C(d+2, 2) + sum of edge
@@ -209,22 +232,11 @@ class _DegreeSystem:
     polynomials are always supersplines.
     """
 
-    def __init__(
-        self, mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
-    ):
-        if d < 0:
-            raise ValueError("degree must be non-negative")
-        _require_disk(mesh)
-        if pieces is None:
-            pieces = EdgePieces(mesh, smooth, d)
-        elif pieces.mesh is not mesh or pieces.smooth is not smooth:
-            raise ValueError("the edge pieces belong to another mesh or spec")
-        self.mesh = mesh
-        self.smooth = smooth
-        self.d = d
-        self.pieces = pieces
+    def __init__(self, pieces: EdgePieces, d: int):
+        _require_disk(pieces.mesh)
+        self.mesh, self.smooth, self.d, self.pieces = pieces.mesh, pieces.smooth, d, pieces
         self.ncoef = binom(d + 2, 2)
-        self.interior = sorted(mesh.interior_vertices)
+        self.interior = sorted(self.mesh.interior_vertices)
 
     @cached_property
     def bases(self) -> dict[Edge, list[dict[int, int]]]:
@@ -233,23 +245,7 @@ class _DegreeSystem:
         rows with the fewest possible entries come first.  The vertex ideals
         stack these rows, and the kernel oracle and h0 lay out their columns
         in this order: `RatMatrix.rank` eliminates columns in index order,
-        so sparse columns go first.
-
-        They are read off the top degree D of `pieces`.  J(e) =
-        <ell_tau^(r+1)> cap m_gamma^(s+1) cap m_gamma'^(s'+1) is an
-        intersection of ideals primary to the ideals of the edge's line and
-        of its end points, none of which contains z, as the line is affine
-        and each point has W > 0.  So z is a nonzerodivisor on R/J(e), and
-        J(e)_D meets z^(D-d) R in z^(D-d) J(e)_d.  In the layout
-        order a form is divisible by z^(D-d) exactly when its leading
-        monomial is, and those monomials are the last C(d+2, 2) positions,
-        z^(D-d) times the degree-d layout.  So the top rows with pivots
-        there are a reduced echelon basis of z^(D-d) J(e)_d, and shifted
-        down they are the primitive reduced echelon form of J(e)_d, which
-        is unique.  This is for edge ideals only: a vertex ideal, a sum of
-        edge ideals, need not be saturated, and slicing its stack would
-        overcount (the test suite keeps such a case); `EdgePieces` grows
-        the stacks degree by degree instead."""
+        so sparse columns go first."""
         return self.pieces.bases(self.d)
 
     @cached_property
@@ -318,8 +314,11 @@ def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[i
     bar_v - dim J(f)_d rows, since dim J(v)_d <= bar_v, the LB5.2 count that
     the Euler side checks by full <= bar.  f's functionals are the kernel of
     its basis, which is the kernel of its graded piece: the basis is that
-    piece's reduced echelon form, so echelonizing it again cancels nothing."""
-    functionals = RatMatrix(sys.bases[f], sys.ncoef).kernel_basis()
+    piece's reduced echelon form, so echelonizing it again cancels nothing.
+    In the top columns that kernel starts with the unit vectors of the
+    columns below degree d's, which vanish on its vectors and are dropped."""
+    ncols = sys.pieces.ncols
+    functionals = RatMatrix(sys.bases[f], ncols).kernel_basis()[ncols - sys.ncoef :]
     at_q = _columns(functionals)
     edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
     values = [_apply(b, at_q) for e in edges for b in sys.bases[e]]
@@ -370,11 +369,11 @@ def exact_dimension(
     tree-cotree split: the cotree edges' ideal coordinates are the
     unknowns, and each forest edge's cut gives its rows.
     """
-    return _exact_dim_reduced(_DegreeSystem(mesh, smooth, d, pieces))
+    return _exact_dim_reduced(_system(mesh, smooth, d, pieces))
 
 
 def h0_dimension(
-    mesh: Mesh, smooth: SmoothnessSpec, d: int, sys: _DegreeSystem | None = None
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
 ) -> int:
     """dim of the degree-d piece of the zeroth ideal-complex homology.
 
@@ -389,8 +388,7 @@ def h0_dimension(
     independent rows of it and span its rows.  h0 = 0 is proved by a rank
     mod one prime equal to the row count; otherwise the integer rank decides.
     """
-    if sys is None:
-        sys = _DegreeSystem(mesh, smooth, d)
+    sys = _system(mesh, smooth, d, pieces)
     # the row of each (vertex, leading monomial), in vertex then monomial order
     row_at: dict[int, dict[int, int]] = {}
     nrows = 0
@@ -420,7 +418,7 @@ def lower_bound_51(
     Floored at C(d+2, 2): global polynomials are always supersplines, and
     this floor is what makes the reported bound informative at low degree.
     """
-    return _DegreeSystem(mesh, smooth, d, pieces).lb51
+    return _system(mesh, smooth, d, pieces).lb51
 
 
 def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
@@ -429,14 +427,14 @@ def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
     C(d+2, 2) + edge counts - bar vertex counts, floored at C(d+2, 2) like
     lower_bound_51; no rank is computed for any spec.
     """
-    return _DegreeSystem(mesh, smooth, d).lb52
+    return _system(mesh, smooth, d, None).lb52
 
 
 def upper_bound_53(
     mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
 ) -> int:
     """Upper bound from vertex ideals restricted along an admissible order."""
-    return _DegreeSystem(mesh, smooth, d, pieces).ub53
+    return _system(mesh, smooth, d, pieces).ub53
 
 
 def check_euler_side(
@@ -445,7 +443,6 @@ def check_euler_side(
     d: int,
     exact: int,
     pieces: EdgePieces | None = None,
-    sys: _DegreeSystem | None = None,
 ) -> int:
     """Check a kernel oracle's degree-d dimension against the Euler side
     alone, and return h0.
@@ -457,9 +454,8 @@ def check_euler_side(
     since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
     violation raises InternalInconsistencyError (exit code 2 in the CLI).
     """
-    if sys is None:
-        sys = _DegreeSystem(mesh, smooth, d, pieces)
-    h0 = h0_dimension(mesh, smooth, d, sys)
+    sys = _system(mesh, smooth, d, pieces)
+    h0 = h0_dimension(mesh, smooth, d, sys.pieces)
     assembled = sys.ncoef + sys.edge_dims - sum(sys.full.values()) + h0
     unordered = [v for v in sys.interior if not sys.tilde[v] <= sys.full[v] <= sys.bar[v]]
     if exact != assembled or sys.counted_edge_dims != sys.edge_dims or unordered:
@@ -476,9 +472,9 @@ def euler_assembly(
 ) -> DimensionReport:
     """Full per-degree report: the kernel oracle's exact dimension, checked
     against the Euler side (`check_euler_side`), and every bound."""
-    sys = _DegreeSystem(mesh, smooth, d, pieces)
+    sys = _system(mesh, smooth, d, pieces)
     exact = _exact_dim_reduced(sys)
-    h0 = check_euler_side(mesh, smooth, d, exact, sys=sys)
+    h0 = check_euler_side(mesh, smooth, d, exact, sys.pieces)
     return DimensionReport(
         d=d,
         term_polys=mesh.num_triangles * sys.ncoef,

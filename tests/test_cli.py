@@ -348,6 +348,20 @@ def test_check_runs_the_kernel_oracle_once_per_degree(monkeypatch, method, oracl
     assert sorted(runs) == [4, 5, 6]
 
 
+@pytest.mark.parametrize("command, method", [("dim", ["--method", "exact"]), ("table", [])])
+def test_check_counts_each_bar_dimension_once_per_degree(monkeypatch, command, method):
+    """A degree's oracle row and its check read one system of the command's
+    edge pieces, so each interior vertex's bar dimension is counted once per
+    degree: 19 vertices times 3 degrees."""
+    count, calls = splinedim.dimension.dim_bar_vertex_ideal_count, []
+    monkeypatch.setattr(
+        splinedim.dimension, "dim_bar_vertex_ideal_count", lambda *args: calls.append(args) or count(*args)
+    )
+    argv = [command, "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6", *method, "--check"]
+    assert run(argv)[0] == 0
+    assert len(calls) == len(set(calls)) == 57
+
+
 def test_check_catches_an_oracle_row_that_disagrees_with_the_euler_side(monkeypatch, capsys):
     real = splinedim.cli.exact_dimension
     monkeypatch.setattr(splinedim.cli, "exact_dimension", lambda *args, **kw: real(*args, **kw) + 1)

@@ -22,6 +22,7 @@ from splinedim.dimension import (
     _DegreeSystem,
     _exact_dim_reduced,
     argyris_dim,
+    check_euler_side,
     euler_assembly,
     exact_dimension,
     h0_dimension,
@@ -63,6 +64,11 @@ def test_exact_two_triangle_argyris_value():
     assert exact_dimension(TWO, spec, 5) == 29
 
 
+def _system(mesh, spec, d):
+    """Degree d's system, of edge pieces built at d."""
+    return EdgePieces(mesh, spec, d).system(d)
+
+
 def _exact_dim_stacked(sys):
     """Reference kernel: the full stacked constraint system, one block of
     unknowns per triangle and one row per edge functional.  Each edge's
@@ -91,7 +97,7 @@ def test_exact_methods_agree():
         r = rng.randint(0, 2)
         s = r + rng.randint(0, 2)
         d = rng.randint(0, 5)
-        sys = _DegreeSystem(mesh, SmoothnessSpec.uniform(mesh, r, s), d)
+        sys = _system(mesh, SmoothnessSpec.uniform(mesh, r, s), d)
         assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (r, s, d)
     # 6-splits with their induced mixed specs: edge dimensions differ
     for base in ("morgan-scott", "two-triangles"):
@@ -99,13 +105,13 @@ def test_exact_methods_agree():
             split = powell_sabin_6split(builtin_mesh(base), r, s)
             mixed = False
             for d in range(6):
-                sys = _DegreeSystem(split.refined, split.spec, d)
+                sys = _system(split.refined, split.spec, d)
                 mixed |= len({len(basis) for basis in sys.bases.values()}) > 1
                 assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), (base, r, s, d)
             assert mixed
     # the 6-split twice, whose cuts reach across many fans
     for d in range(3):
-        sys = _DegreeSystem(PS6X2.refined, PS6X2.spec, d)
+        sys = _system(PS6X2.refined, PS6X2.spec, d)
         assert _exact_dim_stacked(sys) == _exact_dim_reduced(sys), d
 
 
@@ -203,10 +209,10 @@ def test_the_kernel_oracle_builds_only_h0_dependent_rows(monkeypatch, base, r, s
     else:
         split = powell_sabin_6split(morgan_scott_mesh(), r, s)
         mesh, spec = split.refined, split.spec
-    sys = _DegreeSystem(mesh, spec, d)
+    sys = _system(mesh, spec, d)
     nonzero, nrows, rank = _oracle_rows_and_rank(monkeypatch, sys)
     assert nrows == nonzero == sum(sys.full[v] - len(sys.bases[f]) for f, v in mesh.cotree[2].items())
-    assert nonzero - rank == h0_dimension(mesh, spec, d, sys)
+    assert nonzero - rank == h0_dimension(mesh, spec, d, sys.pieces)
     assert h0 in (None, nonzero - rank)
 
 
@@ -223,7 +229,7 @@ def test_the_kernel_oracle_reads_no_vertex_pivots(monkeypatch):
     mesh, spec = _ps6_ms_23()
     report = euler_assembly(mesh, spec, 5)
     assert report.h0 == 0
-    sys = _DegreeSystem(mesh, spec, 5)
+    sys = _system(mesh, spec, 5)
     v = next(v for v in sys.interior if sys.tilde[v] < sys.full[v])
     real = _DegreeSystem.full_pivots.func
 
@@ -231,7 +237,7 @@ def test_the_kernel_oracle_reads_no_vertex_pivots(monkeypatch):
         raise AssertionError("the kernel oracle read the vertex pivots")
 
     monkeypatch.setattr(_DegreeSystem, "full_pivots", property(unread))
-    assert _exact_dim_reduced(_DegreeSystem(mesh, spec, 5)) == report.exact
+    assert _exact_dim_reduced(_system(mesh, spec, 5)) == report.exact
 
     def lossy(self):
         pivots = real(self)
@@ -269,7 +275,7 @@ def test_each_edge_basis_lists_its_reduced_rows_in_decreasing_pivot_column(name)
     rows with the fewest possible entries come first."""
     mesh = _COTREE_MESHES[name]
     spec = SmoothnessSpec.uniform(mesh, 1, 2)
-    for e, basis in _DegreeSystem(mesh, spec, 4).bases.items():
+    for e, basis in _system(mesh, spec, 4).bases.items():
         pivots, rows = graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, 4).rref()
         assert basis == rows[::-1]
         assert [min(b) for b in basis] == pivots[::-1] == sorted(set(pivots), reverse=True)
@@ -294,7 +300,7 @@ def test_a_forest_edges_functionals_are_the_kernel_of_its_graded_piece(monkeypat
     else:
         mesh = builtin_mesh(name)
         spec = star_smoothness_spec(mesh, r, s)
-    sys = _DegreeSystem(mesh, spec, d)
+    sys = _system(mesh, spec, d)
     bases = sys.bases
     eliminate, eliminations = splinedim.ratlinalg._eliminate, []
 
@@ -333,7 +339,7 @@ def _h0_boundary_rows(sys):
     """Reference h0: the boundary map assembled untransposed, one row per
     edge basis vector with +b at the higher and -b at the lower endpoint's
     block (interior endpoints only)."""
-    n = sys.ncoef
+    n = sys.pieces.ncols
     interior = sorted(sys.mesh.interior_vertices)
     block = {v: i * n for i, v in enumerate(interior)}
     rows = []
@@ -361,10 +367,10 @@ def test_h0_equals_the_untransposed_boundary_map():
         for r, s in [(0, 0), (1, 1), (1, 2), (2, 3)]:
             spec = SmoothnessSpec.uniform(mesh, r, s)
             for d in range(7):
-                sys = _DegreeSystem(mesh, spec, d)
+                sys = _system(mesh, spec, d)
                 assert h0_dimension(mesh, spec, d) == _h0_boundary_rows(sys), (r, s, d)
     split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
-    sys = _DegreeSystem(split.refined, split.spec, 5)
+    sys = _system(split.refined, split.spec, 5)
     assert _h0_boundary_rows(sys) == 14
     assert h0_dimension(split.refined, split.spec, 5) == 14
     # 6-splits, whose vertex blocks share edge columns, with h0 > 0 at the
@@ -374,11 +380,11 @@ def test_h0_equals_the_untransposed_boundary_map():
     jobs.append((powell_sabin_6split(morgan_scott_mesh(), 3, 5), 7, 1))
     for split, d, h0 in jobs:
         mesh, spec = split.refined, split.spec
-        fresh = h0_dimension(mesh, spec, d, _DegreeSystem(mesh, spec, d))
-        after_tilde = _DegreeSystem(mesh, spec, d)
-        after_tilde.tilde
+        fresh = h0_dimension(mesh, spec, d, EdgePieces(mesh, spec, d))
+        after_tilde = EdgePieces(mesh, spec, d)
+        after_tilde.system(d).tilde
         assert fresh == h0_dimension(mesh, spec, d, after_tilde) == h0
-        assert _h0_boundary_rows(_DegreeSystem(mesh, spec, d)) == h0, d
+        assert _h0_boundary_rows(_system(mesh, spec, d)) == h0, d
     # random per-edge and per-vertex orders
     rng = random.Random(13)
     split = powell_sabin_6split(builtin_mesh("two-triangles"), 1, 2).refined
@@ -386,7 +392,7 @@ def test_h0_equals_the_untransposed_boundary_map():
     for mesh in [morgan_scott_mesh(), split] * 4:
         spec = _random_spec(rng, mesh)
         for d in range(7):
-            expected = _h0_boundary_rows(_DegreeSystem(mesh, spec, d))
+            expected = _h0_boundary_rows(_system(mesh, spec, d))
             assert h0_dimension(mesh, spec, d) == expected, (spec.r, spec.s, d)
             positive += expected > 0
     assert positive >= 10
@@ -449,11 +455,11 @@ def test_an_unlucky_prime_falls_back_to_the_integer_rank(monkeypatch):
     """A modular rank below the row count proves nothing, so h0 then comes
     from the integer rank: the same h0 at every degree of table2."""
     systems = [
-        _DegreeSystem(*_ps6_ms(r, s), d)
+        _system(*_ps6_ms(r, s), d)
         for r, s, degrees in ((2, 3, (4, 5, 6)), (3, 4, (5, 6, 7)), (3, 5, (7, 8, 9)))
         for d in degrees
     ]
-    proved = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys) for sys in systems]
+    proved = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys.pieces) for sys in systems]
     rank, ranked = RatMatrix.rank, []
 
     def recorded(self):
@@ -462,7 +468,7 @@ def test_an_unlucky_prime_falls_back_to_the_integer_rank(monkeypatch):
 
     monkeypatch.setattr(RatMatrix, "rank_mod", lambda self, p=32749: self.nrows - 1)
     monkeypatch.setattr(RatMatrix, "rank", recorded)
-    unlucky = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys) for sys in systems]
+    unlucky = [h0_dimension(sys.mesh, sys.smooth, sys.d, sys.pieces) for sys in systems]
     assert unlucky == proved == [9, 0, 0, 14, 0, 0, 1, 0, 0]
     assert len(ranked) == len(systems)
 
@@ -507,8 +513,8 @@ def test_a_bar_count_one_too_low_where_full_equals_bar_is_caught(monkeypatch, r,
     count = splinedim.dimension.dim_bar_vertex_ideal_count
     caught = 0
     for d, dim in exact.items():
-        sys = _DegreeSystem(mesh, spec, d)
-        oracle = dim + 1 if h0_dimension(mesh, spec, d, sys) == 0 else dim
+        sys = _system(mesh, spec, d)
+        oracle = dim + 1 if h0_dimension(mesh, spec, d, sys.pieces) == 0 else dim
         for v in sys.interior:
             if sys.full[v] == sys.bar[v]:
                 lowered = lambda m, sp, w, k, v=v: count(m, sp, w, k) - (w == v)
@@ -541,7 +547,7 @@ def _stacked(sys, v, variant):
     """v's `variant` (full or tilde) ideal piece at sys's degree, stacked
     here: its edges' echelon rows from `sys.bases`, one matrix."""
     edges = vertex_ideal_edges(sys.mesh, v, variant)
-    return RatMatrix([row for e in edges for row in sys.bases[e]], sys.ncoef)
+    return RatMatrix([row for e in edges for row in sys.bases[e]], sys.pieces.ncols)
 
 
 def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
@@ -557,10 +563,10 @@ def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
     for mesh, spec, degrees in _sweep_configs():
         cotree_child = mesh.cotree[2]
         for d in degrees:
-            sys = _DegreeSystem(mesh, spec, d)
+            sys = _system(mesh, spec, d)
             boundary.clear()
             fell_back.clear()
-            h0 = h0_dimension(mesh, spec, d, sys)
+            h0 = h0_dimension(mesh, spec, d, sys.pieces)
             assert h0 == boundary[0].nrows - rank(boundary[0]), (mesh, d)
             assert bool(fell_back) == (h0 > 0), (mesh, d)
             h0s[h0 > 0] += 1
@@ -650,7 +656,7 @@ def test_full_and_tilde_vertex_dims_equal_the_vertex_ideal_ranks():
     cases = 0
     for mesh, spec in _lb52_configs():
         for d in range(9):
-            sys = _DegreeSystem(mesh, spec, d)
+            sys = _system(mesh, spec, d)
             for variant, got in (("full", sys.full), ("tilde", sys.tilde)):
                 assert got == {
                     v: vertex_ideal(mesh, spec, v, variant).graded_dim(d)
@@ -944,9 +950,14 @@ def test_report_fields_are_consistent():
     ) >= 0
 
 
-def _fresh_rref_rows(mesh, spec, d):
+def _fresh_rref_rows(mesh, spec, d, top):
+    """Each edge's degree-d rref rows, moved to the last C(d+2, 2) columns of degree top."""
+    shift = binom(top + 2, 2) - binom(d + 2, 2)
     return {
-        e: graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d).rref()[1]
+        e: [
+            {c + shift: v for c, v in row.items()}
+            for row in graded_piece_matrix(edge_ideal_for(mesh, spec, e).generators, d).rref()[1]
+        ]
         for e in sorted(mesh.interior_edges)
     }
 
@@ -958,13 +969,13 @@ _SLICE_MESHES = ("two-triangles", "morgan-scott", "star:cross", "star:3-generic"
 @given(st.sampled_from(_SLICE_MESHES), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_every_lower_degree_is_read_off_the_top_edge_pieces(name, top, rng):
     """z is a nonzerodivisor modulo each edge ideal, so the top degree's
-    reduced rows at the last C(d+2, 2) columns, shifted, are degree d's."""
+    reduced rows at the last C(d+2, 2) columns are degree d's, in place."""
     mesh = builtin_mesh(name)
     spec = _random_spec(rng, mesh)
     pieces = EdgePieces(mesh, spec, top)
     for d in range(top + 1):
         sliced = {e: rows[::-1] for e, rows in pieces.bases(d).items()}
-        assert sliced == _fresh_rref_rows(mesh, spec, d), (spec.r, spec.s, d)
+        assert sliced == _fresh_rref_rows(mesh, spec, d, top), (spec.r, spec.s, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -978,7 +989,7 @@ def test_each_grown_vertex_stack_has_the_pivots_of_its_one_shot_stack(name, top,
     spec = _random_spec(rng, mesh)
     pieces = EdgePieces(mesh, spec, top)
     for d in range(top + 1):
-        sys = _DegreeSystem(mesh, spec, d, pieces)
+        sys = pieces.system(d)
         for variant in ("full", "tilde"):
             expected = {v: _stacked(sys, v, variant).rref()[0] for v in sys.interior}
             assert pieces.vertex_pivots(variant, d) == expected, (spec.r, spec.s, d, variant)
@@ -991,18 +1002,19 @@ def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
     the same top pieces give the degree-5 counts of the stacks themselves."""
     split = powell_sabin_6split(morgan_scott_mesh(), 3, 4)
     mesh, spec = split.refined, split.spec
-    top, low = _DegreeSystem(mesh, spec, 7), _DegreeSystem(mesh, spec, 5)
+    top, low = _system(mesh, spec, 7), _system(mesh, spec, 5)
     shift = binom(9, 2) - binom(7, 2)
     sliced = {v: sum(c >= shift for c in cols) for v, cols in top.full_pivots.items()}
     wrong = {v for v in low.interior if sliced[v] != low.full[v]}
     assert wrong == {18, 19, 20, 23, 24}
     assert {(sliced[v], low.full[v], low.bar[v]) for v in wrong} == {(6, 5, 6)}
-    grown = _DegreeSystem(mesh, spec, 5, EdgePieces(mesh, spec, 7)).full
+    pieces = EdgePieces(mesh, spec, 7)
+    grown = pieces.system(5).full
     assert {grown[v] for v in wrong} == {_stacked(low, v, "full").rank() for v in wrong} == {5}
     assert grown == low.full
     # the edge pieces of the same run slice exactly
-    rows = {e: rows[::-1] for e, rows in EdgePieces(mesh, spec, 7).bases(5).items()}
-    assert rows == _fresh_rref_rows(mesh, spec, 5)
+    rows = {e: rows[::-1] for e, rows in pieces.bases(5).items()}
+    assert rows == _fresh_rref_rows(mesh, spec, 5, 7)
 
 
 def test_edge_pieces_serve_only_their_mesh_spec_and_degrees():
@@ -1013,6 +1025,53 @@ def test_edge_pieces_serve_only_their_mesh_spec_and_degrees():
         euler_assembly(CROSS, spec, 6, pieces)
     with pytest.raises(ValueError, match="another mesh or spec"):
         exact_dimension(CROSS, SmoothnessSpec.uniform(CROSS, 1, 2), 3, pieces)
+
+
+_PER_DEGREE = {
+    "exact_dimension": exact_dimension,
+    "h0_dimension": h0_dimension,
+    "lower_bound_51": lower_bound_51,
+    "upper_bound_53": upper_bound_53,
+    "euler_assembly": euler_assembly,
+    "check_euler_side": lambda mesh, spec, d, pieces: check_euler_side(mesh, spec, d, 0, pieces),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_DEGREE))
+def test_every_per_degree_entry_point_checks_its_edge_pieces(name):
+    """Every per-degree entry point reaches its degree's data through one
+    guard on `pieces`: pieces of another mesh or spec, or built below the
+    degree asked for, raise instead of answering for them.  Handed degree
+    5's data of ps6-ms (2,3), h0 at d = 4 once read 0 instead of 9, and
+    handed the (3,4) split's degree-5 data, 14."""
+    entry = _PER_DEGREE[name]
+    mesh, spec = _ps6_ms_23()
+    other_mesh, other_spec = _ps6_ms(3, 4)
+    foreign = [
+        EdgePieces(other_mesh, other_spec, 5),
+        EdgePieces(other_mesh, spec, 5),
+        EdgePieces(mesh, SmoothnessSpec.uniform(mesh, 2, 3), 5),
+    ]
+    for pieces in foreign:
+        with pytest.raises(ValueError, match="another mesh or spec"):
+            entry(mesh, spec, 4, pieces)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        entry(mesh, spec, 4, EdgePieces(mesh, spec, 3))
+
+
+def test_every_degree_reads_the_top_rows_in_place_and_builds_its_data_once():
+    """Degree d's bases are the top rows themselves, its vertex pivots lie in
+    its own last C(d+2, 2) top columns, and its system is built once."""
+    mesh, spec = _ps6_ms_23()
+    pieces = EdgePieces(mesh, spec, 6)
+    top = {e: {id(row) for row in rows} for e, rows in pieces.bases(6).items()}
+    for d in range(7):
+        assert all(id(row) in top[e] for e, rows in pieces.bases(d).items() for row in rows), d
+        shift = pieces.ncols - binom(d + 2, 2)
+        assert all(min(cols, default=shift) >= shift for cols in pieces.vertex_pivots("full", d).values())
+        assert pieces.system(d) is pieces.system(d)
+    assert h0_dimension(mesh, spec, 4, pieces) == 9
+    assert [check_euler_side(mesh, spec, d, dim, pieces) for d, dim in ((4, 16), (5, 67), (6, 160))] == [9, 0, 0]
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])

@@ -121,6 +121,48 @@ def test_every_function_and_method_in_the_package_is_used():
     assert unused == []
 
 
+def _is_public(name):
+    return not name.startswith("_") or name.startswith("__") and name.endswith("__")
+
+
+def test_no_public_function_takes_a_parameter_of_a_private_class():
+    """A private class in a public signature lets a caller hand in data that
+    no public check guards: a per-degree entry point once took its degree's
+    private system as an argument and answered for whatever it was given.
+    Each public function, and each public method of a public class, must
+    annotate its parameters with public types only."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    private = {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+    }
+    assert private  # the check has something to find
+    found = []
+    for stem, tree in trees.items():
+        public = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        public += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_public(cls.name)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+        ]
+        for name, node in public:
+            if not _is_public(node.name):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            for param in params:
+                ann = param and param.annotation
+                if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                    ann = ast.parse(ann.value, mode="eval")
+                named = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(ann or ast.Pass())
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                found += [f"{stem}.{name}({param.arg}: {cls})" for cls in sorted(named & private)]
+    assert found == []
+
+
 def test_every_name_the_benchmark_tracer_wraps_or_reads_exists():
     """perfbench/tracer.py wraps functions by module attribute and methods
     from the class dict, and reads RatMatrix.row_dicts, nrows and ncols; a

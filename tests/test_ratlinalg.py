@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from splinedim import ratlinalg
 from splinedim.cli import builtin_mesh
-from splinedim.dimension import _DegreeSystem, euler_assembly
+from splinedim.dimension import EdgePieces, euler_assembly
 from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal_edges
 from splinedim.mesh import rational_from_str, rational_to_str
 from splinedim.ratlinalg import RatMatrix, binom
@@ -529,7 +529,7 @@ def test_vertex_pivots_are_the_leading_monomials_of_the_stacked_edge_pieces(base
     counts, so their count is that loop's pivot count."""
     split = powell_sabin_6split(builtin_mesh(base), r, s)
     mesh, spec = split.refined, split.spec
-    sys = _DegreeSystem(mesh, spec, d)
+    sys = EdgePieces(mesh, spec, d).system(d)
     assert sorted(sys.full_pivots) == sorted(sys.tilde) == sorted(mesh.interior_vertices)
 
     def reference_pivots(v, variant):
