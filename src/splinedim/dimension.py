@@ -44,7 +44,7 @@ from .mesh import (
     SmoothnessSpec,
     distinct_slopes_at,
 )
-from .ratlinalg import RatMatrix, binom
+from .ratlinalg import RatMatrix, binom, reduced_kernel
 
 __all__ = [
     "DimensionReport",
@@ -193,14 +193,14 @@ class EdgePieces:
         """Per degree d = 0..D, each interior vertex's `variant` stack's
         leading columns: one forward pass per vertex over its edges' groups
         (`RatMatrix.extend_echelon`), seeded at each degree with the pass so
-        far."""
+        far.  The groups are `rref` rows, so they enter unchecked."""
         grown: list[dict[int, list[int]]] = [{} for _ in range(self.top + 1)]
         for v in sorted(self.mesh.interior_vertices):
             edges = vertex_ideal_edges(self.mesh, v, variant)
             kept: dict[int, dict[int, int]] = {}
             for d, pivots in enumerate(grown):
                 rows = [row for e in edges for row in self._groups[e][d]]
-                kept = RatMatrix(rows, self.ncols).extend_echelon(kept)
+                kept = RatMatrix._of_kept_rows(rows, self.ncols).extend_echelon(kept)
                 pivots[v] = sorted(kept)
         return grown
 
@@ -243,9 +243,9 @@ class _DegreeSystem:
         """Each interior edge ideal's degree-d piece, as its reduced echelon
         rows (primitive integer vectors) in decreasing pivot column, so the
         rows with the fewest possible entries come first.  The vertex ideals
-        stack these rows, and the kernel oracle and h0 lay out their columns
-        in this order: `RatMatrix.rank` eliminates columns in index order,
-        so sparse columns go first."""
+        stack these rows, and the kernel oracle and h0 lay out each edge's
+        columns in this order: `RatMatrix.rank` eliminates columns in index
+        order, so sparse columns go first."""
         return self.pieces.bases(self.d)
 
     @cached_property
@@ -314,11 +314,11 @@ def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[i
     bar_v - dim J(f)_d rows, since dim J(v)_d <= bar_v, the LB5.2 count that
     the Euler side checks by full <= bar.  f's functionals are the kernel of
     its basis, which is the kernel of its graded piece: the basis is that
-    piece's reduced echelon form, so echelonizing it again cancels nothing.
-    In the top columns that kernel starts with the unit vectors of the
-    columns below degree d's, which vanish on its vectors and are dropped."""
+    piece's reduced echelon form, so they are read off it (`reduced_kernel`)
+    with no elimination.  In the top columns only degree d's are read: the
+    unit vectors of the columns below vanish on every degree-d vector."""
     ncols = sys.pieces.ncols
-    functionals = RatMatrix(sys.bases[f], ncols).kernel_basis()[ncols - sys.ncoef :]
+    functionals = reduced_kernel(sys.bases[f], range(ncols - sys.ncoef, ncols))
     at_q = _columns(functionals)
     edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
     values = [_apply(b, at_q) for e in edges for b in sys.bases[e]]
@@ -379,26 +379,45 @@ def h0_dimension(
 
     Computed as the cokernel of the boundary map sending the degree-d piece
     of each interior-edge ideal to its interior endpoint vertices with the
-    sign convention [far] - [near] in global index order.  The map is
-    assembled transposed, one column per edge basis vector in basis order
-    (sparse columns first), since rank is invariant under transposition and
-    the transposed layout fills in less.  Its rows (v, c) are built only at
-    v's leading monomials c: v's block is v's stacked edge rows transposed,
-    up to signs, so the rows at their pivot columns are rank-many
-    independent rows of it and span its rows.  h0 = 0 is proved by a rank
-    mod one prime equal to the row count; otherwise the integer rank decides.
+    sign convention [far] - [near] in global index order.  Each interior
+    edge is a tilde edge of exactly one end, its later one in
+    `Mesh.ordering` (boundary vertices come first), so with the vertices in
+    that order and each edge's columns at its later end the map is block
+    triangular, and each vertex's diagonal block spans its tilde ideal's
+    piece.  Hence rank >= sum of tilde dims, and h0 <= sum over v of full_v
+    - tilde_v: h0 = 0 where tilde = full at every interior vertex, with no
+    matrix.  Otherwise the map is assembled transposed in that layout
+    (`_boundary_transposed`), since rank is invariant under transposition
+    and the transposed layout fills in less.  Its rows (v, c) are built
+    only at v's leading monomials c: v's block is v's stacked edge rows
+    transposed, up to signs, so the rows at their pivot columns are
+    rank-many independent rows of it and span its rows.  h0 = 0 is proved
+    by a rank mod one prime equal to the row count; otherwise the integer
+    rank decides.
     """
     sys = _system(mesh, smooth, d, pieces)
-    # the row of each (vertex, leading monomial), in vertex then monomial order
+    if all(sys.tilde[v] == sys.full[v] for v in sys.interior):
+        return 0
+    boundary = _boundary_transposed(sys)
+    nrows = boundary.nrows
+    return 0 if nrows <= boundary.ncols and boundary.rank_mod() == nrows else nrows - boundary.rank()
+
+
+def _boundary_transposed(sys: _DegreeSystem) -> RatMatrix:
+    """The boundary map of `h0_dimension`, transposed: rows (v, c) at each
+    interior vertex's full leading monomials, in vertex then monomial
+    order; columns the edge basis vectors, grouped by later end in
+    `Mesh.ordering`, each basis in decreasing pivot column."""
     row_at: dict[int, dict[int, int]] = {}
     nrows = 0
     for v, cols in sys.full_pivots.items():
         row_at[v] = {c: nrows + k for k, c in enumerate(cols)}
         nrows += len(cols)
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    position = sys.mesh.ordering_position
     col = 0
-    for (lo, hi), basis in sys.bases.items():
-        for bvec in basis:
+    for lo, hi in sorted(sys.bases, key=lambda e: (max(map(position.get, e)), e)):
+        for bvec in sys.bases[lo, hi]:
             for v, sign in ((hi, 1), (lo, -1)):
                 at = row_at.get(v)
                 if at is not None:
@@ -406,8 +425,7 @@ def h0_dimension(
                         if c in at:
                             rows[at[c]][col] = sign * val
             col += 1
-    boundary = RatMatrix(rows, col)
-    return 0 if nrows <= col and boundary.rank_mod() == nrows else nrows - boundary.rank()
+    return RatMatrix(rows, col)
 
 
 def lower_bound_51(

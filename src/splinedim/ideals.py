@@ -230,15 +230,18 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
 
     full: every interior edge at v.  tilde: the edges to v's predecessors,
     the neighbours on the boundary or earlier in the mesh's admissible
-    ordering (`Mesh.ordering`, computed once per mesh), which gives an
-    interior vertex at least two, along distinct slopes.
+    ordering (`Mesh.ordering_position`, computed once per mesh), which gives
+    an interior vertex at least two, along distinct slopes.  So each
+    interior edge is a tilde edge of exactly one end: the later one, or the
+    interior one when the other is on the boundary.
     """
     edges = mesh.interior_edges_at_vertex(v)
     if variant == "full":
         return edges
     if variant != "tilde":
         raise ValueError(f"unknown variant {variant!r}")
-    earlier = predecessors(mesh, v, set(mesh.ordering[: mesh.ordering.index(v)]))
+    position = mesh.ordering_position
+    earlier = predecessors(mesh, v, {w for w in mesh.vertex_neighbors[v] if position[w] < position[v]})
     return [e for e in edges if sum(e) - v in earlier]
 
 

@@ -268,8 +268,13 @@ class Mesh:
         return tuple(vertex_ordering(self))
 
     @cached_property
+    def ordering_position(self) -> dict[int, int]:
+        """Each vertex's index in `ordering`."""
+        return {v: k for k, v in enumerate(self.ordering)}
+
+    @cached_property
     def cotree(self) -> Cotree:
-        """`_tree_cotree(self)`: the oracle's unknowns (fewest cuts first), cuts and children."""
+        """`_tree_cotree(self)`: the oracle's unknowns (boundary inward), cuts and children."""
         return _tree_cotree(self)
 
     def __repr__(self) -> str:
@@ -520,8 +525,14 @@ def _tree_cotree(mesh: Mesh) -> Cotree:
     kernel oracle's row selection rests, which leaves h0 dependent rows of
     sum_v codim J(v)_d + h0.  Edge e = (v, w) counts +1 in v's fan when
     `edge_triangles[e][0]` lies left of v -> w, -1 otherwise.  The cotree is
-    sorted by (number of cuts containing the edge, edge): the kernel oracle
-    lays out its columns in this order, sparse columns first.
+    sorted by (position of the edge's later end in the search order, edge):
+    boundary vertices first, then breadth-first, so the kernel oracle lays
+    out its columns from the boundary inward.  Every edge of a forest edge's
+    cut has an end in its child's subtree, which the search reaches at or
+    after the child, so each row's columns start no earlier than its
+    child's and the system is close to staircase form.  The order is the
+    search's own, not `Mesh.ordering`: the oracle needs no admissible
+    ordering.
     """
     up: dict[int, Edge] = {}
     order = sorted(mesh.boundary_vertices)
@@ -544,8 +555,8 @@ def _tree_cotree(mesh: Mesh) -> Cotree:
                 cut[parent][e] = cut[parent].get(e, 0) + sign
         del acc[up[v]]
     cuts = {up[v]: cut[v] for v in up}
-    crossings = Counter(e for c in cuts.values() for e in c)
-    cotree = sorted(mesh.interior_edges - cuts.keys(), key=lambda e: (crossings[e], e))
+    position = {v: k for k, v in enumerate(order)}
+    cotree = sorted(mesh.interior_edges - cuts.keys(), key=lambda e: (max(map(position.get, e)), e))
     return tuple(cotree), cuts, {e: v for v, e in up.items()}
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "RatMatrix",
     "binom",
     "primitive_int_vector",
+    "reduced_kernel",
 ]
 
 
@@ -116,6 +117,30 @@ def _echelon_rows(
     return kept
 
 
+def reduced_kernel(rows: Sequence[dict[int, int]], columns: range) -> list[dict[int, int]]:
+    """A basis of the null space of `rows`, which lie in `columns` and are in
+    reduced echelon form (each row is zero at every other row's leading
+    column), read off them with no elimination: one primitive integer
+    vector per column c of `columns` that leads no row, positive at c and
+    zero at every other such column.  `RatMatrix.kernel_basis` reads its
+    reduced form through this, and the kernel oracle its edge bases."""
+    # each column's (pivot column, pivot, entry) triples, in one pass
+    entries: dict[int, list[tuple[int, int, int]]] = {c: [] for c in columns}
+    pivots = {min(row): row for row in rows}
+    for pc, row in sorted(pivots.items()):
+        for c, v in row.items():
+            entries[c].append((pc, row[pc], v))
+    basis = []
+    for c in sorted(entries.keys() - pivots.keys()):
+        # e_c - sum(row[c] / row[pc] * e_pc), times the common denominator
+        scale = lcm(*(pv // gcd(v, pv) for _, pv, v in entries[c]))
+        vec = {c: scale}
+        for pc, pv, v in entries[c]:
+            vec[pc] = -v * scale // pv
+        basis.append(vec)
+    return basis
+
+
 class RatMatrix:
     """An immutable exact integer matrix; its rank is the rank over Q.
 
@@ -140,6 +165,15 @@ class RatMatrix:
             cleaned.append(r)
         self._rows: tuple[dict[int, int], ...] = tuple(cleaned)
         self._ncols = ncols
+
+    @classmethod
+    def _of_kept_rows(cls, rows: Sequence[dict[int, int]], ncols: int) -> RatMatrix:
+        """A matrix of rows that a pass of this module kept, so already
+        nonzero `int`s in range: taken as they are, unchecked and uncopied,
+        and read-only from then on."""
+        matrix = cls.__new__(cls)
+        matrix._rows, matrix._ncols = tuple(rows), ncols
+        return matrix
 
     @property
     def nrows(self) -> int:
@@ -196,7 +230,8 @@ class RatMatrix:
         call runs the forward pass on copies of the rows, so the result is the
         caller's, then clears each kept row at the later pivot columns it holds
         and divides it by its content, last row first.  Meant for local pieces
-        that need a basis (an edge's graded piece, a forest edge's kernel).
+        that need a basis (an edge's graded piece, whose reduced rows give
+        its kernel through `reduced_kernel`).
         """
         kept = _echelon_rows(map(dict, self._rows), {})
         pivots = sorted(kept)
@@ -212,25 +247,9 @@ class RatMatrix:
         """A basis of the null space {w : M w = 0}, as sparse vectors.
 
         Equivalently, a basis of the linear functionals vanishing on the
-        row space; built from the reduced form, one primitive integer vector
-        per non-pivot column c, positive at c and zero at every other
-        non-pivot column.
+        row space; read off the reduced form (`reduced_kernel`).
         """
-        pivots, reduced = self.rref()
-        # each column's (pivot column, pivot, entry) triples, in one pass
-        entries: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(self._ncols)}
-        for pc, row in zip(pivots, reduced):
-            for c, v in row.items():
-                entries[c].append((pc, row[pc], v))
-        basis = []
-        for c in sorted(entries.keys() - pivots):
-            # e_c - sum(row[c] / row[pc] * e_pc), times the common denominator
-            scale = lcm(*(pv // gcd(v, pv) for _, pv, v in entries[c]))
-            vec = {c: scale}
-            for pc, pv, v in entries[c]:
-                vec[pc] = -v * scale // pv
-            basis.append(vec)
-        return basis
+        return reduced_kernel(self.rref()[1], range(self._ncols))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"

@@ -39,7 +39,7 @@ from splinedim.dimension import (
 )
 from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal, vertex_ideal_edges
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
-from splinedim.ratlinalg import RatMatrix, binom
+from splinedim.ratlinalg import RatMatrix, binom, reduced_kernel
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
 F = Fraction
@@ -134,6 +134,16 @@ def _left_sign(mesh, v, w):
     return 1 if (qx - px) * (cy - py) - (qy - py) * (cx - px) > 0 else -1
 
 
+def _search_order(mesh):
+    """The boundary vertices in index order, then breadth-first: each
+    interior vertex once a vertex before it in the list first reaches it,
+    neighbours in index order."""
+    order = sorted(mesh.boundary_vertices)
+    for u in order:
+        order += [w for w in mesh.vertex_neighbors[u] if w in mesh.interior_vertices and w not in order]
+    return order
+
+
 @pytest.mark.parametrize("name", sorted(_COTREE_MESHES))
 def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     mesh = _COTREE_MESHES[name]
@@ -142,9 +152,13 @@ def test_the_cotree_spans_the_dual_graph_and_each_forest_edge_has_its_cut(name):
     assert len(cotree) == len(set(cotree)) == mesh.num_triangles - 1
     assert set(cotree) | forest == mesh.interior_edges and not forest & set(cotree)
     assert _connected(range(mesh.num_triangles), (mesh.edge_triangles[e] for e in cotree))
-    # sparse columns first: an edge that few cuts cross has its columns in few rows
-    crossings = Counter(e for cut in cuts.values() for e in cut)
-    assert list(cotree) == sorted(cotree, key=lambda e: (crossings[e], e))
+    # from the boundary inward: by the search position of the later end;
+    # each forest edge joins its child to the vertex that first reached it
+    position = {v: k for k, v in enumerate(_search_order(mesh))}
+    assert list(cotree) == sorted(cotree, key=lambda e: (max(position[e[0]], position[e[1]]), e))
+    for f, v in child.items():
+        reached_from = min(mesh.vertex_neighbors[v], key=position.get)
+        assert f == tuple(sorted((v, reached_from))), f
     # one forest edge per interior vertex: with the boundary as one node,
     # V_int edges connecting V_int + 1 nodes form a spanning tree
     assert len(forest) == len(mesh.interior_vertices)
@@ -287,50 +301,60 @@ def test_each_edge_basis_lists_its_reduced_rows_in_decreasing_pivot_column(name)
         *(("ps6:morgan-scott", 2, 3, d) for d in (4, 5, 6)),
         ("star:8-generic", 3, 6, 12),
         ("star:8-generic", 3, 6, 20),
+        ("morgan-scott", 1, 2, 4),
+        ("star:5-generic", 1, 2, 4),
+        ("star:cross", 1, 1, 3),
     ],
 )
 def test_a_forest_edges_functionals_are_the_kernel_of_its_graded_piece(monkeypatch, name, r, s, d):
-    """The oracle builds a forest edge's functionals from its basis alone.
+    """The oracle reads a forest edge's functionals off its basis alone.
     The basis is the reduced echelon form of the edge's graded piece, and a
     space has one such form, so the basis's kernel is the piece's kernel,
-    vector for vector, and echelonizing the basis again cancels nothing."""
+    vector for vector, and `reduced_kernel` reads it with no elimination:
+    it equals `kernel_basis` of the basis and of the piece, and, from
+    pieces built two degrees higher, the same vectors in the top columns."""
     if name == "ps6:morgan-scott":
         split = powell_sabin_6split(morgan_scott_mesh(), r, s)
         mesh, spec = split.refined, split.spec
-    else:
+    elif name.startswith("star:8"):
         mesh = builtin_mesh(name)
         spec = star_smoothness_spec(mesh, r, s)
-    sys = _system(mesh, spec, d)
-    bases = sys.bases
-    eliminate, eliminations = splinedim.ratlinalg._eliminate, []
-
-    def counted(*args):
-        eliminations.append(args)
-        return eliminate(*args)
-
-    monkeypatch.setattr(splinedim.ratlinalg, "_eliminate", counted)
+    else:
+        mesh = builtin_mesh(name)
+        spec = SmoothnessSpec.uniform(mesh, r, s)
+    bases = _system(mesh, spec, d).bases
+    top = EdgePieces(mesh, spec, d + 2)
+    shift, top_bases = top.ncols - binom(d + 2, 2), top.system(d).bases
+    passes = []
+    echelon_rows = splinedim.ratlinalg._echelon_rows
+    monkeypatch.setattr(splinedim.ratlinalg, "_echelon_rows", lambda *args: passes.append(args) or echelon_rows(*args))
+    assert mesh.cotree[1]
     for f in mesh.cotree[1]:
-        before = len(eliminations)
-        basis = RatMatrix(bases[f], sys.ncoef)
+        functionals = reduced_kernel(bases[f], range(binom(d + 2, 2)))
+        in_top = reduced_kernel(top_bases[f], range(shift, top.ncols))
+        assert not passes, f
+        basis = RatMatrix(bases[f], binom(d + 2, 2))
         assert basis.rref() == (sorted(map(min, bases[f])), bases[f][::-1])
-        functionals = basis.kernel_basis()
-        assert len(eliminations) == before, f
         piece = graded_piece_matrix(edge_ideal_for(mesh, spec, f).generators, d)
-        assert functionals == piece.kernel_basis(), f
-    assert eliminations  # the graded pieces themselves do cancel entries
+        assert functionals == piece.kernel_basis() == basis.kernel_basis(), f
+        assert [{c - shift: v for c, v in q.items()} for q in in_top] == functionals, f
+        assert passes  # the hook sees the eliminations the references run
+        passes.clear()
 
 
 def test_a_report_builds_functionals_only_at_forest_edges(monkeypatch):
-    """One kernel basis per forest edge, that is, per interior vertex, and
-    none at the cotree edges, whose functionals nothing reads."""
+    """One kernel per forest edge, that is, per interior vertex, and none at
+    the cotree edges, whose functionals nothing reads; each is read off the
+    edge's basis, and no kernel is eliminated for."""
     mesh, spec = _ps6_ms_23()
-    kernel_basis, owners = RatMatrix.kernel_basis, []
+    reduced_kernel, owners = splinedim.dimension.reduced_kernel, []
 
-    def counted(self):
-        owners.append(self)
-        return kernel_basis(self)
+    def counted(rows, columns):
+        owners.append(rows)
+        return reduced_kernel(rows, columns)
 
-    monkeypatch.setattr(RatMatrix, "kernel_basis", counted)
+    monkeypatch.setattr(splinedim.dimension, "reduced_kernel", counted)
+    monkeypatch.setattr(RatMatrix, "kernel_basis", None)
     euler_assembly(mesh, spec, 5)
     assert len(owners) == len(mesh.cotree[1]) == len(mesh.interior_vertices) == 19
 
@@ -396,6 +420,100 @@ def test_h0_equals_the_untransposed_boundary_map():
             assert h0_dimension(mesh, spec, d) == expected, (spec.r, spec.s, d)
             positive += expected > 0
     assert positive >= 10
+
+
+@pytest.mark.parametrize("name", sorted(_COTREE_MESHES))
+def test_each_interior_edge_is_a_tilde_edge_of_its_later_end_alone(name):
+    """The premise of h0's block-triangular layout: along `Mesh.ordering`,
+    which lists the boundary first, an interior edge with an interior end is
+    a tilde edge of exactly one end, its later one (the interior one when
+    the other lies on the boundary); an edge between two boundary vertices
+    is no vertex's and meets no row of the boundary map."""
+    mesh = _COTREE_MESHES[name]
+    order = list(mesh.ordering)
+    owners = Counter()
+    for v in mesh.interior_vertices:
+        for e in vertex_ideal_edges(mesh, v, "tilde"):
+            assert v == max(e, key=order.index), (e, v)
+            owners[e] += 1
+    inner = {e for e in mesh.interior_edges if not set(e) <= mesh.boundary_vertices}
+    assert owners == Counter(dict.fromkeys(inner, 1))
+
+
+def test_h0_builds_no_matrix_where_tilde_equals_full(monkeypatch):
+    """On the 6-split twice at (1,2) d=5, tilde = full at all 121 interior
+    vertices, so the boundary map is block triangular with diagonal blocks
+    of full row rank: h0 = 0 with no matrix built, and the untransposed
+    boundary map assembled here has full rank too."""
+    mesh, spec = PS6X2.refined, PS6X2.spec
+    sys = _system(mesh, spec, 5)
+    assert len(sys.interior) == 121 and all(sys.tilde[v] == sys.full[v] for v in sys.interior)
+
+    def unbuilt(*args):
+        raise AssertionError("h0 built a matrix")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(RatMatrix, "__init__", unbuilt)
+        patched.setattr(RatMatrix, "_of_kept_rows", unbuilt)
+        assert h0_dimension(mesh, spec, 5, sys.pieces) == 0
+    assert _h0_boundary_rows(sys) == 0
+
+
+def test_the_tilde_shortcut_cannot_hide_h0(monkeypatch):
+    """With every interior edge at v taken as a tilde edge, tilde = full
+    everywhere and h0 reads 0 with no rank.  At ps6-ms (2,3) d=4, where
+    h0 = 9, the Euler identity then misses the kernel oracle by 9 and the
+    report raises."""
+    mesh, spec = _ps6_ms_23()
+    edges = vertex_ideal_edges
+    monkeypatch.setattr(splinedim.dimension, "vertex_ideal_edges", lambda mesh, v, variant: edges(mesh, v, "full"))
+    assert h0_dimension(mesh, spec, 4) == 0
+    with pytest.raises(InternalInconsistencyError, match="kernel oracle 16 vs Euler assembly 7,"):
+        euler_assembly(mesh, spec, 4)
+
+
+def test_the_kernel_oracle_needs_no_vertex_ordering(monkeypatch):
+    """`--method exact` reads no admissible ordering: the cotree follows its
+    own breadth-first search, not `Mesh.ordering`."""
+    split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
+
+    def unordered(self):
+        raise AssertionError("the kernel oracle read Mesh.ordering")
+
+    monkeypatch.setattr(Mesh, "ordering", property(unordered))
+    pieces = EdgePieces(split.refined, split.spec, 6)
+    assert [exact_dimension(split.refined, split.spec, d, pieces) for d in (4, 5, 6)] == [16, 67, 160]
+    argv = ["dim", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "-d", "5", "--method", "exact"]
+    assert main(argv, out=io.StringIO()) == 0
+
+
+def test_both_global_systems_eliminate_from_the_boundary_inward(monkeypatch):
+    """Work pin on the 6-split twice at (1,2) d=5: fraction-free steps and
+    entry updates (the kept row's entries, per step) of the kernel oracle's
+    rank and of the transposed boundary map's integer pass, which meets the
+    pivots of h0's modular pass.  With the cotree by cut count and the edges
+    in index order they took 3007 steps and 124,792 updates, and 10,010
+    steps and 222,027 updates; laid out from the boundary inward, 1443 and
+    62,771, and 4979 and 49,720."""
+    mesh, spec = PS6X2.refined, PS6X2.spec
+    sys = _system(mesh, spec, 5)
+    boundary = splinedim.dimension._boundary_transposed(sys)
+    eliminate, work, rank = splinedim.ratlinalg._eliminate, Counter(), RatMatrix.rank
+
+    def counted(row, piv, pc, owned):
+        work["steps"] += 1
+        work["updates"] += len(piv)
+        return eliminate(row, piv, pc, owned)
+
+    monkeypatch.setattr(splinedim.ratlinalg, "_eliminate", counted)
+    assert rank(boundary) == boundary.nrows == 1815
+    assert work["steps"] <= 4979 and work["updates"] <= 49720, work
+    work.clear()
+    ranked = []
+    monkeypatch.setattr(RatMatrix, "rank", lambda self: ranked.append(dict(work)) or rank(self))
+    assert _exact_dim_reduced(sys) == 1050
+    oracle = work - Counter(ranked[0])
+    assert oracle["steps"] <= 1443 and oracle["updates"] <= 62771, oracle
 
 
 @pytest.mark.parametrize(
@@ -551,10 +669,12 @@ def _stacked(sys, v, variant):
 
 
 def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
-    """h0 is the boundary matrix's row count minus its integer rank, and the
-    integer rank runs exactly where h0 > 0; the forward-only full pivots
-    are the rref pivots; the selection stopped at the bar bound is the
-    selection run to the end."""
+    """Where tilde = full at every interior vertex, h0 builds no boundary
+    matrix and the reference boundary rank gives h0 = 0; elsewhere h0 is
+    the boundary matrix's row count minus its integer rank, and the integer
+    rank runs exactly where h0 > 0; the forward-only full pivots are the
+    rref pivots; the selection stopped at the bar bound is the selection
+    run to the end."""
     rank, rank_mod, leading = RatMatrix.rank, RatMatrix.rank_mod, RatMatrix.leading_columns
     boundary, fell_back = [], []
     monkeypatch.setattr(RatMatrix, "rank_mod", lambda self, p=32749: boundary.append(self) or rank_mod(self, p))
@@ -567,9 +687,13 @@ def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
             boundary.clear()
             fell_back.clear()
             h0 = h0_dimension(mesh, spec, d, sys.pieces)
-            assert h0 == boundary[0].nrows - rank(boundary[0]), (mesh, d)
-            assert bool(fell_back) == (h0 > 0), (mesh, d)
-            h0s[h0 > 0] += 1
+            if all(sys.tilde[v] == sys.full[v] for v in sys.interior):
+                assert boundary == [] and h0 == 0 == _h0_boundary_rows(sys), (mesh, d)
+                h0s["tilde = full"] += 1
+            else:
+                assert h0 == boundary[0].nrows - rank(boundary[0]), (mesh, d)
+                assert bool(fell_back) == (h0 > 0), (mesh, d)
+                h0s[h0 > 0] += 1
             for v, cols in sys.full_pivots.items():
                 assert cols == _stacked(sys, v, "full").rref()[0], (mesh, d, v)
             selected = [splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()]
@@ -578,7 +702,7 @@ def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
                 splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()
             ], (mesh, d)
             monkeypatch.setattr(RatMatrix, "leading_columns", leading)
-    assert h0s[True] > 10 and h0s[False] > 10
+    assert h0s[True] > 10 and h0s[False] > 10 and h0s["tilde = full"] > 10, h0s
 
 
 def test_bounds_single_triangle():

@@ -227,16 +227,19 @@ def _traced_calls(tmp_path, *argv):
 def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
     """Each span the tracer wraps must still be reached through the names the
     package calls it by; `table` builds no `GradedIdeal`, so `ideal --variant
-    tilde` covers the vertex ideal and its `graded_dim`."""
+    tilde` covers the vertex ideal and its `graded_dim`.  No command calls
+    `kernel_basis`: the kernel oracle reads its functionals off reduced
+    rows (`reduced_kernel`), with no elimination."""
     calls = _traced_calls(tmp_path, "table", "--gen", "ps6:morgan-scott", "-r", "1", "-s", "2", "-d", "3")
     stages = (
         "ideals.edge_ideal_for", "dimension.euler_assembly", "dimension.h0_dimension",
         "mesh.validate_disk", "mesh.vertex_ordering", "refine.powell_sabin_6split",
-        "ratlinalg.rank", "ratlinalg.rref", "ratlinalg.kernel_basis", "ratlinalg.matrix_init",
+        "ratlinalg.rank", "ratlinalg.rref", "ratlinalg.matrix_init",
         "ideals.graded_piece_matrix", "polyring.power", "polyring.mul",
         "polyring.times_monomial", "cli.main",
     )
     assert [name for name in stages if not calls.get(name)] == []
+    assert not calls.get("ratlinalg.kernel_basis")
     calls = _traced_calls(
         tmp_path, "ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2",
         "--vertex", "3", "--variant", "tilde", "-d", "4",
@@ -326,10 +329,11 @@ def test_a_table_feeds_each_top_edge_row_once_to_each_variants_stack(
 
 
 def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
-    """The benchmark times echelon eliminations, the edge pieces' and the
-    kernel oracle's forest-edge bases, through its `RatMatrix.rref` span.
-    Each matrix eliminates once, and the full stacks and the row selections,
-    read only for their leading columns, never run the back-substitution."""
+    """The benchmark times echelon eliminations, the edge pieces', through
+    its `RatMatrix.rref` span.  Each matrix eliminates once, the forest
+    edges' functionals are read off their bases with no elimination, and
+    the full stacks and the row selections, read only for their leading
+    columns, never run the back-substitution."""
     open_rrefs, matrices, inside = [], [], []
     rref, forward = ratlinalg.RatMatrix.rref, ratlinalg._echelon_rows
 
@@ -351,15 +355,13 @@ def test_every_echelon_elimination_runs_inside_ratmatrix_rref(monkeypatch):
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     mesh = split.refined
     euler_assembly(mesh, split.spec, 5)
-    # one per interior edge piece, and per forest edge, one per interior
-    # vertex, its basis (for the kernel)
-    stacks = len(mesh.interior_edges) + len(mesh.interior_vertices)
+    # one per interior edge piece
+    stacks = len(mesh.interior_edges)
     assert len(inside) == len(matrices) == len({id(m) for m in matrices}) == stacks
     # a command echelonizes each edge piece once, at its top degree, and
-    # reads the lower degrees off it; the kernel bases stay per degree
+    # reads the lower degrees off it
     matrices.clear()
     inside.clear()
     argv = ["table", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6", "--check"]
     assert main(argv, out=io.StringIO()) == 0
-    stacks = len(mesh.interior_edges) + 3 * len(mesh.interior_vertices)
     assert len(inside) == len(matrices) == len({id(m) for m in matrices}) == stacks

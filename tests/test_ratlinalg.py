@@ -88,6 +88,25 @@ def test_non_int_entries_raise_type_error(entry):
         RatMatrix([{0: 1, 1: entry}], 2)
 
 
+@pytest.mark.parametrize("column", [-1, 2])
+def test_out_of_range_columns_raise_index_error(column):
+    with pytest.raises(IndexError, match="out of range"):
+        RatMatrix([{0: 1, column: 1}], 2)
+
+
+def test_the_grown_stacks_check_no_row_again(monkeypatch):
+    """The vertex stacks are fed the edge pieces' top `rref` rows, which are
+    checked `int`s in range already, so growing them builds no checked
+    matrix; a matrix built from outside input is still checked (above)."""
+    split = powell_sabin_6split(builtin_mesh("morgan-scott"), 2, 3)
+    pieces = EdgePieces(split.refined, split.spec, 6)
+    pieces.bases(6)
+    init, checked = RatMatrix.__init__, []
+    monkeypatch.setattr(RatMatrix, "__init__", lambda self, rows, ncols: checked.append(ncols) or init(self, rows, ncols))
+    assert pieces.vertex_pivots("full", 6) and pieces.vertex_pivots("tilde", 6)
+    assert checked == []
+
+
 def _random_matrix(rng, nrows, ncols):
     rows = []
     for _ in range(nrows):
