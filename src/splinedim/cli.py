@@ -7,7 +7,6 @@ inconsistency (the Euler identity cross-check failed, which means a bug).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from functools import partial
@@ -195,7 +194,7 @@ def compute_rows(mesh, spec, original, args, degrees, pieces) -> list[dict]:
         if args.method == "all":
             # the report's fields are the columns, plus the Euler terms, which
             # only the JSON output prints
-            rows.append({**vars(euler_assembly(mesh, spec, d, pieces)), "method": "exact"})
+            rows.append({**euler_assembly(mesh, spec, d, pieces)._asdict(), "method": "exact"})
         elif args.method == "formula":
             value, how = _formula_value(mesh, spec, original, args, d, pieces)
             rows.append({"d": d, "exact": value, "method": how})
@@ -339,7 +338,7 @@ def run_validate(args, out) -> int:
     mesh, _, _ = resolve_source(args, need_spec=False)
     report = mesh.disk
     counts = mesh.face_counts()
-    summary = {"ok": report.ok, "failures": list(report.failures), **dataclasses.asdict(counts)}
+    summary = {"ok": report.ok, "failures": list(report.failures), **counts._asdict()}
     if args.format == "json":
         print(json.dumps(summary, sort_keys=True), file=out)
     else:

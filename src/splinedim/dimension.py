@@ -23,8 +23,8 @@ copied.  Without one, pieces are built at d for that call alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .ideals import (
     dim_bar_vertex_ideal_count,
@@ -78,8 +78,7 @@ class OutOfRangeError(ValueError):
     """Closed-form preconditions violated; use the exact oracle instead."""
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Per-degree record of all formula terms and results."""
 
     d: int
@@ -95,8 +94,7 @@ class DimensionReport:
     exact: int
 
 
-@dataclass(frozen=True)
-class StarProfile:
+class StarProfile(NamedTuple):
     t: int
     f1_interior: int
     omega: int
@@ -200,7 +198,7 @@ class EdgePieces:
             kept: dict[int, dict[int, int]] = {}
             for d, pivots in enumerate(grown):
                 rows = [row for e in edges for row in self._groups[e][d]]
-                kept = RatMatrix._of_kept_rows(rows, self.ncols).extend_echelon(kept)
+                kept = RatMatrix._of_int_rows(rows, self.ncols).extend_echelon(kept)
                 pivots[v] = sorted(kept)
         return grown
 
@@ -307,23 +305,26 @@ def _apply(u: dict[int, int], columns: dict[int, list[tuple[int, int]]]) -> dict
     return {k: val for k, val in out.items() if val}
 
 
-def _independent_functionals(sys: _DegreeSystem, f: Edge, v: int) -> list[dict[int, int]]:
-    """Forest edge f's functionals independent on J(v)_d, v its child: the
-    dim J(v)_d - dim J(f)_d pivot columns of their values q(b) on the bases
-    of the other edges at v, which span J(v)_d.  The forward pass stops at
-    bar_v - dim J(f)_d rows, since dim J(v)_d <= bar_v, the LB5.2 count that
-    the Euler side checks by full <= bar.  f's functionals are the kernel of
-    its basis, which is the kernel of its graded piece: the basis is that
-    piece's reduced echelon form, so they are read off it (`reduced_kernel`)
-    with no elimination.  In the top columns only degree d's are read: the
-    unit vectors of the columns below vanish on every degree-d vector."""
+def _independent_functionals(
+    sys: _DegreeSystem, f: Edge, v: int
+) -> tuple[list[dict[int, int]], list[int], dict[Edge, list[dict[int, int]]]]:
+    """Forest edge f's functionals, the indices of those independent on
+    J(v)_d, v its child, and their values: per other edge e at v, one dict
+    {index: q(b)} per basis vector b of e.  The kept ones are the dim J(v)_d
+    - dim J(f)_d pivot columns of the values, since the other edges' bases
+    span J(v)_d.  The forward pass stops at bar_v - dim J(f)_d rows, since
+    dim J(v)_d <= bar_v, the LB5.2 count that the Euler side checks by full
+    <= bar.  f's functionals are the kernel of its basis, which is the
+    kernel of its graded piece: the basis is that piece's reduced echelon
+    form, so they are read off it (`reduced_kernel`) with no elimination.
+    In the top columns only degree d's are read: the unit vectors of the
+    columns below vanish on every degree-d vector."""
     ncols = sys.pieces.ncols
     functionals = reduced_kernel(sys.bases[f], range(ncols - sys.ncoef, ncols))
     at_q = _columns(functionals)
-    edges = [e for e in sys.mesh.interior_edges_at_vertex(v) if e != f]
-    values = [_apply(b, at_q) for e in edges for b in sys.bases[e]]
-    selection = RatMatrix(values, len(functionals)).leading_columns(sys.bar[v] - len(sys.bases[f]))
-    return [functionals[j] for j in selection]
+    values = {e: [_apply(b, at_q) for b in sys.bases[e]] for e in sys.mesh.interior_edges_at_vertex(v) if e != f}
+    stacked = RatMatrix._of_int_rows([row for rows in values.values() for row in rows], len(functionals))
+    return functionals, stacked.leading_columns(sys.bar[v] - len(sys.bases[f])), values
 
 
 def _exact_dim_reduced(sys: _DegreeSystem) -> int:
@@ -344,20 +345,36 @@ def _exact_dim_reduced(sys: _DegreeSystem) -> int:
     So f keeps the dim J(v)_d - dim J(f)_d functionals independent on
     J(v)_d, found from the edge bases at v, never from the Euler path's
     vertex pivots.  All of them would give sum_v codim J(v)_d + h0
-    dependent rows; the kept ones give h0.  The rows are short, and the
-    columns follow the cotree's order and each edge's basis order.
+    dependent rows; the kept ones give h0.  The selection has already
+    evaluated them on the bases at v, so the row parts on v's cotree edges
+    are read off its values; only the cotree edges away from v are
+    evaluated here, each indexed by column on first use.  The rows are
+    short, and the columns follow the cotree's order and each edge's basis
+    order.
     """
     cotree, cuts, child = sys.mesh.cotree
-    columns, ncols = {}, 0  # each cotree edge's basis, indexed by kernel column
+    offset, ncols = {}, 0  # each cotree edge's first kernel column
     for e in cotree:
-        columns[e] = _columns(sys.bases[e], ncols)
+        offset[e] = ncols
         ncols += len(sys.bases[e])
+    far = {}  # a cotree edge's basis by column, for the cuts it lies in away from v
     rows = []
     for f, cut in cuts.items():
-        for q in _independent_functionals(sys, f, child[f]):
-            values = [(sign, _apply(q, columns[te])) for te, sign in cut.items()]
-            rows.append({c: sign * val for sign, on_te in values for c, val in on_te.items()})
-    return sys.ncoef + ncols - RatMatrix(rows, ncols).rank()
+        v = child[f]
+        functionals, kept, values = _independent_functionals(sys, f, v)
+        near = {}  # each kept functional's entries on a cotree edge at v, by its index
+        for te in cut:
+            if v in te:
+                near[te] = _columns(values[te], offset[te])
+            elif te not in far:
+                far[te] = _columns(sys.bases[te], offset[te])
+        for j in kept:
+            row = {}
+            for te, sign in cut.items():
+                entries = near[te].get(j, ()) if te in near else _apply(functionals[j], far[te]).items()
+                row.update((c, sign * val) for c, val in entries)
+            rows.append(row)
+    return sys.ncoef + ncols - RatMatrix._of_int_rows(rows, ncols).rank()
 
 
 def exact_dimension(
@@ -425,7 +442,7 @@ def _boundary_transposed(sys: _DegreeSystem) -> RatMatrix:
                         if c in at:
                             rows[at[c]][col] = sign * val
             col += 1
-    return RatMatrix(rows, col)
+    return RatMatrix._of_int_rows(rows, col)
 
 
 def lower_bound_51(
@@ -579,8 +596,7 @@ def argyris_dim(mesh: Mesh, r: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class IntrinsicOrder:
+class IntrinsicOrder(NamedTuple):
     order: int
     generic: bool
 

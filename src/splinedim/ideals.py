@@ -19,7 +19,8 @@ binary-form Hilbert functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .mesh import Edge, Mesh, SmoothnessSpec, direction_key, predecessors
 from .polyring import (
@@ -75,26 +76,25 @@ class GradedIdeal:
 
 
 def graded_piece_matrix(generators, d: int) -> RatMatrix:
-    """Rows spanning the degree-d span of `generators` times monomials."""
-    ncols = binom(d + 2, 2)
+    """Rows spanning the degree-d span of `generators` times monomials.
+
+    Each row is laid out straight from g's terms, with no polynomial per
+    row: at degree d the column of (i, j, k) is base[k] + j, with base[k] =
+    k(d+1) - k(k-1)/2 (`monomial_index`), so g times x^a y^b z^c holds the
+    coefficient of each term x^i y^j z^k at base[k + c] + j + b.  Distinct
+    terms land in distinct columns, so a row's entries are g's nonzero
+    `int` coefficients, checked when g was built, and enter unchecked."""
+    base = [k * (d + 1) - k * (k - 1) // 2 for k in range(d + 1)]
     rows = []
     for g in generators:
         if g.degree > d:
             continue
-        for mono in graded_monomial_basis(d - g.degree):
-            rows.append(g.times_monomial(mono).coefficient_vector())
-    return RatMatrix(rows, ncols)
+        terms = [(j, k, v) for (_, j, k), v in g.terms.items()]
+        rows += [{base[k + c] + j + b: v for j, k, v in terms} for _, b, c in graded_monomial_basis(d - g.degree)]
+    return RatMatrix._of_int_rows(rows, binom(d + 2, 2))
 
 
-@dataclass(frozen=True)
-class EdgeIdealSpec:
-    """Adapted frame and orders for one interior edge.
-
-    `ell_tau` vanishes on the homogenized edge; `ell_gamma` and
-    `ell_gamma_prime` complete the vanishing ideals of the two endpoints.
-    Orders satisfy r <= s_gamma and r <= s_gamma_prime.
-    """
-
+class _EdgeFrame(NamedTuple):
     ell_tau: LinearForm3
     ell_gamma: LinearForm3
     ell_gamma_prime: LinearForm3
@@ -102,17 +102,25 @@ class EdgeIdealSpec:
     s_gamma: int
     s_gamma_prime: int
 
-    def __post_init__(self):
-        if not 0 <= self.r <= min(self.s_gamma, self.s_gamma_prime):
-            raise ValueError(
-                f"need 0 <= r <= s at both endpoints, got r={self.r}, "
-                f"s=({self.s_gamma}, {self.s_gamma_prime})"
-            )
+
+class EdgeIdealSpec(_EdgeFrame):
+    """Adapted frame and orders for one interior edge.
+
+    `ell_tau` vanishes on the homogenized edge; `ell_gamma` and
+    `ell_gamma_prime` complete the vanishing ideals of the two endpoints.
+    Orders satisfy r <= s_gamma and r <= s_gamma_prime.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ell_tau, ell_gamma, ell_gamma_prime, r, s_gamma, s_gamma_prime):
+        if not 0 <= r <= min(s_gamma, s_gamma_prime):
+            raise ValueError(f"need 0 <= r <= s at both endpoints, got r={r}, s=({s_gamma}, {s_gamma_prime})")
         # tau . (gamma x gamma') = det(tau, gamma, gamma'); gamma x gamma' is
         # where they meet, or 0 when they coincide
-        meet = cross(*((f.a, f.b, f.c) for f in (self.ell_gamma, self.ell_gamma_prime)))
-        if self.ell_tau.vanishes_at_vertex(meet):
+        if ell_tau.vanishes_at_vertex(cross(ell_gamma, ell_gamma_prime)):
             raise ValueError("edge frame forms are linearly dependent")
+        return super().__new__(cls, ell_tau, ell_gamma, ell_gamma_prime, r, s_gamma, s_gamma_prime)
 
 
 def _minimal_exponents(r: int, s1: int, s2: int) -> list[tuple[int, int, int]]:
@@ -134,15 +142,22 @@ def dim_edge_ideal_count(r: int, s1: int, s2: int, d: int) -> int:
     )
 
 
+@lru_cache(maxsize=1024)
+def _power(form: LinearForm3, k: int) -> HomogeneousPolynomial:
+    """form^k, built once while among the last 1024 used: the edges at a
+    vertex share its complement form, and the edges along a line its form."""
+    return form.power(k)
+
+
 def _products(forms, exponents) -> list[HomogeneousPolynomial]:
     """f0^a * f1^b * f2^c for `forms` (f0, f1, f2) and each (a, b, c); zero b, c skipped."""
     tau, *others = forms
     gens = []
     for a, *rest in exponents:
-        g = tau.power(a)
+        g = _power(tau, a)
         for form, k in zip(others, rest):
             if k:
-                g = g * form.power(k)
+                g = g * _power(form, k)
         gens.append(g)
     return gens
 

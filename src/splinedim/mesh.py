@@ -20,13 +20,12 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .polyring import IntPoint, cross
 from .ratlinalg import primitive_int_vector
@@ -72,8 +71,7 @@ class _JsonDecimal(Decimal):
     __repr__ = Decimal.__str__
 
 
-@dataclass(frozen=True)
-class FaceCounts:
+class FaceCounts(NamedTuple):
     f0: int
     f1: int
     f2: int
@@ -444,8 +442,7 @@ def mesh_to_json(mesh: Mesh, spec: SmoothnessSpec | None = None) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class DiskReport:
+class DiskReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

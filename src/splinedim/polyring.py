@@ -19,10 +19,9 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .ratlinalg import primitive_int_vector
 
@@ -115,10 +114,6 @@ class HomogeneousPolynomial:
             {(i + a, j + b, k + c): v for (i, j, k), v in self.terms.items()},
         )
 
-    def coefficient_vector(self) -> dict[int, int]:
-        """Sparse coefficients in the degree-d layout order."""
-        return {monomial_index(m): v for m, v in self.terms.items()}
-
     def sorted_terms(self) -> list[tuple[Monomial3, int]]:
         return sorted(self.terms.items(), reverse=True)
 
@@ -150,8 +145,7 @@ class HomogeneousPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class LinearForm3:
+class LinearForm3(NamedTuple):
     """A normalized linear form a*x + b*y + c*z.
 
     Coefficients are coprime integers with the first nonzero one positive,

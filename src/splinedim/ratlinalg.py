@@ -167,10 +167,12 @@ class RatMatrix:
         self._ncols = ncols
 
     @classmethod
-    def _of_kept_rows(cls, rows: Sequence[dict[int, int]], ncols: int) -> RatMatrix:
-        """A matrix of rows that a pass of this module kept, so already
-        nonzero `int`s in range: taken as they are, unchecked and uncopied,
-        and read-only from then on."""
+    def _of_int_rows(cls, rows: Sequence[dict[int, int]], ncols: int) -> RatMatrix:
+        """A matrix of int rows this package built, so already nonzero `int`s
+        in range (graded pieces from their generators' checked terms, the
+        rows a pass kept, and the global systems from those): taken as they
+        are, unchecked and uncopied, and read-only from then on.  Rows from
+        anywhere else go through the checked constructor."""
         matrix = cls.__new__(cls)
         matrix._rows, matrix._ncols = tuple(rows), ncols
         return matrix

@@ -14,10 +14,9 @@ mesh's new vertices are built as rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .mesh import Edge, Mesh, MeshError, Point, SmoothnessSpec
 from .polyring import IntPoint, cross
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PSSplitResult:
+class PSSplitResult(NamedTuple):
     """A refined mesh with its induced smoothness spec and vertex roles.
 
     The refined mesh keeps each source vertex at its source index.

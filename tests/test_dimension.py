@@ -230,6 +230,45 @@ def test_the_kernel_oracle_builds_only_h0_dependent_rows(monkeypatch, base, r, s
     assert h0 in (None, nonzero - rank)
 
 
+def _reference_oracle_rows(sys):
+    """The kernel oracle's rows with each kept functional applied to every
+    edge of its cut, each cotree basis indexed by kernel column."""
+    dimension = splinedim.dimension
+    cotree, cuts, child = sys.mesh.cotree
+    columns, ncols = {}, 0
+    for e in cotree:
+        columns[e] = dimension._columns(sys.bases[e], ncols)
+        ncols += len(sys.bases[e])
+    return [
+        {c: sign * val for te, sign in cut.items() for c, val in dimension._apply(q, columns[te]).items()}
+        for f, cut in cuts.items()
+        for q in _kept_functionals(sys, f, child[f])
+    ]
+
+
+def _oracle_row_cases():
+    for name, mesh in _COTREE_MESHES.items():
+        if not name.startswith("ps6"):
+            yield pytest.param(mesh, SmoothnessSpec.uniform(mesh, 1, 2), range(2, 7), id=name)
+    for r, s in ((1, 2), (2, 3), (3, 4)):
+        split = powell_sabin_6split(morgan_scott_mesh(), r, s)
+        yield pytest.param(split.refined, split.spec, range(r + 2, r + 5), id=f"ps6-ms-{r}-{s}")
+
+
+@pytest.mark.parametrize("mesh, spec, degrees", _oracle_row_cases())
+def test_the_oracle_rows_read_off_the_selection_equal_the_whole_cut_reference(monkeypatch, mesh, spec, degrees):
+    """The row parts on a child's cotree edges come from the selection's
+    values; every row must equal the kept functional applied to its whole cut."""
+    for d in degrees:
+        sys = _system(mesh, spec, d)
+        ranked = []
+        with monkeypatch.context() as patched:
+            patched.setattr(RatMatrix, "rank", lambda self: ranked.append(list(self.row_dicts())) or 0)
+            _exact_dim_reduced(sys)
+        (rows,) = ranked
+        assert rows == _reference_oracle_rows(sys), d
+
+
 def _ps6_ms_23():
     split = powell_sabin_6split(morgan_scott_mesh(), 2, 3)
     return split.refined, split.spec
@@ -272,9 +311,9 @@ def test_a_dropped_kernel_oracle_row_is_caught(monkeypatch):
     calls = []
 
     def drop_one(sys, f, v):
-        kept = select(sys, f, v)
+        functionals, kept, values = select(sys, f, v)
         calls.append(f)
-        return kept[1:] if len(calls) == 1 else kept
+        return functionals, kept[1:] if len(calls) == 1 else kept, values
 
     monkeypatch.setattr(splinedim.dimension, "_independent_functionals", drop_one)
     message = rf"kernel oracle {exact + 1} vs Euler assembly {exact},"
@@ -454,7 +493,7 @@ def test_h0_builds_no_matrix_where_tilde_equals_full(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(RatMatrix, "__init__", unbuilt)
-        patched.setattr(RatMatrix, "_of_kept_rows", unbuilt)
+        patched.setattr(RatMatrix, "_of_int_rows", unbuilt)
         assert h0_dimension(mesh, spec, 5, sys.pieces) == 0
     assert _h0_boundary_rows(sys) == 0
 
@@ -668,6 +707,12 @@ def _stacked(sys, v, variant):
     return RatMatrix([row for e in edges for row in sys.bases[e]], sys.pieces.ncols)
 
 
+def _kept_functionals(sys, f, v):
+    """The functionals the kernel oracle's selection keeps at forest edge f."""
+    functionals, kept, _ = splinedim.dimension._independent_functionals(sys, f, v)
+    return [functionals[j] for j in kept]
+
+
 def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
     """Where tilde = full at every interior vertex, h0 builds no boundary
     matrix and the reference boundary rank gives h0 = 0; elsewhere h0 is
@@ -696,11 +741,9 @@ def test_the_fast_paths_equal_the_integer_paths_on_the_builtins(monkeypatch):
                 h0s[h0 > 0] += 1
             for v, cols in sys.full_pivots.items():
                 assert cols == _stacked(sys, v, "full").rref()[0], (mesh, d, v)
-            selected = [splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()]
+            selected = [_kept_functionals(sys, f, v) for f, v in cotree_child.items()]
             monkeypatch.setattr(RatMatrix, "leading_columns", lambda self, limit=None: self.rref()[0])
-            assert selected == [
-                splinedim.dimension._independent_functionals(sys, f, v) for f, v in cotree_child.items()
-            ], (mesh, d)
+            assert selected == [_kept_functionals(sys, f, v) for f, v in cotree_child.items()], (mesh, d)
             monkeypatch.setattr(RatMatrix, "leading_columns", leading)
     assert h0s[True] > 10 and h0s[False] > 10 and h0s["tilde = full"] > 10, h0s
 

@@ -75,6 +75,17 @@ def test_only_mesh_json_and_refinement_modules_import_fractions(name):
     assert "fractions" not in modules
 
 
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    """Every benchmark job is a fresh process, so the CLI's import is paid
+    per job: its records are named tuples, and nothing it imports pulls in
+    `dataclasses`, or `inspect` and the modules that come with it."""
+    code = "import sys, splinedim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _read_names(tree):
     """The variable and attribute names a module's code reads."""
     return {
@@ -229,23 +240,27 @@ def test_a_traced_run_reaches_every_stage_the_benchmark_times(tmp_path):
     package calls it by; `table` builds no `GradedIdeal`, so `ideal --variant
     tilde` covers the vertex ideal and its `graded_dim`.  No command calls
     `kernel_basis`: the kernel oracle reads its functionals off reduced
-    rows (`reduced_kernel`), with no elimination."""
+    rows (`reduced_kernel`), with no elimination.  No command calls
+    `times_monomial` or the checked `RatMatrix` constructor either: graded
+    pieces are laid out from their generators' terms, and every matrix the
+    package builds holds int rows it built (`RatMatrix._of_int_rows`)."""
+    unreached = ("ratlinalg.kernel_basis", "ratlinalg.matrix_init", "polyring.times_monomial")
     calls = _traced_calls(tmp_path, "table", "--gen", "ps6:morgan-scott", "-r", "1", "-s", "2", "-d", "3")
     stages = (
         "ideals.edge_ideal_for", "dimension.euler_assembly", "dimension.h0_dimension",
         "mesh.validate_disk", "mesh.vertex_ordering", "refine.powell_sabin_6split",
-        "ratlinalg.rank", "ratlinalg.rref", "ratlinalg.matrix_init",
-        "ideals.graded_piece_matrix", "polyring.power", "polyring.mul",
-        "polyring.times_monomial", "cli.main",
+        "ratlinalg.rank", "ratlinalg.rref", "ideals.graded_piece_matrix",
+        "polyring.power", "polyring.mul", "cli.main",
     )
     assert [name for name in stages if not calls.get(name)] == []
-    assert not calls.get("ratlinalg.kernel_basis")
+    assert [name for name in unreached if calls.get(name)] == []
     calls = _traced_calls(
         tmp_path, "ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2",
         "--vertex", "3", "--variant", "tilde", "-d", "4",
     )
     stages = ("ideals.vertex_ideal", "ideals.graded_dim", "mesh.vertex_ordering")
     assert [name for name in stages if not calls.get(name)] == []
+    assert [name for name in unreached if calls.get(name)] == []
 
 
 def test_every_rank_elimination_runs_inside_ratmatrix_rank(monkeypatch):
