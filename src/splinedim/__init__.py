@@ -21,7 +21,6 @@ from .dimension import (
     exact_dimension,
     h0_dimension,
     intrinsic_supersmoothness_order,
-    is_degenerate,
     lower_bound_51,
     lower_bound_52,
     ps_dim_general,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .dimension import (
@@ -183,12 +182,7 @@ def _formula_value(mesh, spec, original, args, d, pieces) -> tuple[int, str]:
 
 def compute_rows(mesh, spec, original, args, degrees, pieces) -> list[dict]:
     # built per call, so a rebound module name (the benchmark tracer's) is seen
-    single = dict(
-        exact=partial(exact_dimension, pieces=pieces),
-        lb51=partial(lower_bound_51, pieces=pieces),
-        lb52=lower_bound_52,  # counted, with no edge piece
-        ub53=partial(upper_bound_53, pieces=pieces),
-    )
+    single = dict(exact=exact_dimension, lb51=lower_bound_51, lb52=lower_bound_52, ub53=upper_bound_53)
     rows = []
     for d in degrees:
         if args.method == "all":
@@ -199,7 +193,7 @@ def compute_rows(mesh, spec, original, args, degrees, pieces) -> list[dict]:
             value, how = _formula_value(mesh, spec, original, args, d, pieces)
             rows.append({"d": d, "exact": value, "method": how})
         else:
-            value = single[args.method](mesh, spec, d)
+            value = single[args.method](mesh, spec, d, pieces)
             rows.append({"d": d, args.method: value, "method": args.method})
     return rows
 

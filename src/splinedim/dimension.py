@@ -23,6 +23,7 @@ copied.  Without one, pieces are built at d for that call alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from .mesh import (
     SmoothnessSpec,
     distinct_slopes_at,
 )
+from .polyring import monomial_index
 from .ratlinalg import RatMatrix, binom, reduced_kernel
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "exact_dimension",
     "h0_dimension",
     "intrinsic_supersmoothness_order",
-    "is_degenerate",
     "lower_bound_51",
     "lower_bound_52",
     "ps_dim_general",
@@ -114,92 +115,80 @@ class EdgePieces:
     stacks grown over the degrees 0..D in one forward pass each.
 
     Coefficient vectors list the monomials in descending degree-reverse-lex
-    order with z last, so z^(D-d) times the degree-d monomials are the last
-    C(d+2, 2) of the C(D+2, 2) top columns, and a form is divisible by
-    z^(D-d) exactly when its leading monomial is.  Every degree works in
-    these columns, on z^(D-d) times its forms.  J(e) = <ell_tau^(r+1)> cap
-    m_gamma^(s+1) cap m_gamma'^(s'+1) is an intersection of ideals primary
-    to the ideals of the edge's line and of its end points, none of which
-    contains z, as the line is affine and each point has W > 0.  So z is a
-    nonzerodivisor on R/J(e), and J(e)_D meets z^(D-d) R in z^(D-d) J(e)_d:
-    the top rows pivoting in degree d's columns are its primitive reduced
-    echelon basis, which is unique.  Each edge keeps its top rows grouped by
-    the degree they enter, the least d whose columns hold their pivot, so
-    degree d's basis is groups 0..d (`bases`).
+    order with z last, so z^(D-d) times the degree-d monomials are the top
+    columns from `starts[d]` = `monomial_index((d, 0, D - d))` on, the last
+    C(d+2, 2) of C(D+2, 2), and a form is divisible by z^(D-d) exactly when
+    its leading monomial is.  Every degree works in these columns, on
+    z^(D-d) times its forms.  J(e) = <ell_tau^(r+1)> cap m_gamma^(s+1) cap
+    m_gamma'^(s'+1) is an intersection of ideals primary to the ideals of
+    the edge's line and of its end points, none of which contains z, as the
+    line is affine and each point has W > 0.  So z is a nonzerodivisor on
+    R/J(e), and J(e)_D meets z^(D-d) R in z^(D-d) J(e)_d: the top rows
+    pivoting at or past `starts[d]` are its primitive reduced echelon
+    basis, which is unique.  Each edge keeps its top rows once, in
+    decreasing pivot column, so degree d's basis is a prefix of them, and
+    with it the prefix's length at each degree, read off the pivots.
 
     A vertex ideal, a sum of edge ideals, need not be saturated, and the
     same slice of its stack would overcount (the test suite keeps such a
-    case).  The stacks are grown instead (`vertex_pivots`), which needs no
+    case).  The stacks are grown instead (`_stacks`), which needs no
     saturation: the stacked degree-d rows of any set of edges span z times
     the degree d - 1 span plus the rows entering at d, whose leading
     monomial is z-free there.  In the top columns z times a row is the
     same vector, so each vertex's stack is one forward pass over its edges'
-    groups, fed a degree at a time.
+    rows, fed at each degree those between its edges' prefixes at d - 1
+    and d.
 
     A command builds one for its highest degree and passes it to each
-    per-degree call, which reaches its degree's data through `system`;
-    everything is computed on first use and kept."""
+    per-degree call, which reaches its degree's data through `system`, the
+    one way in; everything is computed on first use and kept."""
 
     def __init__(self, mesh: Mesh, smooth: SmoothnessSpec, top: int):
         if top < 0:
             raise ValueError("degree must be non-negative")
         self.mesh, self.smooth, self.top = mesh, smooth, top
         self.ncols = binom(top + 2, 2)
+        self.starts = [monomial_index((d, 0, top - d)) for d in range(top + 1)]
         self._grown: dict[str, list[dict[int, list[int]]]] = {}
         self._systems: dict[int, _DegreeSystem] = {}
 
     @cached_property
-    def _groups(self) -> dict[Edge, list[list[dict[int, int]]]]:
-        """Each edge's reduced echelon rows at the top degree, grouped by the
-        degree they enter, each group in decreasing pivot column."""
+    def _tops(self) -> dict[Edge, tuple[list[dict[int, int]], list[int]]]:
+        """Each edge's reduced echelon rows at the top degree, in decreasing
+        pivot column, and per degree d the length of the prefix that is
+        degree d's basis: the count of pivots at or past `starts[d]`."""
         mesh, smooth, top = self.mesh, self.smooth, self.top
-        # the least degree whose columns hold each top column
-        entry = [d for d in range(top, -1, -1) for _ in range(d + 1)]
-        groups = {}
+        tops = {}
         for e in sorted(mesh.interior_edges):
-            groups[e] = [[] for _ in range(top + 1)]
-            for row in graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, top).rref()[1][::-1]:
-                groups[e][entry[min(row)]].append(row)
-        return groups
-
-    def _degree(self, d: int) -> int:
-        if not 0 <= d <= self.top:
-            raise ValueError(f"degree {d} is outside 0..{self.top}")
-        return d
+            pivots, rows = graded_piece_matrix(edge_ideal_for(mesh, smooth, e).generators, top).rref()
+            tops[e] = rows[::-1], [len(pivots) - bisect_left(pivots, c) for c in self.starts]
+        return tops
 
     def system(self, d: int) -> _DegreeSystem:
         """Degree d's `_DegreeSystem`, built on first use and kept."""
-        if self._degree(d) not in self._systems:
+        if not 0 <= d <= self.top:
+            raise ValueError(f"degree {d} is outside 0..{self.top}")
+        if d not in self._systems:
             self._systems[d] = _DegreeSystem(self, d)
         return self._systems[d]
 
-    def bases(self, d: int) -> dict[Edge, list[dict[int, int]]]:
-        """Each edge's degree-d reduced echelon rows, its top rows in groups
-        0..d, in decreasing pivot column."""
-        d = self._degree(d)
-        return {e: [row for group in groups[: d + 1] for row in group] for e, groups in self._groups.items()}
-
-    def vertex_pivots(self, variant: str, d: int) -> dict[int, list[int]]:
-        """The leading columns of each interior vertex's `variant` (full or
-        tilde) ideal piece at degree d, increasing, in vertex order."""
-        d = self._degree(d)
-        if variant not in self._grown:
-            self._grown[variant] = self._grow(variant)
-        return self._grown[variant][d]
-
-    def _grow(self, variant: str) -> list[dict[int, list[int]]]:
-        """Per degree d = 0..D, each interior vertex's `variant` stack's
-        leading columns: one forward pass per vertex over its edges' groups
-        (`RatMatrix.extend_echelon`), seeded at each degree with the pass so
-        far.  The groups are `rref` rows, so they enter unchecked."""
+    def _stacks(self, variant: str) -> list[dict[int, list[int]]]:
+        """Per degree d = 0..D, the increasing leading columns of each
+        interior vertex's `variant` (full or tilde) stack: one forward pass
+        per vertex over its edges' top rows (`RatMatrix.extend_echelon`),
+        seeded at each degree with the pass so far.  The rows are `rref`
+        rows, so they enter unchecked."""
+        if variant in self._grown:
+            return self._grown[variant]
         grown: list[dict[int, list[int]]] = [{} for _ in range(self.top + 1)]
         for v in sorted(self.mesh.interior_vertices):
-            edges = vertex_ideal_edges(self.mesh, v, variant)
+            tops = [self._tops[e] for e in vertex_ideal_edges(self.mesh, v, variant)]
             kept: dict[int, dict[int, int]] = {}
             for d, pivots in enumerate(grown):
-                rows = [row for e in edges for row in self._groups[e][d]]
+                rows = [row for edge_rows, ends in tops for row in edge_rows[ends[d - 1] if d else 0 : ends[d]]]
                 kept = RatMatrix._of_int_rows(rows, self.ncols).extend_echelon(kept)
                 pivots[v] = sorted(kept)
+        self._grown[variant] = grown
         return grown
 
 
@@ -217,13 +206,14 @@ class _DegreeSystem:
     """Shared per-degree data and formulas for all the dimension computations.
 
     Validates the disk.  Each quantity is a property computed on first use,
-    once, in the top columns of `pieces`.  `bases` are the interior edges'
-    degree-d echelon rows.  The vertex ideals' degree-d pieces are spanned
-    by their edges' stacked echelon rows, since the degree-d piece of a sum
-    of ideals is the sum of the pieces; `pieces` grows those stacks
-    (`EdgePieces.vertex_pivots`).  `full_pivots` are the full stacks'
-    leading monomials, which h0 keeps; `full` and `tilde` count them; `bar`
-    is counted, with no matrix.  The bounds are C(d+2, 2) + sum of edge
+    once, in the top columns of `pieces`, and read straight off its stores.
+    `bases` are the interior edges' degree-d echelon rows, a prefix of each
+    edge's top rows.  The vertex ideals' degree-d pieces are spanned by
+    their edges' stacked echelon rows, since the degree-d piece of a sum of
+    ideals is the sum of the pieces; `pieces` grows those stacks.
+    `full_pivots` and `tilde_pivots` are the stacks' leading monomials at
+    d, the full ones kept by h0; `full` and `tilde` count them; `bar` is
+    counted, with no matrix.  The bounds are C(d+2, 2) + sum of edge
     dims - sum of vertex dims, with the full (LB5.1), bar (LB5.2) or tilde
     (UB5.3) vertex ideals; LB5.2 takes the counted edge dims, so it builds
     no matrix.  The lower bounds are floored at C(d+2, 2), since global
@@ -244,7 +234,7 @@ class _DegreeSystem:
         stack these rows, and the kernel oracle and h0 lay out each edge's
         columns in this order: `RatMatrix.rank` eliminates columns in index
         order, so sparse columns go first."""
-        return self.pieces.bases(self.d)
+        return {e: rows[: ends[self.d]] for e, (rows, ends) in self.pieces._tops.items()}
 
     @cached_property
     def edge_dims(self) -> int:
@@ -260,7 +250,12 @@ class _DegreeSystem:
     @cached_property
     def full_pivots(self) -> dict[int, list[int]]:
         """Leading monomials of each interior vertex's ideal piece, increasing."""
-        return self.pieces.vertex_pivots("full", self.d)
+        return self.pieces._stacks("full")[self.d]
+
+    @cached_property
+    def tilde_pivots(self) -> dict[int, list[int]]:
+        """Leading monomials of each interior vertex's tilde ideal piece, increasing."""
+        return self.pieces._stacks("tilde")[self.d]
 
     @cached_property
     def full(self) -> dict[int, int]:
@@ -268,7 +263,7 @@ class _DegreeSystem:
 
     @cached_property
     def tilde(self) -> dict[int, int]:
-        return {v: len(cols) for v, cols in self.pieces.vertex_pivots("tilde", self.d).items()}
+        return {v: len(cols) for v, cols in self.tilde_pivots.items()}
 
     @cached_property
     def bar(self) -> dict[int, int]:
@@ -317,10 +312,9 @@ def _independent_functionals(
     <= bar.  f's functionals are the kernel of its basis, which is the
     kernel of its graded piece: the basis is that piece's reduced echelon
     form, so they are read off it (`reduced_kernel`) with no elimination.
-    In the top columns only degree d's are read: the unit vectors of the
-    columns below vanish on every degree-d vector."""
-    ncols = sys.pieces.ncols
-    functionals = reduced_kernel(sys.bases[f], range(ncols - sys.ncoef, ncols))
+    In the top columns only degree d's are read, from `starts[d]` on: the
+    unit vectors of the columns below vanish on every degree-d vector."""
+    functionals = reduced_kernel(sys.bases[f], range(sys.pieces.starts[sys.d], sys.pieces.ncols))
     at_q = _columns(functionals)
     values = {e: [_apply(b, at_q) for b in sys.bases[e]] for e in sys.mesh.interior_edges_at_vertex(v) if e != f}
     stacked = RatMatrix._of_int_rows([row for rows in values.values() for row in rows], len(functionals))
@@ -456,13 +450,15 @@ def lower_bound_51(
     return _system(mesh, smooth, d, pieces).lb51
 
 
-def lower_bound_52(mesh: Mesh, smooth: SmoothnessSpec, d: int) -> int:
+def lower_bound_52(
+    mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
+) -> int:
     """Combinatorial lower bound with simplified (center-only) vertex ideals.
 
     C(d+2, 2) + edge counts - bar vertex counts, floored at C(d+2, 2) like
-    lower_bound_51; no rank is computed for any spec.
+    lower_bound_51; no rank is computed for any spec, and no edge piece read.
     """
-    return _system(mesh, smooth, d, None).lb52
+    return _system(mesh, smooth, d, pieces).lb52
 
 
 def upper_bound_53(
@@ -612,17 +608,6 @@ def intrinsic_supersmoothness_order(mesh: Mesh, r: int) -> IntrinsicOrder:
         raise ValueError("r must be non-negative")
     p = star_profile(mesh, r)
     return IntrinsicOrder(order=(r + 1) // (p.t - 1) + r, generic=p.f1_interior == p.t)
-
-
-def is_degenerate(mesh: Mesh, r: int, s: int) -> bool:
-    """Whether imposing supersmoothness s at the center changes nothing.
-
-    True exactly when the C^r space in degree s is trivial (only global
-    polynomials), in which case the supersmooth space equals the plain one.
-    """
-    if not 0 <= r <= s:
-        raise ValueError(f"need 0 <= r <= s, got ({r}, {s})")
-    return schumaker_dim(mesh, r, s) == binom(s + 2, 2)
 
 
 def dim_ps_edge_point_ideal(r: int, s: int, d: int) -> int:

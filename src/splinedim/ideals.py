@@ -29,6 +29,7 @@ from .polyring import (
     cross,
     edge_linear_form,
     graded_monomial_basis,
+    monomial_index,
     vertex_complement_form,
 )
 from .ratlinalg import RatMatrix, binom
@@ -79,12 +80,13 @@ def graded_piece_matrix(generators, d: int) -> RatMatrix:
     """Rows spanning the degree-d span of `generators` times monomials.
 
     Each row is laid out straight from g's terms, with no polynomial per
-    row: at degree d the column of (i, j, k) is base[k] + j, with base[k] =
-    k(d+1) - k(k-1)/2 (`monomial_index`), so g times x^a y^b z^c holds the
-    coefficient of each term x^i y^j z^k at base[k + c] + j + b.  Distinct
-    terms land in distinct columns, so a row's entries are g's nonzero
-    `int` coefficients, checked when g was built, and enter unchecked."""
-    base = [k * (d + 1) - k * (k - 1) // 2 for k in range(d + 1)]
+    row: at degree d the column of (i, j, k) is base[k] + j, with base[k]
+    the column of x^(d-k) z^k (`monomial_index`), so g times x^a y^b z^c
+    holds the coefficient of each term x^i y^j z^k at base[k + c] + j + b.
+    Distinct terms land in distinct columns, so a row's entries are g's
+    nonzero `int` coefficients, checked when g was built, and enter
+    unchecked."""
+    base = [monomial_index((d - k, 0, k)) for k in range(d + 1)]
     rows = []
     for g in generators:
         if g.degree > d:

@@ -168,6 +168,11 @@ def _orient_ccw(points: Sequence[IntPoint], tri: tuple[int, int, int]) -> tuple[
     return (tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
 
 
+def _runs(tri: tuple[int, int, int], a: int, b: int) -> bool:
+    """Whether the counterclockwise triangle `tri` runs along its edge from a to b."""
+    return tri[(tri.index(a) + 1) % 3] == b
+
+
 class Mesh:
     """An immutable validated planar triangulation."""
 
@@ -501,7 +506,7 @@ def validate_disk(mesh: Mesh) -> DiskReport:
     for e in sorted(mesh.interior_edges):
         a, b = e
         t1, t2 = (mesh.triangles[t] for t in mesh.edge_triangles[e])
-        if (t1[(t1.index(a) + 1) % 3] == b) == (t2[(t2.index(a) + 1) % 3] == b):
+        if _runs(t1, a, b) == _runs(t2, a, b):
             failures.append(f"consistent orientation (edge {e})")
     if "boundary cycle" not in failures and not _simple_cycle(mesh):
         failures.append("simple boundary")
@@ -544,7 +549,7 @@ def _tree_cotree(mesh: Mesh) -> Cotree:
         for w in mesh.vertex_neighbors[v]:
             e = (v, w) if v < w else (w, v)
             tri = mesh.triangles[mesh.edge_triangles[e][0]]
-            acc[e] = acc.get(e, 0) + (1 if tri[(tri.index(v) + 1) % 3] == w else -1)
+            acc[e] = acc.get(e, 0) + (1 if _runs(tri, v, w) else -1)
         cut[v] = acc = {e: sign for e, sign in acc.items() if sign}
         parent = sum(up[v]) - v
         if parent in cut:

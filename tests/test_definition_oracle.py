@@ -15,7 +15,9 @@ Nothing here reads the package's edge ideals, frame forms, exponents,
 clamped orders or edge pieces, so a fault there that moves the kernel
 oracle and the Euler assembly together still shows.  The rows are values
 of the monomials' partials at rational points, scaled to integers and
-ranked exactly with `RatMatrix.rank`.
+ranked exactly with `RatMatrix.rank`.  A few cases are also ranked by a
+plain elimination over `Fraction` written here, so that one check shares
+no elimination code with the package either.
 """
 
 import random
@@ -46,7 +48,33 @@ def _partials_at(monomials, order, point):
             yield [int(v * scale) for v in values]
 
 
-def definition_dimension(mesh, spec, d):
+def _package_rank(rows, ncols):
+    return RatMatrix(rows, ncols).rank()
+
+
+def _fraction_rank(rows, ncols):
+    """Rank by Gaussian elimination over `Fraction`: each row is reduced at
+    its least column by the kept row with 1 there until it vanishes or is
+    kept, scaled to 1 at that column."""
+    kept = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items()}
+        while row:
+            c = min(row)
+            if c not in kept:
+                kept[c] = {k: v / row[c] for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in kept[c].items():
+                if w := row.get(k, 0) - f * v:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    assert all(0 <= c < ncols for c in kept)
+    return len(kept)
+
+
+def definition_dimension(mesh, spec, d, rank=_package_rank):
     """The superspline dimension, as the number of unknowns minus the rank
     of the edge and vertex conditions on the triangles' differences."""
     monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
@@ -66,7 +94,7 @@ def definition_dimension(mesh, spec, d):
                         row[ta * n + c], row[tb * n + c] = v, -v
                 rows.append(row)
     unknowns = mesh.num_triangles * n
-    return unknowns - RatMatrix(rows, unknowns).rank()
+    return unknowns - rank(rows, unknowns)
 
 
 def _configs():
@@ -104,3 +132,15 @@ def test_the_mixed_specs_have_vertex_orders_below_and_above_their_edges():
             below += any(spec.s[v] < k for e, k in spec.r.items() for v in e)
             above += any(spec.s[v] > k for e, k in spec.r.items() for v in e)
     assert below == above == 3
+
+
+@pytest.mark.parametrize(
+    "name, r, s, d, expected",
+    [("morgan-scott", 1, 1, 2, 7), ("two-triangles", 1, 2, 5, 29), ("star:3-generic", 1, 2, 4, 18)],
+)
+def test_a_plain_fraction_elimination_gives_the_same_dimension(name, r, s, d, expected):
+    """Morgan-Scott (1,1) d=2 has one spline more than LB5.2 gives, at its
+    symmetric position; the two triangles at (1,2) d=5 are Argyris's."""
+    mesh = builtin_mesh(name)
+    spec = SmoothnessSpec.uniform(mesh, r, s)
+    assert definition_dimension(mesh, spec, d, _fraction_rank) == exact_dimension(mesh, spec, d) == expected

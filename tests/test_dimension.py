@@ -27,7 +27,6 @@ from splinedim.dimension import (
     exact_dimension,
     h0_dimension,
     intrinsic_supersmoothness_order,
-    is_degenerate,
     lower_bound_51,
     lower_bound_52,
     ps_dim_general,
@@ -1073,12 +1072,6 @@ def test_intrinsic_supersmoothness_is_free():
     assert strict
 
 
-def test_is_degenerate():
-    assert is_degenerate(STAR3, 1, 1)
-    assert is_degenerate(STAR3, 1, 2)
-    assert not is_degenerate(STAR3, 1, 3)
-
-
 def test_ps_dim_general_speleers_r1():
     for mesh in (TRIANGLE, TWO, morgan_scott_mesh()):
         f0 = mesh.face_counts().f0
@@ -1129,7 +1122,17 @@ def _fresh_rref_rows(mesh, spec, d, top):
     }
 
 
-_SLICE_MESHES = ("two-triangles", "morgan-scott", "star:cross", "star:3-generic", "star:8-generic")
+_SLICE_MESHES = ("two-triangles", "morgan-scott", "star:cross", "star:3-generic", "star:8-generic", "translated star")
+
+
+def _slice_mesh(name):
+    """A builtin, or star:5-generic translated by (1/3, 2/7), so that the
+    prefix rule is also checked off the origin, where every form has a z
+    term."""
+    if name != "translated star":
+        return builtin_mesh(name)
+    star = builtin_mesh("star:5-generic")
+    return Mesh([(x + F(1, 3), y + F(2, 7)) for x, y in star.vertices], star.triangles)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1137,11 +1140,11 @@ _SLICE_MESHES = ("two-triangles", "morgan-scott", "star:cross", "star:3-generic"
 def test_every_lower_degree_is_read_off_the_top_edge_pieces(name, top, rng):
     """z is a nonzerodivisor modulo each edge ideal, so the top degree's
     reduced rows at the last C(d+2, 2) columns are degree d's, in place."""
-    mesh = builtin_mesh(name)
+    mesh = _slice_mesh(name)
     spec = _random_spec(rng, mesh)
     pieces = EdgePieces(mesh, spec, top)
     for d in range(top + 1):
-        sliced = {e: rows[::-1] for e, rows in pieces.bases(d).items()}
+        sliced = {e: rows[::-1] for e, rows in pieces.system(d).bases.items()}
         assert sliced == _fresh_rref_rows(mesh, spec, d, top), (spec.r, spec.s, d)
 
 
@@ -1152,14 +1155,14 @@ def test_each_grown_vertex_stack_has_the_pivots_of_its_one_shot_stack(name, top,
     edge rows whose leading monomial is z-free: its leading monomials are
     those of the whole stack of degree d's edge rows, at every degree of
     the pieces and for both variants."""
-    mesh = builtin_mesh(name)
+    mesh = _slice_mesh(name)
     spec = _random_spec(rng, mesh)
     pieces = EdgePieces(mesh, spec, top)
     for d in range(top + 1):
         sys = pieces.system(d)
-        for variant in ("full", "tilde"):
+        for variant, pivots in (("full", sys.full_pivots), ("tilde", sys.tilde_pivots)):
             expected = {v: _stacked(sys, v, variant).rref()[0] for v in sys.interior}
-            assert pieces.vertex_pivots(variant, d) == expected, (spec.r, spec.s, d, variant)
+            assert pivots == expected, (spec.r, spec.s, d, variant)
 
 
 def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
@@ -1180,7 +1183,7 @@ def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():
     assert {grown[v] for v in wrong} == {_stacked(low, v, "full").rank() for v in wrong} == {5}
     assert grown == low.full
     # the edge pieces of the same run slice exactly
-    rows = {e: rows[::-1] for e, rows in pieces.bases(5).items()}
+    rows = {e: rows[::-1] for e, rows in pieces.system(5).bases.items()}
     assert rows == _fresh_rref_rows(mesh, spec, 5, 7)
 
 
@@ -1198,6 +1201,7 @@ _PER_DEGREE = {
     "exact_dimension": exact_dimension,
     "h0_dimension": h0_dimension,
     "lower_bound_51": lower_bound_51,
+    "lower_bound_52": lower_bound_52,
     "upper_bound_53": upper_bound_53,
     "euler_assembly": euler_assembly,
     "check_euler_side": lambda mesh, spec, d, pieces: check_euler_side(mesh, spec, d, 0, pieces),
@@ -1231,11 +1235,11 @@ def test_every_degree_reads_the_top_rows_in_place_and_builds_its_data_once():
     its own last C(d+2, 2) top columns, and its system is built once."""
     mesh, spec = _ps6_ms_23()
     pieces = EdgePieces(mesh, spec, 6)
-    top = {e: {id(row) for row in rows} for e, rows in pieces.bases(6).items()}
+    top = {e: {id(row) for row in rows} for e, rows in pieces.system(6).bases.items()}
     for d in range(7):
-        assert all(id(row) in top[e] for e, rows in pieces.bases(d).items() for row in rows), d
+        assert all(id(row) in top[e] for e, rows in pieces.system(d).bases.items() for row in rows), d
         shift = pieces.ncols - binom(d + 2, 2)
-        assert all(min(cols, default=shift) >= shift for cols in pieces.vertex_pivots("full", d).values())
+        assert all(min(cols, default=shift) >= shift for cols in pieces.system(d).full_pivots.values())
         assert pieces.system(d) is pieces.system(d)
     assert h0_dimension(mesh, spec, 4, pieces) == 9
     assert [check_euler_side(mesh, spec, d, dim, pieces) for d, dim in ((4, 16), (5, 67), (6, 160))] == [9, 0, 0]

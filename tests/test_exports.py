@@ -339,7 +339,7 @@ def test_a_table_feeds_each_top_edge_row_once_to_each_variants_stack(
     argv = ["table", "--mesh", str(path), "--degrees", "12:20"]
     assert main(argv, out=io.StringIO()) == 0
     pieces = EdgePieces(mesh, smooth, 20)
-    per_degree = [sum(map(len, pieces.bases(d).values())) for d in range(12, 21)]
+    per_degree = [sum(map(len, pieces.system(d).bases.values())) for d in range(12, 21)]
     assert (sum(fed), per_degree[-1], sum(per_degree)) == (2 * top, top, stacked)
 
 

@@ -100,10 +100,11 @@ def test_the_grown_stacks_check_no_row_again(monkeypatch):
     matrix; a matrix built from outside input is still checked (above)."""
     split = powell_sabin_6split(builtin_mesh("morgan-scott"), 2, 3)
     pieces = EdgePieces(split.refined, split.spec, 6)
-    pieces.bases(6)
+    sys = pieces.system(6)
+    sys.bases
     init, checked = RatMatrix.__init__, []
     monkeypatch.setattr(RatMatrix, "__init__", lambda self, rows, ncols: checked.append(ncols) or init(self, rows, ncols))
-    assert pieces.vertex_pivots("full", 6) and pieces.vertex_pivots("tilde", 6)
+    assert sys.full_pivots and sys.tilde_pivots
     assert checked == []
 
 
