@@ -139,6 +139,19 @@ class EdgePieces:
     rows, fed at each degree those between its edges' prefixes at d - 1
     and d.
 
+    Each stack stops at the dimension of the space its rows lie in.  A
+    generator ell_tau^a ell_gamma^b ell_gamma'^c of J(e), gamma its end v,
+    has a + b >= s + 1 for s = `effective_s(v, e)`, and ell_tau and
+    ell_gamma vanish at v, so J(e) lies in m_v^(s+1) and each degree-d row of an
+    edge through v in z^(D-d) (m_v^(t+1))_d, t the least such s at v.
+    Once the kept rows reach its dimension C(d+2, 2) - C(t+2, 2) they span
+    it, and every later row of that degree would reduce to zero.  The rows
+    enter in the same order, so the kept rows, the seed of every later
+    degree, are the uncapped pass's and the counts are exact.  An edge
+    not through v gives t = -1, the whole space, so its rows still lift
+    full above bar.  At d <= t no edge through v has a row, and there is
+    no limit, so a stray row there still reaches the full <= bar check.
+
     A command builds one for its highest degree and passes it to each
     per-degree call, which reaches its degree's data through `system`, the
     one way in; everything is computed on first use and kept."""
@@ -177,16 +190,23 @@ class EdgePieces:
         interior vertex's `variant` (full or tilde) stack: one forward pass
         per vertex over its edges' top rows (`RatMatrix.extend_echelon`),
         seeded at each degree with the pass so far.  The rows are `rref`
-        rows, so they enter unchecked."""
+        rows, so they enter unchecked.  At v, with t the least
+        `effective_s(v, e)` over the stacked edges (-1 for an edge not
+        through v), each degree d > t stops at dim (m_v^(t+1))_d =
+        C(d+2, 2) - C(t+2, 2) kept rows, the dimension of the space the
+        stacked rows lie in (see the class docstring); d <= t has no limit."""
         if variant in self._grown:
             return self._grown[variant]
         grown: list[dict[int, list[int]]] = [{} for _ in range(self.top + 1)]
         for v in sorted(self.mesh.interior_vertices):
-            tops = [self._tops[e] for e in vertex_ideal_edges(self.mesh, v, variant)]
+            edges = vertex_ideal_edges(self.mesh, v, variant)
+            tops = [self._tops[e] for e in edges]
+            t = min(self.smooth.effective_s(v, e) if v in e else -1 for e in edges)
             kept: dict[int, dict[int, int]] = {}
             for d, pivots in enumerate(grown):
                 rows = [row for edge_rows, ends in tops for row in edge_rows[ends[d - 1] if d else 0 : ends[d]]]
-                kept = RatMatrix._of_int_rows(rows, self.ncols).extend_echelon(kept)
+                limit = binom(d + 2, 2) - binom(t + 2, 2) if d > t else None
+                kept = RatMatrix._of_int_rows(rows, self.ncols).extend_echelon(kept, limit)
                 pivots[v] = sorted(kept)
         self._grown[variant] = grown
         return grown

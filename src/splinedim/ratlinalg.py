@@ -18,7 +18,8 @@ so it serves only to prove full row rank.  Nothing is kept on the matrix:
 each call eliminates afresh and returns new lists, which belong to the
 caller.  `extend_echelon` is the one pass that starts from earlier work: it
 takes a seed, a dict of kept rows by pivot column that the caller owns and
-hands over, adds the matrix's rows to it in place and returns it.  It never
+hands over, adds the matrix's rows to it in place and returns it, stopping,
+like `leading_columns`, at an optional `limit` of kept rows.  It never
 writes a row it is given: the seed's rows and the rows it keeps, which may
 be the matrix's own, are read-only.  A row's first elimination step builds
 a new dict, and its later steps update that dict.
@@ -196,12 +197,17 @@ class RatMatrix:
         """The `rref` pivots, by the forward pass alone, or the first `limit` it keeps."""
         return sorted(_echelon_rows(self._rows, {}, limit))
 
-    def extend_echelon(self, seed: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    def extend_echelon(
+        self, seed: dict[int, dict[int, int]], limit: int | None = None
+    ) -> dict[int, dict[int, int]]:
         """The forward pass over these rows started from `seed`, kept rows by
         pivot column in echelon form: the seed, extended in place to an
         echelon basis of its span plus the row space, and returned.  Its
-        keys are the leading columns of that sum."""
-        return _echelon_rows(self._rows, seed)
+        keys are the leading columns of that sum.  With a `limit` the pass
+        stops once the seed and its new rows number that many, as
+        `leading_columns` does: where `limit` is the dimension of a space
+        holding every row, the rows it skips would all reduce to zero."""
+        return _echelon_rows(self._rows, seed, limit)
 
     def rank_mod(self, p: int = 32749) -> int:
         """Rank mod a prime p (default: the largest below 2**15), each kept row

@@ -10,6 +10,7 @@ import splinedim.dimension
 from splinedim.cli import builtin_mesh, main
 from splinedim.dimension import star_smoothness_spec
 from splinedim.mesh import mesh_to_json
+from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
 
 def run(argv):
@@ -461,3 +462,44 @@ def test_ideal_rejects_a_flag_that_does_not_apply_to_its_selector(capsys, flags,
 def test_ideal_vertex_without_variant_is_the_full_ideal():
     argv = ["ideal", "--gen", "morgan-scott", "-r", "1", "-s", "2", "--vertex", "3", "-d", "5"]
     assert run(argv) == run([*argv, "--variant", "full"])
+
+
+def _twice_split_ms_1_2():
+    first = powell_sabin_6split(morgan_scott_mesh(), 1, 2).refined
+    split = powell_sabin_6split(first, 1, 2)
+    return split.refined, split.spec
+
+
+def _star(name, r, s):
+    star = builtin_mesh(name)
+    return star, star_smoothness_spec(star, r, s)
+
+
+@pytest.mark.parametrize(
+    "source, argv, rows",
+    [
+        (_twice_split_ms_1_2, ["dim", "-d", "5", "--method", "all"], {5: 1050}),
+        (
+            lambda: _star("star:8-generic", 3, 6),
+            ["table", "--degrees", "12:20"],
+            dict(zip(range(12, 21), (340, 420, 508, 604, 708, 820, 940, 1068, 1204))),
+        ),
+        (
+            lambda: _star("star:5-generic", 2, 4),
+            ["table", "--degrees", "14:18"],
+            dict(zip(range(14, 19), (390, 455, 525, 600, 680))),
+        ),
+    ],
+    ids=["ps6x2-ms-1-2", "star8-3-6", "star5-2-4"],
+)
+def test_the_benchmark_jobs_print_their_golden_rows(tmp_path, source, argv, rows):
+    """The larger benchmark jobs, on the builtins' canonical coordinates,
+    through `main` with `--check`: h0 = 0 and every bound equals the exact
+    dimension at each degree.  The 6-split twice of Morgan-Scott at (1,2)
+    takes the second split's induced spec, a star s at its center only."""
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(mesh_to_json(*source())))
+    code, text = run([argv[0], "--mesh", str(path), *argv[1:], "--check", "--format", "json"])
+    assert code == 0
+    got = {row["d"]: tuple(row[k] for k in ("h0", "lb52", "lb51", "ub53", "exact")) for row in json.loads(text)["rows"]}
+    assert got == {d: (0, dim, dim, dim, dim) for d, dim in rows.items()}

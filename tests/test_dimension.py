@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from splinedim.dimension import (
 )
 from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal, vertex_ideal_edges
 from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
+from splinedim.polyring import graded_monomial_basis
 from splinedim.ratlinalg import RatMatrix, binom, reduced_kernel
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
 
@@ -525,6 +527,32 @@ def test_the_kernel_oracle_needs_no_vertex_ordering(monkeypatch):
     assert main(argv, out=io.StringIO()) == 0
 
 
+def _stack_steps(monkeypatch, pieces):
+    """Fraction-free steps of each variant's grown stacks, after the edge
+    pieces' own rref."""
+    pieces._tops
+    eliminate, steps = splinedim.ratlinalg._eliminate, []
+    monkeypatch.setattr(splinedim.ratlinalg, "_eliminate", lambda *args: steps.append(1) or eliminate(*args))
+    counts = {}
+    for variant in ("full", "tilde"):
+        steps.clear()
+        pieces._stacks(variant)
+        counts[variant] = len(steps)
+    monkeypatch.undo()
+    return counts
+
+
+def test_each_vertex_stack_stops_at_the_space_its_rows_lie_in(monkeypatch):
+    """Work pin on the grown full and tilde stacks, in fraction-free steps.
+    Run to the end, the 6-split twice at (1,2) d=5 took 21,327 and 8,085,
+    and star8 (3,6) over the degrees 0..20 of its 12:20 table 4,753 per
+    variant; stopped at dim (m_v^(t+1))_d, 5,747 and 3,260, and 455."""
+    assert _stack_steps(monkeypatch, EdgePieces(PS6X2.refined, PS6X2.spec, 5)) == {"full": 5747, "tilde": 3260}
+    star = builtin_mesh("star:8-generic")
+    pieces = EdgePieces(star, star_smoothness_spec(star, 3, 6), 20)
+    assert _stack_steps(monkeypatch, pieces) == {"full": 455, "tilde": 455}
+
+
 def test_both_global_systems_eliminate_from_the_boundary_inward(monkeypatch):
     """Work pin on the 6-split twice at (1,2) d=5: fraction-free steps and
     entry updates (the kept row's entries, per step) of the kernel oracle's
@@ -699,11 +727,13 @@ def _sweep_configs():
             yield mesh, star_smoothness_spec(mesh, r, s), range(2, 9)
 
 
-def _stacked(sys, v, variant):
+def _stacked(sys, v, variant, bases=None):
     """v's `variant` (full or tilde) ideal piece at sys's degree, stacked
-    here: its edges' echelon rows from `sys.bases`, one matrix."""
+    here: its edges' echelon rows from `bases`, by default `sys.bases`, one
+    matrix."""
+    bases = sys.bases if bases is None else bases
     edges = vertex_ideal_edges(sys.mesh, v, variant)
-    return RatMatrix([row for e in edges for row in sys.bases[e]], sys.pieces.ncols)
+    return RatMatrix([row for e in edges for row in bases[e]], sys.pieces.ncols)
 
 
 def _kept_functionals(sys, f, v):
@@ -1152,17 +1182,120 @@ def test_every_lower_degree_is_read_off_the_top_edge_pieces(name, top, rng):
 @given(st.sampled_from(_SLICE_MESHES), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_each_grown_vertex_stack_has_the_pivots_of_its_one_shot_stack(name, top, rng):
     """Degree d's vertex stack grows from z times degree d-1's, plus the
-    edge rows whose leading monomial is z-free: its leading monomials are
-    those of the whole stack of degree d's edge rows, at every degree of
-    the pieces and for both variants."""
+    edge rows whose leading monomial is z-free, and stops at dim
+    (m_v^(t+1))_d: its leading monomials are those of the whole stack of
+    degree d's edge rows, at every degree of the pieces and for both
+    variants.  The one-shot stacks are built from fresh degree-d pieces,
+    so neither the top rows' prefix lengths nor the stop is taken on
+    trust."""
     mesh = _slice_mesh(name)
     spec = _random_spec(rng, mesh)
     pieces = EdgePieces(mesh, spec, top)
     for d in range(top + 1):
         sys = pieces.system(d)
+        fresh = _fresh_rref_rows(mesh, spec, d, top)
         for variant, pivots in (("full", sys.full_pivots), ("tilde", sys.tilde_pivots)):
-            expected = {v: _stacked(sys, v, variant).rref()[0] for v in sys.interior}
+            expected = {v: _stacked(sys, v, variant, fresh).rref()[0] for v in sys.interior}
             assert pivots == expected, (spec.r, spec.s, d, variant)
+
+
+def _grow_against_uncapped(pieces):
+    """Grow both variants' stacks of `pieces`, each seeded pass checked to
+    keep, row for row, what the same pass keeps with no limit from a copy
+    of its seed; by induction over the degrees every kept dict is the
+    uncapped one.  Returns how many passes the limit cut short."""
+    extend, eliminate = RatMatrix.extend_echelon, splinedim.ratlinalg._eliminate
+    steps, cut = [], []
+
+    def checked(self, seed, limit=None):
+        steps.clear()
+        reference = extend(self, dict(seed))
+        uncapped = len(steps)
+        steps.clear()
+        kept = extend(self, seed, limit)
+        assert kept == reference, limit
+        cut.append(len(steps) < uncapped)
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splinedim.ratlinalg, "_eliminate", lambda *args: steps.append(1) or eliminate(*args))
+        patch.setattr(RatMatrix, "extend_echelon", checked)
+        pieces._stacks("full")
+        pieces._stacks("tilde")
+    assert len(cut) == 2 * len(pieces.mesh.interior_vertices) * (pieces.top + 1)
+    return sum(cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SLICE_MESHES), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_each_capped_stack_pass_keeps_the_uncapped_rows(name, top, rng):
+    """Random per-edge r and per-vertex s, so t varies from vertex to vertex."""
+    mesh = _slice_mesh(name)
+    _grow_against_uncapped(EdgePieces(mesh, _random_spec(rng, mesh), top))
+
+
+# the builtins with a 6-split (the other generic stars' barycenter segments miss an edge)
+_SPLIT_BASES = ("triangle", "two-triangles", "morgan-scott", "star:cross", "star:4-generic", "star:5-generic")
+
+
+@pytest.mark.parametrize("base", [*_SPLIT_BASES, "ps6x2"])
+def test_each_capped_stack_pass_keeps_the_uncapped_rows_on_the_6_splits(base):
+    """The builtins' 6-splits at (1,2) and (2,3), and ps6x2, at degrees
+    0..2s+1 (0..5 on ps6x2); the limit cuts passes short on each."""
+    if base == "ps6x2":
+        cases = [(PS6X2, 5)]
+    else:
+        cases = [(powell_sabin_6split(builtin_mesh(base), r, s), 2 * s + 1) for r, s in ((1, 2), (2, 3))]
+    for split, top in cases:
+        assert _grow_against_uncapped(EdgePieces(split.refined, split.spec, top)) > 0, (base, top)
+
+
+def _partial_at(row, monomials, a, b, point):
+    """The a-th x and b-th y partial of the form `row` at the homogeneous
+    point (X, Y, W): W^(D-a-b) times the partial at the vertex (X/W, Y/W)
+    of the form with z set to 1, so the two vanish together."""
+    x, y, w = point
+    total = 0
+    for c, val in row.items():
+        i, j, k = monomials[c]
+        if i >= a and j >= b:
+            total += val * perm(i, a) * perm(j, b) * x ** (i - a) * y ** (j - b) * w**k
+    return total
+
+
+def _premise_cases():
+    """Builtins (uniform and random specs), their 6-splits, and the
+    translated star of `_slice_mesh`, whose forms all have z terms."""
+    rng = random.Random(13)
+    for name in ("two-triangles", "morgan-scott", *_STARS, "translated star"):
+        mesh = _slice_mesh(name)
+        yield name, mesh, SmoothnessSpec.uniform(mesh, 1, 2)
+        yield name, mesh, _random_spec(rng, mesh)
+        yield name, mesh, _random_spec(rng, mesh)
+    for name in _SPLIT_BASES:
+        for r, s in ((1, 2), (2, 3)):
+            split = powell_sabin_6split(builtin_mesh(name), r, s)
+            yield f"ps6:{name}", split.refined, split.spec
+
+
+def test_every_edge_row_vanishes_to_its_ends_orders():
+    """The premise of the stacks' stop: every top row of an edge piece
+    vanishes to order effective_s(v, e) + 1 at each end v, every partial
+    of order at most effective_s(v, e) zero there, so no edge has a row
+    at a degree d <= effective_s(v, e): its prefix there is empty."""
+    top = 7
+    monomials = graded_monomial_basis(top)
+    checked = 0
+    for name, mesh, spec in _premise_cases():
+        pieces = EdgePieces(mesh, spec, top)
+        for e, (rows, ends) in pieces._tops.items():
+            for v in e:
+                s = spec.effective_s(v, e)
+                assert ends[: s + 1] == [0] * min(s + 1, top + 1), (name, e, v)
+                for a, b in ((a, k - a) for k in range(s + 1) for a in range(k + 1)):
+                    assert not any(_partial_at(row, monomials, a, b, mesh.points[v]) for row in rows), (name, e, v)
+                checked += len(rows)
+    assert checked > 10_000
 
 
 def test_slicing_stops_at_edges_since_vertex_ideals_are_not_saturated():

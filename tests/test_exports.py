@@ -327,9 +327,9 @@ def test_a_table_feeds_each_top_edge_row_once_to_each_variants_stack(
     fed = []
     extend = ratlinalg.RatMatrix.extend_echelon
 
-    def counted(self, seed):
+    def counted(self, seed, limit=None):
         fed.append(self.nrows)
-        return extend(self, seed)
+        return extend(self, seed, limit)
 
     monkeypatch.setattr(ratlinalg.RatMatrix, "extend_echelon", counted)
     mesh = builtin_mesh("star:8-generic")
