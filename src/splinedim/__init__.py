@@ -14,7 +14,6 @@ from .dimension import (
     EdgePieces,
     InternalInconsistencyError,
     OutOfRangeError,
-    StarProfile,
     argyris_dim,
     check_euler_side,
     euler_assembly,
@@ -24,8 +23,6 @@ from .dimension import (
     lower_bound_51,
     lower_bound_52,
     ps_dim_general,
-    schumaker_dim,
-    star_profile,
     star_smoothness_spec,
     upper_bound_53,
     vertex_star_dim,

@@ -21,7 +21,6 @@ from .dimension import (
     lower_bound_51,
     lower_bound_52,
     ps_dim_general,
-    schumaker_dim,
     star_smoothness_spec,
     upper_bound_53,
     vertex_star_dim,
@@ -150,34 +149,31 @@ def parse_degrees(args) -> list[int]:
     return list(range(low, high + 1))
 
 
-def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int] | None:
-    """(r, s) when a star's spec is `star_smoothness_spec(mesh, r, s)`, else None."""
+def _star_orders(mesh: Mesh, spec: SmoothnessSpec) -> tuple[int, int]:
+    """(r, s) when a star's spec is `star_smoothness_spec(mesh, r, s)`, the
+    one the star closed form assumes; otherwise OutOfRangeError."""
     (center,) = mesh.interior_vertices
     r, s = next(iter(spec.r.values())), spec.s[center]
     star = star_smoothness_spec(mesh, r, s)
-    return (r, s) if (star.r, star.s) == (spec.r, spec.s) else None
+    if (star.r, star.s) != (spec.r, spec.s):
+        raise OutOfRangeError("the star closed form needs supersmoothness at the center only")
+    return r, s
 
 
 def _formula_value(mesh, spec, original, args, d, pieces) -> tuple[int, str]:
-    if original is not None:
-        # 6-split source: closed form on the original mesh when in range
-        try:
+    """A closed form's value at d, labelled `formula`: `ps_dim_general` on a
+    6-split source's original mesh, `vertex_star_dim` on a star (every
+    degree; s = r is the classical case).  Outside a closed form's range,
+    or on a star whose spec is not center-only, the kernel oracle's value,
+    labelled `oracle`; any other mesh has no closed form."""
+    if original is None and len(mesh.interior_vertices) != 1:
+        raise CliError("no closed formula applies to this configuration")
+    try:
+        if original is not None:
             return ps_dim_general(original, args.r, args.s, d), "formula"
-        except OutOfRangeError:
-            return exact_dimension(mesh, spec, d, pieces), "oracle"
-    if len(mesh.interior_vertices) == 1:
-        # the star closed forms assume supersmoothness at the center only
-        orders = _star_orders(mesh, spec)
-        if orders is not None:
-            r, s = orders
-            if s == r:
-                return schumaker_dim(mesh, r, d), "formula"
-            try:
-                return vertex_star_dim(mesh, r, s, d), "formula"
-            except OutOfRangeError:
-                pass
+        return vertex_star_dim(mesh, *_star_orders(mesh, spec), d), "formula"
+    except OutOfRangeError:
         return exact_dimension(mesh, spec, d, pieces), "oracle"
-    raise CliError("no closed formula applies to this configuration")
 
 
 def compute_rows(mesh, spec, original, args, degrees, pieces) -> list[dict]:

@@ -36,7 +36,6 @@ from .ideals import (
     edge_ideal_for,
     graded_piece_matrix,
     vertex_ideal_edges,
-    vertex_socle_params,
 )
 from .mesh import (
     Edge,
@@ -53,7 +52,6 @@ __all__ = [
     "EdgePieces",
     "InternalInconsistencyError",
     "OutOfRangeError",
-    "StarProfile",
     "argyris_dim",
     "check_euler_side",
     "euler_assembly",
@@ -63,8 +61,6 @@ __all__ = [
     "lower_bound_51",
     "lower_bound_52",
     "ps_dim_general",
-    "schumaker_dim",
-    "star_profile",
     "star_smoothness_spec",
     "upper_bound_53",
     "vertex_star_dim",
@@ -93,14 +89,6 @@ class DimensionReport(NamedTuple):
     lb52: int
     ub53: int
     exact: int
-
-
-class StarProfile(NamedTuple):
-    t: int
-    f1_interior: int
-    omega: int
-    a: int
-    b: int
 
 
 def _require_disk(mesh: Mesh) -> None:
@@ -542,22 +530,10 @@ def euler_assembly(
 
 
 def _star_center(mesh: Mesh) -> int:
+    _require_disk(mesh)
     if len(mesh.interior_vertices) != 1:
         raise MeshError("not a vertex star (need exactly one interior vertex)")
     return next(iter(mesh.interior_vertices))
-
-
-def star_profile(mesh: Mesh, r: int) -> StarProfile:
-    center = _star_center(mesh)
-    t = distinct_slopes_at(mesh, center)
-    omega, a, b = vertex_socle_params(t, r)
-    return StarProfile(
-        t=t,
-        f1_interior=len(mesh.interior_edges),
-        omega=omega,
-        a=a,
-        b=b,
-    )
 
 
 def star_smoothness_spec(mesh: Mesh, r: int, s: int) -> SmoothnessSpec:
@@ -569,33 +545,22 @@ def star_smoothness_spec(mesh: Mesh, r: int, s: int) -> SmoothnessSpec:
 
 
 def vertex_star_dim(mesh: Mesh, r: int, s: int, d: int) -> int:
-    """Closed-form dimension for a star with supersmoothness at its center.
+    """Closed-form dimension for a star with supersmoothness at its center,
+    at every degree d.
 
     Edge ideals act with the center order only, so each contributes the
     one-endpoint edge dimension; the vertex ideal dimension comes from the
     two-branch formula (the socle-regime branch reproduces the simplified
-    corollary form).
+    corollary form).  Both vanish at d <= s, where the value is C(d+2, 2).
+    At s = r this is the classical C^r star dimension (Schumaker).
     """
-    if not 0 <= r <= s <= d:
-        raise OutOfRangeError(f"need 0 <= r <= s <= d, got ({r}, {s}, {d})")
-    profile = star_profile(mesh, r)
+    if not 0 <= r <= s:
+        raise OutOfRangeError(f"need 0 <= r <= s, got ({r}, {s})")
+    t = distinct_slopes_at(mesh, _star_center(mesh))
     return (
         binom(d + 2, 2)
-        + profile.f1_interior * dim_edge_ideal_boundary_closed(r, s, d)
-        - dim_vertex_star_ideal_closed(profile.t, r, s, d)
-    )
-
-
-def schumaker_dim(mesh: Mesh, r: int, d: int) -> int:
-    """Classical closed-form dimension of the C^r space on a vertex star."""
-    if r < 0 or d < 0:
-        raise ValueError("orders must be non-negative")
-    p = star_profile(mesh, r)
-    return (
-        binom(d + 2, 2)
-        + (p.f1_interior - p.t) * binom(d - r + 1, 2)
-        + p.b * binom(d + 2 - p.omega, 2)
-        + p.a * binom(d - p.omega + 1, 2)
+        + len(mesh.interior_edges) * dim_edge_ideal_boundary_closed(r, s, d)
+        - dim_vertex_star_ideal_closed(t, r, s, d)
     )
 
 
@@ -626,8 +591,8 @@ def intrinsic_supersmoothness_order(mesh: Mesh, r: int) -> IntrinsicOrder:
     """
     if r < 0:
         raise ValueError("r must be non-negative")
-    p = star_profile(mesh, r)
-    return IntrinsicOrder(order=(r + 1) // (p.t - 1) + r, generic=p.f1_interior == p.t)
+    t = distinct_slopes_at(mesh, _star_center(mesh))
+    return IntrinsicOrder(order=(r + 1) // (t - 1) + r, generic=len(mesh.interior_edges) == t)
 
 
 def dim_ps_edge_point_ideal(r: int, s: int, d: int) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .mesh import Edge, Mesh, SmoothnessSpec, direction_key, predecessors
+from .mesh import Edge, Mesh, SmoothnessSpec, direction_key
 from .polyring import (
     HomogeneousPolynomial,
     LinearForm3,
@@ -245,12 +245,12 @@ def dim_bar_vertex_ideal_count(mesh: Mesh, smooth: SmoothnessSpec, v: int, d: in
 def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
     """The interior edges at v whose edge ideals sum to its full or tilde ideal.
 
-    full: every interior edge at v.  tilde: the edges to v's predecessors,
-    the neighbours on the boundary or earlier in the mesh's admissible
-    ordering (`Mesh.ordering_position`, computed once per mesh), which gives
-    an interior vertex at least two, along distinct slopes.  So each
-    interior edge is a tilde edge of exactly one end: the later one, or the
-    interior one when the other is on the boundary.
+    full: every interior edge at v.  tilde: the edges to the neighbours
+    earlier in the mesh's admissible ordering (`Mesh.ordering_position`,
+    computed once per mesh), which puts the boundary vertices first and
+    gives an interior vertex at least two earlier neighbours, along
+    distinct slopes.  So each interior edge is a tilde edge of exactly one
+    end: its later one, the interior one when the other is on the boundary.
     """
     edges = mesh.interior_edges_at_vertex(v)
     if variant == "full":
@@ -258,8 +258,7 @@ def vertex_ideal_edges(mesh: Mesh, v: int, variant: str) -> list[Edge]:
     if variant != "tilde":
         raise ValueError(f"unknown variant {variant!r}")
     position = mesh.ordering_position
-    earlier = predecessors(mesh, v, {w for w in mesh.vertex_neighbors[v] if position[w] < position[v]})
-    return [e for e in edges if sum(e) - v in earlier]
+    return [e for e in edges if position[sum(e) - v] < position[v]]
 
 
 def vertex_ideal(
@@ -326,13 +325,13 @@ def dim_vertex_star_ideal_closed(t: int, r: int, s: int, d: int) -> int:
 
     Closed two-branch form: below the socle threshold the quotient keeps
     the power-ideal resolution terms; at or above it the ideal is all of
-    m^(s+1).
+    m^(s+1).  Vanishes for d <= s (no generator has degree below s+1).
     """
-    if t < 2:
-        raise ValueError("an interior vertex star has at least 2 slopes")
-    if not 0 <= r <= s <= d:
-        raise ValueError(f"need 0 <= r <= s <= d, got ({r}, {s}, {d})")
+    if not 0 <= r <= s:
+        raise ValueError(f"need 0 <= r <= s, got ({r}, {s})")
     omega, a, b = vertex_socle_params(t, r)
+    if d <= s:
+        return 0
     n = binom(d + 2, 2)
     if s < omega - 1:
         quotient = (

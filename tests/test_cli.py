@@ -84,6 +84,43 @@ def test_dim_formula_star_with_s_at_the_center_only(tmp_path):
     assert text.strip().splitlines()[1].split(",")[5:] == ["390", "exact"]
 
 
+@pytest.mark.parametrize("r, s, label", [(2, 4, "formula"), (2, 1, "oracle")])
+def test_dim_formula_on_a_center_only_star_labels_every_degree(tmp_path, r, s, label):
+    """The star closed form answers every degree of a center-only spec,
+    below s + 1 too; a center order below r is outside it, so the kernel
+    oracle answers.  Both agree with `--method exact` and pass `--check`."""
+    star = builtin_mesh("star:5-generic")
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(mesh_to_json(star, star_smoothness_spec(star, r, s))))
+    args = ["dim", "--mesh", str(path), "--degrees", "0:6", "--format", "json"]
+    code, text = run([*args, "--method", "formula", "--check"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert [row["method"] for row in rows] == [label] * 7
+    code, text = run([*args, "--method", "exact"])
+    assert [row["exact"] for row in rows] == [row["exact"] for row in json.loads(text)["rows"]]
+
+
+def test_dim_formula_refuses_a_mesh_with_no_closed_form(capsys):
+    argv = ["dim", "--gen", "morgan-scott", "-r", "1", "-s", "2", "-d", "4", "--method", "formula"]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err.strip() == "error: no closed formula applies to this configuration"
+
+
+def test_dim_formula_refuses_a_star_that_winds_twice_around_its_center(tmp_path, capsys):
+    """One interior vertex whose five triangles wind twice around it: not a
+    disk, so the star closed form refuses it as the kernel oracle does."""
+    vertices = [[0, 0], [4, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]]
+    triangles = [[0, k, k % 5 + 1] for k in range(1, 6)]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    errors = []
+    for method in ("exact", "formula"):
+        assert run(["dim", "--mesh", str(path), "-r", "1", "-d", "3", "--method", method]) == (1, "")
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: mesh is not a valid disk: simple boundary\n"] * 2
+
+
 def test_table_rows_and_check():
     code, text = run(["table", "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3",
                       "--degrees", "4:6", "--format", "csv", "--check"])

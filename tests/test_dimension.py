@@ -31,14 +31,18 @@ from splinedim.dimension import (
     lower_bound_51,
     lower_bound_52,
     ps_dim_general,
-    schumaker_dim,
-    star_profile,
     star_smoothness_spec,
     upper_bound_53,
     vertex_star_dim,
 )
-from splinedim.ideals import edge_ideal_for, graded_piece_matrix, vertex_ideal, vertex_ideal_edges
-from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected
+from splinedim.ideals import (
+    edge_ideal_for,
+    graded_piece_matrix,
+    vertex_ideal,
+    vertex_ideal_edges,
+    vertex_socle_params,
+)
+from splinedim.mesh import Mesh, MeshError, SmoothnessSpec, _connected, distinct_slopes_at
 from splinedim.polyring import graded_monomial_basis
 from splinedim.ratlinalg import RatMatrix, binom, reduced_kernel
 from splinedim.refine import make_vertex_star, morgan_scott_mesh, powell_sabin_6split
@@ -1002,16 +1006,17 @@ def test_exact_collapse_to_classical_on_stars():
         for r in (0, 1, 2):
             spec = SmoothnessSpec.uniform(star, r, r)
             for d in range(r, r + 4):
-                assert exact_dimension(star, spec, d) == schumaker_dim(star, r, d)
+                assert exact_dimension(star, spec, d) == vertex_star_dim(star, r, r, d)
 
 
 def test_schumaker_examples():
-    assert schumaker_dim(CROSS, 1, 2) == 8
-    assert schumaker_dim(STAR4, 1, 2) == 7
-    p = star_profile(STAR4, 1)
-    assert (p.omega, p.a, p.b) == (2, 2, 1)
+    # the star closed form at s = r is Schumaker's
+    assert vertex_star_dim(CROSS, 1, 1, 2) == 8
+    assert vertex_star_dim(STAR4, 1, 1, 2) == 7
+    (center,) = STAR4.interior_vertices
+    assert vertex_socle_params(distinct_slopes_at(STAR4, center), 1) == (2, 2, 1)
     for d in (0, 1):
-        assert schumaker_dim(CROSS, 1, d) == binom(d + 2, 2)
+        assert vertex_star_dim(CROSS, 1, 1, d) == binom(d + 2, 2)
 
 
 def test_schumaker_matches_exact_oracle():
@@ -1019,7 +1024,7 @@ def test_schumaker_matches_exact_oracle():
         for r in (0, 1, 2):
             spec = SmoothnessSpec.uniform(star, r, r)
             for d in range(0, 6):
-                assert schumaker_dim(star, r, d) == exact_dimension(star, spec, d)
+                assert vertex_star_dim(star, r, r, d) == exact_dimension(star, spec, d)
 
 
 def test_vertex_star_dim_examples():
@@ -1031,26 +1036,29 @@ def test_vertex_star_dim_examples():
 
 
 def test_vertex_star_dim_matches_exact_oracle():
-    for star in (CROSS, STAR3, STAR4):
-        for r in (0, 1, 2):
-            for s in (r, r + 1, r + 2):
-                for d in range(s, s + 3):
-                    spec = star_smoothness_spec(star, r, s)
+    # every builtin star, every degree from 0: at d <= s the form is C(d+2, 2)
+    cases = 0
+    for name in _STARS:
+        star = builtin_mesh(name)
+        for r in range(0, 4):
+            for s in range(r, r + 4):
+                spec = star_smoothness_spec(star, r, s)
+                pieces = EdgePieces(star, spec, s + 4)
+                for d in range(0, s + 5):
                     assert vertex_star_dim(star, r, s, d) == exact_dimension(
-                        star, spec, d
-                    ), (r, s, d)
-
-
-def test_vertex_star_dim_s_equals_r_is_schumaker():
-    for star in (CROSS, STAR3, STAR4):
-        for r in (0, 1, 2):
-            for d in range(r, r + 4):
-                assert vertex_star_dim(star, r, r, d) == schumaker_dim(star, r, d)
+                        star, spec, d, pieces
+                    ), (name, r, s, d)
+                    cases += 1
+    assert cases == 896
 
 
 def test_vertex_star_dim_requires_star():
     with pytest.raises(MeshError):
         vertex_star_dim(TWO, 1, 1, 2)
+    # one interior vertex, five triangles winding twice around it
+    fan = Mesh([(0, 0), (4, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)], [(0, k, k % 5 + 1) for k in range(1, 6)])
+    with pytest.raises(MeshError, match="not a valid disk"):
+        vertex_star_dim(fan, 1, 1, 3)
     with pytest.raises(OutOfRangeError):
         vertex_star_dim(STAR3, 2, 1, 3)
 

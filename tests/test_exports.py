@@ -132,6 +132,33 @@ def test_every_function_and_method_in_the_package_is_used():
     assert unused == []
 
 
+# Paper results that no pipeline or CLI path reads yet, each pinned against
+# the kernel oracle by tests/test_acceptance.py
+PAPER_RESULTS = {
+    "argyris_dim": "the degree-(4r+1) dimension with supersmoothness 2r at every vertex",
+    "intrinsic_supersmoothness_order": "the supersmoothness every C^r spline has at a star's center",
+}
+
+
+def test_every_public_name_is_used_or_a_pinned_paper_result():
+    """Public surface that nothing uses is dead surface.  Each name in a
+    module's `__all__` must be read by package code (the `__all__` entry
+    and the package re-export are not reads), or be read, imported or
+    named in a string by perfbench/*.py, or be one of PAPER_RESULTS, each
+    of which tests/test_acceptance.py reads and nothing else does."""
+    read = set().union(*(_read_names(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read |= _read_names(tree) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for stem in MODULES for name in importlib.import_module(f"splinedim.{stem}").__all__}
+    assert sorted(public - read) == sorted(PAPER_RESULTS)
+    acceptance = _read_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    assert set(PAPER_RESULTS) <= acceptance
+
+
 def _is_public(name):
     return not name.startswith("_") or name.startswith("__") and name.endswith("__")
 
