@@ -405,7 +405,9 @@ def h0_dimension(
     triangular, and each vertex's diagonal block spans its tilde ideal's
     piece.  Hence rank >= sum of tilde dims, and h0 <= sum over v of full_v
     - tilde_v: h0 = 0 where tilde = full at every interior vertex, with no
-    matrix.  Otherwise the map is assembled transposed in that layout
+    matrix.  `check_euler_side` checks this bound on every report, so a
+    tilde count that overstates cannot push ub53 below the exact dimension
+    unseen.  Otherwise the map is assembled transposed in that layout
     (`_boundary_transposed`), since rank is invariant under transposition
     and the transposed layout fills in less.  Its rows (v, c) are built
     only at v's leading monomials c: v's block is v's stacked edge rows
@@ -489,18 +491,32 @@ def check_euler_side(
     The homology term comes from the boundary-map cokernel, and the
     degree-d Euler identity C(d+2, 2) + edge dims - full vertex dims + h0
     must give `exact`.  The echelon edge dims must equal their lattice
-    counts, and at every interior vertex tilde <= full <= bar must hold,
-    since the tilde ideal lies in J(v) and J(v) in its bar ideal.  A
-    violation raises InternalInconsistencyError (exit code 2 in the CLI).
+    counts; at every interior vertex tilde <= full <= bar must hold,
+    since the tilde ideal lies in J(v) and J(v) in its bar ideal; and
+    h0 <= sum over v of (full_v - tilde_v) must hold, the block-triangular
+    bound of `h0_dimension`.  A violation raises InternalInconsistencyError
+    (exit code 2 in the CLI).
+
+    Passing, these give the bound sandwich lb52 <= lb51 <= exact <= ub53,
+    so no report needs another check of it.  Write C = C(d+2, 2), E for the
+    edge dims, and F, B, T for the full, bar and tilde sums.  The counted
+    edge dims are E and F <= B, so lb52 = max(C + E - B, C) <= max(C + E -
+    F, C) = lb51.  h0 >= 0 gives exact >= C + E - F, and h0 = F - rank of
+    the boundary map, whose rank is at most its E columns, gives exact =
+    C + E - rank >= C; so exact >= lb51.  Last, exact = C + E - F + h0 <=
+    C + E - T = ub53 is the h0 bound.
     """
     sys = _system(mesh, smooth, d, pieces)
     h0 = h0_dimension(mesh, smooth, d, sys.pieces)
-    assembled = sys.ncoef + sys.edge_dims - sum(sys.full.values()) + h0
+    full = sum(sys.full.values())
+    gap = full - sum(sys.tilde.values())
+    assembled = sys.ncoef + sys.edge_dims - full + h0
     unordered = [v for v in sys.interior if not sys.tilde[v] <= sys.full[v] <= sys.bar[v]]
-    if exact != assembled or sys.counted_edge_dims != sys.edge_dims or unordered:
+    if exact != assembled or sys.counted_edge_dims != sys.edge_dims or h0 > gap or unordered:
         raise InternalInconsistencyError(
             f"at degree {d}: kernel oracle {exact} vs Euler assembly {assembled}, "
             f"edge ideals counted {sys.counted_edge_dims} vs ranked {sys.edge_dims}, "
+            f"h0 {h0} vs its bound sum of full - tilde {gap}, "
             f"vertices breaking tilde <= full <= bar: {unordered}"
         )
     return h0
@@ -510,7 +526,9 @@ def euler_assembly(
     mesh: Mesh, smooth: SmoothnessSpec, d: int, pieces: EdgePieces | None = None
 ) -> DimensionReport:
     """Full per-degree report: the kernel oracle's exact dimension, checked
-    against the Euler side (`check_euler_side`), and every bound."""
+    against the Euler side (`check_euler_side`), and every bound.  That
+    check implies lb52 <= lb51 <= exact <= ub53, so every report holds the
+    bound sandwich, whether or not the CLI's `--check` is given."""
     sys = _system(mesh, smooth, d, pieces)
     exact = _exact_dim_reduced(sys)
     h0 = check_euler_side(mesh, smooth, d, exact, sys.pieces)

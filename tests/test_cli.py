@@ -8,8 +8,15 @@ import pytest
 import splinedim.cli
 import splinedim.dimension
 from splinedim.cli import builtin_mesh, main
-from splinedim.dimension import star_smoothness_spec
-from splinedim.mesh import mesh_to_json
+from splinedim.dimension import (
+    EdgePieces,
+    InternalInconsistencyError,
+    _DegreeSystem,
+    euler_assembly,
+    h0_dimension,
+    star_smoothness_spec,
+)
+from splinedim.mesh import SmoothnessSpec, mesh_to_json
 from splinedim.refine import morgan_scott_mesh, powell_sabin_6split
 
 
@@ -398,6 +405,40 @@ def test_check_counts_each_bar_dimension_once_per_degree(monkeypatch, command, m
     argv = [command, "--gen", "ps6:morgan-scott", "-r", "2", "-s", "3", "--degrees", "4:6", *method, "--check"]
     assert run(argv)[0] == 0
     assert len(calls) == len(set(calls)) == 57
+
+
+@pytest.mark.parametrize("r, s, d, exact", [(1, 2, 3, 10), (2, 3, 4, 15)])
+def test_a_tilde_count_raised_below_full_is_caught_by_every_report(monkeypatch, capsys, r, s, d, exact):
+    """On Morgan-Scott at these orders h0 = 3 = sum over v of (full_v -
+    tilde_v), split 2, 1, 0 over the interior vertices, so h0's
+    block-triangular bound is tight.  One more tilde dimension at the vertex
+    with the gap of 2 keeps tilde <= full there, and h0 still comes from the
+    boundary matrix, so the Euler identity holds; only the bound breaks,
+    which puts ub53 one below the exact dimension.  Every report refuses it,
+    and with it every command: an oracle or ub53 row under --check, and a
+    table without --check."""
+    mesh = morgan_scott_mesh()
+    spec = SmoothnessSpec.uniform(mesh, r, s)
+    sys = EdgePieces(mesh, spec, d).system(d)
+    gaps = {v: sys.full[v] - sys.tilde[v] for v in sys.interior}
+    assert h0_dimension(mesh, spec, d, sys.pieces) == sum(gaps.values()) == 3
+    assert sorted(gaps.values()) == [0, 1, 2]
+    assert euler_assembly(mesh, spec, d).ub53 == exact
+
+    top = max(gaps, key=gaps.get)
+    raised = property(lambda self: {v: len(cols) + (v == top) for v, cols in self.tilde_pivots.items()})
+    monkeypatch.setattr(_DegreeSystem, "tilde", raised)
+    message = rf"kernel oracle {exact} vs Euler assembly {exact},.* h0 3 vs its bound sum of full - tilde 2,.*: \[\]$"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        euler_assembly(mesh, spec, d)
+    source = ["--gen", "morgan-scott", "-r", str(r), "-s", str(s), "-d", str(d)]
+    for argv in (
+        ["dim", *source, "--method", "ub53", "--check"],
+        ["dim", *source, "--method", "exact", "--check"],
+        ["table", *source],
+    ):
+        assert run(argv) == (2, ""), argv
+        assert "h0 3 vs its bound sum of full - tilde 2," in capsys.readouterr().err
 
 
 def test_check_catches_an_oracle_row_that_disagrees_with_the_euler_side(monkeypatch, capsys):
